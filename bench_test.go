@@ -1,9 +1,9 @@
 package parcut
 
-// Benchmark harness for the paper's quantitative artifacts (DESIGN.md
-// experiment index E1–E10). Each bench regenerates the measurement behind
-// one table row or claim; cmd/paperbench prints the same series as
-// markdown tables. Custom metrics:
+// Benchmark harness for the paper's quantitative artifacts (the E1–E10
+// experiments of cmd/paperbench, one per -exp name). Each bench
+// regenerates the measurement behind one table row or claim; paperbench
+// prints the same series as markdown tables. Custom metrics:
 //
 //	work/op   — Work-Depth model work per graph edge or per operation
 //	depth/op  — model depth (critical path length)

@@ -1,7 +1,8 @@
 // Command paperbench regenerates the paper's quantitative artifacts: the
 // Table 1 work/depth comparison and the per-lemma complexity and quality
-// claims (experiments E1–E10 of DESIGN.md). Output is markdown, ready to
-// paste into EXPERIMENTS.md.
+// claims, one experiment per -exp name below (each experiment function's
+// comment gives its E-number and the claim it measures). Output is
+// markdown tables.
 //
 // Usage:
 //

@@ -31,7 +31,9 @@
 // independent of each other and restore the structure on exit, so they
 // run either sequentially on one ladder (O(n) extra memory) or chunked
 // across the pool with one ladder per chunk — the same memory/depth
-// trade the bough scan exposes as ParallelPhases.
+// trade as the bough scan's concurrent phase schedule
+// (respect.ScanParallelPhases). The solver runs them sequentially: it
+// already searches its trees in parallel.
 //
 // Determinism: candidates are combined in (heavy path, position) order
 // with strict <, the ladder returns the leftmost argmin, and chunk

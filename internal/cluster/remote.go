@@ -18,12 +18,11 @@ import (
 // submitter fills in. Field names must match the HTTP API; the engine may
 // be "auto" — the owning node resolves it against the graph it holds.
 type solveRequest struct {
-	Seed           int64  `json:"seed"`
-	WantPartition  bool   `json:"want_partition,omitempty"`
-	Boost          int    `json:"boost,omitempty"`
-	ParallelPhases bool   `json:"parallel_phases,omitempty"`
-	Engine         string `json:"engine,omitempty"`
-	Class          string `json:"class,omitempty"`
+	Seed          int64  `json:"seed"`
+	WantPartition bool   `json:"want_partition,omitempty"`
+	Boost         int    `json:"boost,omitempty"`
+	Engine        string `json:"engine,omitempty"`
+	Class         string `json:"class,omitempty"`
 }
 
 // solveResponse is the subset of httpapi's job response the remote
@@ -68,12 +67,11 @@ type remoteHandle struct {
 // request's correlation ID. ctx governs the whole proxied solve.
 func submitRemote(ctx context.Context, p *Peer, self string, key sched.Key, opts sched.SubmitOpts, rid string) (*remoteHandle, error) {
 	body, err := json.Marshal(solveRequest{
-		Seed:           key.Opt.Seed,
-		WantPartition:  key.Opt.WantPartition,
-		Boost:          key.Opt.Boost,
-		ParallelPhases: key.Opt.ParallelPhases,
-		Engine:         key.Opt.Engine,
-		Class:          string(opts.Class),
+		Seed:          key.Opt.Seed,
+		WantPartition: key.Opt.WantPartition,
+		Boost:         key.Opt.Boost,
+		Engine:        key.Opt.Engine,
+		Class:         string(opts.Class),
 	})
 	if err != nil {
 		return nil, err

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/baseline"
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
-	"repro/internal/tree"
+	"repro/internal/par"
+	"repro/internal/progress"
+	"repro/internal/trace"
 	"repro/internal/wd"
 )
 
@@ -169,34 +173,20 @@ func TestMinCutMeterAccumulates(t *testing.T) {
 	}
 }
 
-func TestConstrainedMinCut(t *testing.T) {
-	// Star graph, tree = the star: every cut crosses ≥1 tree edge; the
-	// constrained minimum over ≤2 tree edges is the best single or pair.
-	g := graph.New(4)
-	for _, e := range []struct {
-		u, v int
-		w    int64
-	}{{0, 1, 5}, {0, 2, 3}, {0, 3, 4}, {1, 2, 1}} {
-		if err := g.AddEdge(e.u, e.v, e.w); err != nil {
-			t.Fatal(err)
+// TestSolveRejectsWrongWitness: the pipeline re-weighs every partition it
+// returns, so a per-tree search whose witness does not achieve the value
+// it reported fails the solve instead of serving a wrong partition.
+func TestSolveRejectsWrongWitness(t *testing.T) {
+	// Every weighted degree of this cycle is at least 5, so the fake's
+	// value 1 wins and its witness, the empty side weighing 0, is used.
+	g := gen.Cycle([]int64{2, 3, 4, 5, 6, 7, 8, 9}).G
+	wrong := func(g *graph.Graph, _ []int64, _ *par.Pool) TreeSearch {
+		return func(context.Context, []int32, *wd.Meter, *progress.Sink, trace.SpanRef) (int64, Witness, error) {
+			return 1, func(*wd.Meter) ([]bool, error) { return make([]bool, g.N()), nil }, nil
 		}
 	}
-	parent := []int32{tree.None, 0, 0, 0}
-	res, err := ConstrainedMinCut(g, parent, true, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := baseline.BruteForce(g) // every cut of a star 2-respects? n=4: cuts cross ≤3 tree edges
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The constrained value can exceed the true min cut only when the
-	// optimum needs 3 tree edges; here singleton {2} cuts edges (0,2),(1,2)
-	// = 4, and brute force gives 4 as well.
-	if want != 4 || res.Value != 4 {
-		t.Fatalf("constrained=%d brute=%d want both 4", res.Value, want)
-	}
-	if got := g.CutValue(res.InCut); got != res.Value {
-		t.Fatalf("witness %d claimed %d", got, res.Value)
+	_, err := Solve(context.Background(), g, Options{Seed: 1, WantPartition: true}, wrong)
+	if err == nil || !strings.Contains(err.Error(), "partition weighs 0, reported value 1") {
+		t.Fatalf("wrong witness: err = %v, want a partition mismatch", err)
 	}
 }

@@ -9,12 +9,14 @@
 //
 // Four engines are built in:
 //
-//   - "geissmann": the paper's parallel solver (core.MinCutContext) —
+//   - "geissmann" and "andersonblelloch": two instances of one engine
+//     type running the paper's packed-tree pipeline (core.Solve) —
 //     near-linear work, polylog depth, Monte Carlo, boost-decomposable.
-//   - "andersonblelloch": the same tree packing searched with the
-//     Anderson–Blelloch compact 2-respecting scan (internal/abscan) —
-//     one log factor less work per tree, bit-identical cut values to
-//     geissmann.
+//     They differ only in the per-tree search: geissmann uses the paper's
+//     bough decomposition (core.Boughs), andersonblelloch the
+//     Anderson–Blelloch heavy-path sweep (core.HeavyPaths), which does
+//     one log factor less work per tree. Both searches are exact, so the
+//     two return bit-identical results.
 //   - "stoerwagner": the exact deterministic O(n³) baseline — the right
 //     choice for small or dense graphs where polylog machinery loses to
 //     tuned sequential code.
@@ -63,14 +65,12 @@ type Options struct {
 	// partition anyway (the dense baselines) still return nil without it,
 	// so results are canonical for caching.
 	WantPartition bool
-	// ParallelPhases selects the paper solver's concurrent bough-phase
-	// schedule; ignored by engines with Caps.ParallelPhases == false.
-	ParallelPhases bool
 	// Pool is the executor the run's parallel primitives use (nil = the
 	// shared default pool). Results are identical at every pool width.
 	Pool *par.Pool
-	// Meter, when non-nil, accumulates Work-Depth model costs (only the
-	// paper solver meters itself today).
+	// Meter, when non-nil, accumulates Work-Depth model costs (the
+	// packed-tree engines meter themselves; the baselines leave it
+	// untouched).
 	Meter *wd.Meter
 	// Progress, when non-nil, receives live phase/counter updates at the
 	// run's cancellation seams.
@@ -86,8 +86,8 @@ type Result struct {
 	// InCut marks one side of the cut (nil unless Options.WantPartition).
 	InCut []bool
 	// TreesScanned counts the engine's coarse work units: spanning trees
-	// scanned (geissmann), contraction trials (kargerstein), 0 for the
-	// single-pass exact baseline.
+	// scanned (geissmann, andersonblelloch), contraction trials
+	// (kargerstein), 0 for the single-pass exact baseline.
 	TreesScanned int
 }
 
@@ -104,10 +104,6 @@ type Caps struct {
 	// boosted solve may be decomposed into independent sub-runs (the
 	// scheduler's boost fan-out).
 	BoostDecomposable bool
-	// ParallelPhases: the engine honors Options.ParallelPhases.
-	ParallelPhases bool
-	// Phases lists the progress phases the engine reports, in order.
-	Phases []progress.Phase
 }
 
 // Engine computes one minimum cut run. Implementations must be safe for

@@ -33,18 +33,14 @@ func TestRegistryBuiltins(t *testing.T) {
 	if !caps["stoerwagner"].Exact || caps["stoerwagner"].Seeded || caps["stoerwagner"].BoostDecomposable {
 		t.Fatalf("stoerwagner caps = %+v, want exact, unseeded, not boostable", caps["stoerwagner"])
 	}
-	if caps["geissmann"].Exact || !caps["geissmann"].Seeded || !caps["geissmann"].BoostDecomposable || !caps["geissmann"].ParallelPhases {
+	if caps["geissmann"].Exact || !caps["geissmann"].Seeded || !caps["geissmann"].BoostDecomposable {
 		t.Fatalf("geissmann caps = %+v", caps["geissmann"])
 	}
-	if caps["kargerstein"].Exact || !caps["kargerstein"].Seeded || !caps["kargerstein"].BoostDecomposable || caps["kargerstein"].ParallelPhases {
+	if caps["kargerstein"].Exact || !caps["kargerstein"].Seeded || !caps["kargerstein"].BoostDecomposable {
 		t.Fatalf("kargerstein caps = %+v", caps["kargerstein"])
 	}
-	ab := caps["andersonblelloch"]
-	if ab.Exact || !ab.Seeded || !ab.BoostDecomposable || !ab.ParallelPhases {
-		t.Fatalf("andersonblelloch caps = %+v, want seeded, boostable, parallel-phases, not exact", ab)
-	}
-	if !reflect.DeepEqual(ab.Phases, caps["geissmann"].Phases) {
-		t.Fatalf("andersonblelloch phases = %v, want geissmann's %v (same outer loop)", ab.Phases, caps["geissmann"].Phases)
+	if ab := caps["andersonblelloch"]; ab != caps["geissmann"] {
+		t.Fatalf("andersonblelloch caps = %+v, want geissmann's %+v (same pipeline)", ab, caps["geissmann"])
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/graph"
-	"repro/internal/progress"
 )
 
 // kargerSteinEngine serves baseline.KargerSteinContext: randomized
@@ -16,11 +15,7 @@ type kargerSteinEngine struct{}
 func (kargerSteinEngine) Name() string { return "kargerstein" }
 
 func (kargerSteinEngine) Caps() Caps {
-	return Caps{
-		Seeded:            true,
-		BoostDecomposable: true,
-		Phases:            []progress.Phase{progress.PhaseContract},
-	}
+	return Caps{Seeded: true, BoostDecomposable: true}
 }
 
 func (kargerSteinEngine) Solve(ctx context.Context, g *graph.Graph, opt Options) (Result, error) {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/graph"
-	"repro/internal/progress"
 )
 
 // stoerWagnerEngine serves baseline.StoerWagnerContext: exact,
@@ -17,10 +16,7 @@ type stoerWagnerEngine struct{}
 func (stoerWagnerEngine) Name() string { return "stoerwagner" }
 
 func (stoerWagnerEngine) Caps() Caps {
-	return Caps{
-		Exact:  true,
-		Phases: []progress.Phase{progress.PhaseContract},
-	}
+	return Caps{Exact: true}
 }
 
 func (stoerWagnerEngine) Solve(ctx context.Context, g *graph.Graph, opt Options) (Result, error) {

@@ -71,8 +71,9 @@ func (sc *scratch) loadFor(n int) []int64 {
 }
 
 // Options control the sampling and packing constants. The defaults are
-// tuned empirically (see EXPERIMENTS.md E6): the paper's w.h.p. analysis
-// fixes them only up to constants.
+// tuned empirically (paperbench -exp packing measures how often some
+// sampled tree crosses the minimum cut at most twice): the paper's w.h.p.
+// analysis fixes them only up to constants.
 type Options struct {
 	// Kappa scales the skeleton sampling probability p = Kappa·ln(n)/ĉ.
 	Kappa float64

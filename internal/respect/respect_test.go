@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/lca"
@@ -341,6 +342,37 @@ func TestTwoRespectTwoVertices(t *testing.T) {
 	}
 	if res.Value != 10 {
 		t.Fatalf("got %d want 10", res.Value)
+	}
+}
+
+// TestTwoRespectStar: with the star itself as the tree, every cut of a
+// star graph crosses at least one tree edge; the best one crossing at
+// most two is the singleton {2}, weight 4, which is also the global
+// minimum.
+func TestTwoRespectStar(t *testing.T) {
+	g := graph.New(4)
+	for _, e := range []struct {
+		u, v int
+		w    int64
+	}{{0, 1, 5}, {0, 2, 3}, {0, 3, 4}, {1, 2, 1}} {
+		if err := g.AddEdge(e.u, e.v, e.w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parent := []int32{tree.None, 0, 0, 0}
+	res, err := TwoRespect(g, parent, true, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := baseline.BruteForce(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if constrained := bruteForce(t, g, parent); want != 4 || constrained != 4 || res.Value != 4 {
+		t.Fatalf("TwoRespect=%d constrained brute=%d global brute=%d, want all 4", res.Value, constrained, want)
+	}
+	if got := g.CutValue(res.InCut); got != res.Value {
+		t.Fatalf("witness %d claimed %d", got, res.Value)
 	}
 }
 

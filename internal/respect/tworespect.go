@@ -142,8 +142,6 @@ func scanMode(ctx context.Context, g *graph.Graph, parent []int32, stopAtPhase i
 		if phase > int(wd.CeilLog2(g.N()))+2 {
 			return 0, provenance{}, fmt.Errorf("respect: phase bound exceeded")
 		}
-		// In parallelPhases mode the phase span covers only batch
-		// construction; execution is deferred and gets its own spans below.
 		psp := sp.Child("bough-phase").AttrInt("phase", int64(phase))
 		l := lca.New(curT, pool, m)
 		c, rho := CutValues(curG, curT, l, pool, m)
@@ -187,29 +185,10 @@ func scanMode(ctx context.Context, g *graph.Graph, parent []int32, stopAtPhase i
 	}
 	if parallelPhases && len(deferred) > 0 {
 		locals := make([]*wd.Meter, len(deferred))
-		var obs par.RegionFunc
-		if sp.Active() {
-			obs = func(name string, items, width int) func() {
-				fsp := sp.Child(name).AttrInt("items", int64(items)).AttrInt("width", int64(width))
-				return fsp.End
-			}
-		}
-		pool.ForGrainRegion("fork:bough-phases", obs, len(deferred), 1, func(i int) {
-			// The deferred batches are where this mode spends its work, so
-			// cancellation must be honored here too, not just while the
-			// contraction chain was being built.
-			if ctx.Err() != nil {
-				return
-			}
-			esp := sp.Child("bough-phase-exec").AttrInt("phase", int64(deferred[i].phase))
+		pool.ForGrain(len(deferred), 1, func(i int) {
 			locals[i] = new(wd.Meter)
 			deferred[i].run(pool, locals[i])
-			esp.End()
-			sink.BoughPhaseDone()
 		})
-		if err := ctx.Err(); err != nil {
-			return 0, provenance{}, fmt.Errorf("respect: scan canceled: %w", err)
-		}
 		m.Par(locals...)
 		for _, job := range deferred {
 			if job.best < best {
@@ -224,9 +203,18 @@ func scanMode(ctx context.Context, g *graph.Graph, parent []int32, stopAtPhase i
 }
 
 // ScanParallelPhases is Scan with the paper-faithful concurrent phase
-// execution (§4.3): lower depth, O(m log n) memory.
+// execution (§4.3): lower depth, O(m log n) memory. The solver keeps the
+// sequential schedule; this one exists to measure the depth trade
+// (paperbench -exp ablation).
 func ScanParallelPhases(g *graph.Graph, parent []int32, pool *par.Pool, m *wd.Meter) (Finding, error) {
-	return ScanParallelPhasesContext(context.Background(), g, parent, pool, m, nil, trace.SpanRef{})
+	if g.N() < 2 {
+		return Finding{}, fmt.Errorf("respect: graph needs at least 2 vertices")
+	}
+	v, p, err := scanMode(context.Background(), g, parent, -1, nil, true, pool, m, nil, trace.SpanRef{})
+	if err != nil {
+		return Finding{}, err
+	}
+	return Finding{Value: v, prov: p}, nil
 }
 
 // ScanContext is Scan with cooperative cancellation and live
@@ -239,20 +227,6 @@ func ScanContext(ctx context.Context, g *graph.Graph, parent []int32, pool *par.
 		return Finding{}, fmt.Errorf("respect: graph needs at least 2 vertices")
 	}
 	v, p, err := scanMode(ctx, g, parent, -1, nil, false, pool, m, sink, sp)
-	if err != nil {
-		return Finding{}, err
-	}
-	return Finding{Value: v, prov: p}, nil
-}
-
-// ScanParallelPhasesContext is ScanParallelPhases with cooperative
-// cancellation between bough phases and the same progress and tracing
-// seams as ScanContext.
-func ScanParallelPhasesContext(ctx context.Context, g *graph.Graph, parent []int32, pool *par.Pool, m *wd.Meter, sink *progress.Sink, sp trace.SpanRef) (Finding, error) {
-	if g.N() < 2 {
-		return Finding{}, fmt.Errorf("respect: graph needs at least 2 vertices")
-	}
-	v, p, err := scanMode(ctx, g, parent, -1, nil, true, pool, m, sink, sp)
 	if err != nil {
 		return Finding{}, err
 	}

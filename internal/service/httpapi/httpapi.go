@@ -416,10 +416,9 @@ func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 
 // mincutRequest selects solver options; zero values are valid defaults.
 type mincutRequest struct {
-	Seed           int64 `json:"seed"`
-	WantPartition  bool  `json:"want_partition"`
-	Boost          int   `json:"boost"`
-	ParallelPhases bool  `json:"parallel_phases"`
+	Seed          int64 `json:"seed"`
+	WantPartition bool  `json:"want_partition"`
+	Boost         int   `json:"boost"`
 	// Engine picks the solver backend: "geissmann", "andersonblelloch",
 	// "stoerwagner", "kargerstein", or "auto" (the default), which selects
 	// by graph size.
@@ -527,11 +526,10 @@ func (s *Server) handleMinCut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := sched.Key{GraphID: id, Opt: sched.SolveOptions{
-		Seed:           req.Seed,
-		WantPartition:  req.WantPartition,
-		Boost:          req.Boost,
-		ParallelPhases: req.ParallelPhases,
-		Engine:         eng.Name(),
+		Seed:          req.Seed,
+		WantPartition: req.WantPartition,
+		Boost:         req.Boost,
+		Engine:        eng.Name(),
 	}}
 	sub := s.submitterFor(r)
 	job, hit, err := sub.Submit(r.Context(), key, g, sched.SubmitOpts{Class: class, Detached: req.Async})
@@ -594,11 +592,10 @@ type batchItem struct {
 // additionally carries per-item boosts. Both may be given; Seeds run
 // first.
 type batchRequest struct {
-	Seeds          []int64     `json:"seeds"`
-	Items          []batchItem `json:"items"`
-	Boost          int         `json:"boost"`
-	WantPartition  bool        `json:"want_partition"`
-	ParallelPhases bool        `json:"parallel_phases"`
+	Seeds         []int64     `json:"seeds"`
+	Items         []batchItem `json:"items"`
+	Boost         int         `json:"boost"`
+	WantPartition bool        `json:"want_partition"`
 	// Engine picks the solver backend for every solve in the batch;
 	// defaults to "auto" (see mincutRequest.Engine). The resolved engine is
 	// echoed in the response envelope.
@@ -694,11 +691,10 @@ func (s *Server) handleMinCutBatch(w http.ResponseWriter, r *http.Request) {
 	subs := make([]submission, len(items))
 	for i, it := range items {
 		key := sched.Key{GraphID: id, Opt: sched.SolveOptions{
-			Seed:           it.Seed,
-			WantPartition:  req.WantPartition,
-			Boost:          it.Boost,
-			ParallelPhases: req.ParallelPhases,
-			Engine:         eng.Name(),
+			Seed:          it.Seed,
+			WantPartition: req.WantPartition,
+			Boost:         it.Boost,
+			Engine:        eng.Name(),
 		}}
 		subs[i].job, subs[i].hit, subs[i].err = submitter.Submit(r.Context(), key, g, sched.SubmitOpts{Class: class})
 	}

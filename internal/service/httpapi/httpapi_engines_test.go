@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"testing"
 	"time"
@@ -58,6 +59,52 @@ func TestMinCutEngineSelection(t *testing.T) {
 		[]byte(`{"engine":"edmondskarp"}`), nil)
 	if code != http.StatusBadRequest {
 		t.Fatalf("unknown engine: %d %s, want 400", code, raw)
+	}
+}
+
+// TestRetiredFieldSharesCache: parallel_phases is no longer an
+// option, but old clients and older cluster peers may still send it. The
+// JSON decoders ignore unknown fields, so a body carrying it is accepted
+// and keys the same result-cache entry as the body without it — on the
+// single solve, the graph-scoped batch, and the cross-graph batch alike.
+func TestRetiredFieldSharesCache(t *testing.T) {
+	ts := newTestServer(t, 2)
+	id := ts.uploadCycle(t, 60)
+	type outcome struct {
+		Cached bool   `json:"cached"`
+		Value  *int64 `json:"value"`
+	}
+	// Each route solves its own seed, so its first request is cold.
+	for _, c := range []struct {
+		path, body string
+		batch      bool
+	}{
+		{"/v1/graphs/" + id + "/mincut", `{"engine":"andersonblelloch","seed":3%s}`, false},
+		{"/v1/graphs/" + id + "/mincut:batch", `{"seeds":[4],"engine":"andersonblelloch"%s}`, true},
+		{"/v1/mincut:batch", `{"items":[{"graph_id":"` + id + `","seed":5,"engine":"andersonblelloch"%s}]}`, true},
+	} {
+		var runs [2]outcome
+		for i, extra := range []string{`,"parallel_phases":true`, ""} {
+			body := fmt.Sprintf(c.body, extra)
+			var batch struct {
+				Results []outcome `json:"results"`
+			}
+			out := any(&runs[i])
+			if c.batch {
+				out = &batch
+			}
+			code, raw := ts.do(t, "POST", c.path, "application/json", []byte(body), out)
+			if c.batch && len(batch.Results) == 1 {
+				runs[i] = batch.Results[0]
+			}
+			if code != http.StatusOK || runs[i].Value == nil {
+				t.Fatalf("%s %s: %d %s", c.path, body, code, raw)
+			}
+		}
+		if runs[0].Cached || !runs[1].Cached || *runs[0].Value != *runs[1].Value {
+			t.Fatalf("%s: cached %v then %v, values %d then %d; want a cold solve, then a hit on its entry",
+				c.path, runs[0].Cached, runs[1].Cached, *runs[0].Value, *runs[1].Value)
+		}
 	}
 }
 

@@ -384,11 +384,10 @@ func (s *Server) forwardUploadShard(r *http.Request, owner string, items []batch
 // clusterBatchItem is one solve of a cross-shard batch: a graph anywhere
 // in the cluster plus its solver options.
 type clusterBatchItem struct {
-	GraphID        string `json:"graph_id"`
-	Seed           int64  `json:"seed"`
-	Boost          int    `json:"boost,omitempty"`
-	WantPartition  bool   `json:"want_partition,omitempty"`
-	ParallelPhases bool   `json:"parallel_phases,omitempty"`
+	GraphID       string `json:"graph_id"`
+	Seed          int64  `json:"seed"`
+	Boost         int    `json:"boost,omitempty"`
+	WantPartition bool   `json:"want_partition,omitempty"`
 	// Engine defaults to "auto"; each graph's owner resolves it against
 	// the graph it holds, so one batch may fan across engines.
 	Engine string `json:"engine,omitempty"`
@@ -480,11 +479,10 @@ func (s *Server) handleClusterBatch(w http.ResponseWriter, r *http.Request) {
 	subs := make([]submission, len(req.Items))
 	for i, it := range req.Items {
 		key := sched.Key{GraphID: it.GraphID, Opt: sched.SolveOptions{
-			Seed:           it.Seed,
-			WantPartition:  it.WantPartition,
-			Boost:          it.Boost,
-			ParallelPhases: it.ParallelPhases,
-			Engine:         it.Engine,
+			Seed:          it.Seed,
+			WantPartition: it.WantPartition,
+			Boost:         it.Boost,
+			Engine:        it.Engine,
 		}}
 		if s.cluster != nil {
 			subs[i].node = s.cluster.Owner(it.GraphID)

@@ -75,16 +75,14 @@ var ErrUnknownEngine = errors.New("sched: unknown engine")
 // equivalent requests share one key: Boost 0 and 1 both mean a single
 // run, the empty Engine means the default, and options the chosen engine
 // cannot use are zeroed — a non-boost-decomposable engine runs once
-// whatever Boost says, an engine without parallel phases ignores that
-// flag, and a seed-insensitive (exact) engine returns the same result for
-// every seed, so all seeds map to one cache entry. Without Engine in the
-// key, two engines' results for the same graph and seed would collide in
-// the cache.
+// whatever Boost says, and a seed-insensitive (exact) engine returns the
+// same result for every seed, so all seeds map to one cache entry.
+// Without Engine in the key, two engines' results for the same graph and
+// seed would collide in the cache.
 type SolveOptions struct {
-	Seed           int64
-	WantPartition  bool
-	Boost          int
-	ParallelPhases bool
+	Seed          int64
+	WantPartition bool
+	Boost         int
 	// Engine names the solver backend (engine.Names lists the valid
 	// values; empty means engine.Default). It is part of the cache key.
 	Engine string
@@ -102,9 +100,6 @@ func (o SolveOptions) normalized() SolveOptions {
 		if !caps.BoostDecomposable {
 			o.Boost = 1
 		}
-		if !caps.ParallelPhases {
-			o.ParallelPhases = false
-		}
 		if !caps.Seeded {
 			o.Seed = 0
 		}
@@ -114,11 +109,10 @@ func (o SolveOptions) normalized() SolveOptions {
 
 func (o SolveOptions) parcut() parcut.Options {
 	return parcut.Options{
-		Engine:         o.Engine,
-		Seed:           o.Seed,
-		WantPartition:  o.WantPartition,
-		Boost:          o.Boost,
-		ParallelPhases: o.ParallelPhases,
+		Engine:        o.Engine,
+		Seed:          o.Seed,
+		WantPartition: o.WantPartition,
+		Boost:         o.Boost,
 	}
 }
 
@@ -621,11 +615,10 @@ func (s *Scheduler) newFanoutLocked(key Key, g *parcut.Graph, class Class, detac
 		// Children carry the parent's engine: without it two engines'
 		// sub-runs for the same seed range would collide in the cache.
 		childKey := Key{GraphID: key.GraphID, Opt: SolveOptions{
-			Seed:           parcut.BoostSeed(key.Opt.Seed, start),
-			WantPartition:  key.Opt.WantPartition,
-			Boost:          size,
-			ParallelPhases: key.Opt.ParallelPhases,
-			Engine:         key.Opt.Engine,
+			Seed:          parcut.BoostSeed(key.Opt.Seed, start),
+			WantPartition: key.Opt.WantPartition,
+			Boost:         size,
+			Engine:        key.Opt.Engine,
 		}}
 		child, fresh := s.submitChildLocked(childKey, g, class)
 		parent.group.children = append(parent.group.children, child)

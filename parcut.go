@@ -28,12 +28,12 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/par"
 	"repro/internal/progress"
+	"repro/internal/respect"
 	"repro/internal/trace"
 	"repro/internal/wd"
 )
@@ -242,10 +242,6 @@ type Options struct {
 	// keeps the smallest cut found, driving the (already small) failure
 	// probability down exponentially. 0 and 1 both mean a single run.
 	Boost int
-	// ParallelPhases selects the paper's fully concurrent bough-phase
-	// schedule (§4.3): lower critical-path depth at O(m log n) memory.
-	// The default runs phases back to back in O(m) memory.
-	ParallelPhases bool
 	// Parallelism bounds the number of CPU lanes the solve uses: the call
 	// runs on a dedicated executor of that width, created for the call.
 	// 0 means all cores (the shared process-wide executor). The result is
@@ -465,13 +461,12 @@ func MinCutContext(ctx context.Context, G *Graph, opt Options) (Result, error) {
 		}
 		runSp := opt.Trace.Child("run").AttrInt("run", int64(run)).Attr("engine", eng.Name())
 		r, err := eng.Solve(ctx, G.g, engine.Options{
-			Seed:           BoostSeed(opt.Seed, run),
-			WantPartition:  opt.WantPartition,
-			ParallelPhases: opt.ParallelPhases,
-			Pool:           pool,
-			Meter:          m,
-			Progress:       sink,
-			Trace:          runSp,
+			Seed:          BoostSeed(opt.Seed, run),
+			WantPartition: opt.WantPartition,
+			Pool:          pool,
+			Meter:         m,
+			Progress:      sink,
+			Trace:         runSp,
 		})
 		runSp.End()
 		if err != nil {
@@ -509,7 +504,7 @@ func ConstrainedMinCut(G *Graph, parent []int32, opt Options) (Result, error) {
 	if owned {
 		defer pool.Close()
 	}
-	r, err := core.ConstrainedMinCut(G.g, parent, opt.WantPartition, pool, m)
+	r, err := respect.TwoRespect(G.g, parent, opt.WantPartition, pool, m)
 	if err != nil {
 		return Result{}, err
 	}
