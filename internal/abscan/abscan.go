@@ -21,19 +21,22 @@
 // A heavy-first DFS makes both every subtree and every heavy path a
 // contiguous range of DFS positions. The contraction structure ("the
 // ladder") is a perfect binary tree over those positions with lazy
-// range-add and leftmost-argmin range-min: leaf p holds
+// range-add and leftmost-argmin minimum: leaf p holds
 // c(order[p]) − 2·B(v, order[p]) for the currently fixed edge e_v, so
-// the best partner for e_v is one range query. Fixing the next edge is
-// cheap exactly on heavy paths: walking from a path's head to its leaf
-// re-evaluates only the graph edges incident to the vertex left behind
-// and its light subtrees, which is the classic O(log n)-re-evaluations-
-// per-edge bound, each an O(log n)-hop path update. Heavy paths are
-// independent of each other and restore the structure on exit, so they
-// run either sequentially on one ladder (O(n) extra memory) or chunked
-// across the pool with one ladder per chunk — the same memory/depth
-// trade as the bough scan's concurrent phase schedule
-// (respect.ScanParallelPhases). The solver runs them sequentially: it
-// already searches its trees in parallel.
+// the best partner for e_v is one leaf-to-root query that skips e_v's
+// own position. Fixing the next edge is cheap exactly on heavy paths:
+// walking from a path's head to its leaf re-evaluates only the graph
+// edges incident to the vertex left behind and its light subtrees, which
+// is the classic O(log n)-re-evaluations-per-edge bound, each an
+// O(log n)-hop path update. Every heavy path ends at a tree leaf, whose
+// own edges are then the whole active set, and the ladder's state
+// depends only on the summed adds, so retiring those edges restores it
+// exactly. Heavy paths are thus independent of each other and run either
+// sequentially on one ladder (O(n) extra memory) or chunked across the
+// pool with one ladder per chunk — the same memory/depth trade as the
+// bough scan's concurrent phase schedule (respect.ScanParallelPhases).
+// The solver runs them sequentially: it already searches its trees in
+// parallel.
 //
 // Determinism: candidates are combined in (heavy path, position) order
 // with strict <, the ladder returns the leftmost argmin, and chunk
@@ -224,8 +227,12 @@ func (d *decomposition) build(parent []int32, childEnd, childList, bfs []int32) 
 
 // ladder is the bounded-depth contraction structure: a perfect binary
 // tree over DFS positions with lazy range-add and leftmost-argmin
-// range-min, depth ⌈log₂ n⌉. minv[x] includes the lazy adds at and
-// below x; ancestors' pending adds are accumulated on the way down.
+// minimum, depth ⌈log₂ n⌉. lazy[x] sums the adds that covered x's whole
+// range. minv[x] is a leaf's value plus its lazy, and
+// min(minv[2x], minv[2x+1]) + lazy[x] at an internal node, so it
+// includes the adds at and below x but not those pending at x's
+// ancestors. The state is thus a function of the per-node lazy sums
+// alone, whatever order the adds came in.
 type ladder struct {
 	base int // leaf count, power of two >= n
 	minv []int64
@@ -253,75 +260,67 @@ func (t *ladder) reset(vals []int64) {
 		t.lazy[base+p] = 0
 	}
 	for x := base - 1; x >= 1; x-- {
-		l, r := 2*x, 2*x+1
-		if t.minv[l] <= t.minv[r] {
-			t.minv[x], t.arg[x] = t.minv[l], t.arg[l]
-		} else {
-			t.minv[x], t.arg[x] = t.minv[r], t.arg[r]
-		}
 		t.lazy[x] = 0
+		t.pull(x)
 	}
 }
 
-// add adds delta to positions [l, r] (inclusive; no-op when l > r).
+// pull recomputes internal node x from its children. The left child wins
+// ties, so arg[x] is the leftmost argmin of x's range.
+func (t *ladder) pull(x int) {
+	l, r := 2*x, 2*x+1
+	if t.minv[l] <= t.minv[r] {
+		t.minv[x], t.arg[x] = t.minv[l]+t.lazy[x], t.arg[l]
+	} else {
+		t.minv[x], t.arg[x] = t.minv[r]+t.lazy[x], t.arg[r]
+	}
+}
+
+// add adds delta to positions [l, r] (inclusive; no-op when l > r). The
+// range's canonical nodes take the add bottom-up. Each one's parent is
+// an ancestor of leaf l or of leaf r, so one merged walk up from those
+// two leaves recomputes every minimum the add changed.
 func (t *ladder) add(l, r int, delta int64) {
 	if l > r {
 		return
 	}
-	t.addRec(1, 0, t.base-1, l, r, delta)
-}
-
-func (t *ladder) addRec(x, lo, hi, l, r int, delta int64) {
-	if r < lo || hi < l {
-		return
+	lo, hi := t.base+l, t.base+r
+	for a, b := lo, hi+1; a < b; a, b = a>>1, b>>1 {
+		if a&1 == 1 {
+			t.minv[a] += delta
+			t.lazy[a] += delta
+			a++
+		}
+		if b&1 == 1 {
+			b--
+			t.minv[b] += delta
+			t.lazy[b] += delta
+		}
 	}
-	if l <= lo && hi <= r {
-		t.minv[x] += delta
-		t.lazy[x] += delta
-		return
-	}
-	mid := (lo + hi) / 2
-	t.addRec(2*x, lo, mid, l, r, delta)
-	t.addRec(2*x+1, mid+1, hi, l, r, delta)
-	if t.minv[2*x] <= t.minv[2*x+1] {
-		t.minv[x] = t.minv[2*x] + t.lazy[x]
-		t.arg[x] = t.arg[2*x]
-	} else {
-		t.minv[x] = t.minv[2*x+1] + t.lazy[x]
-		t.arg[x] = t.arg[2*x+1]
+	for lo, hi = lo>>1, hi>>1; lo >= 1; lo, hi = lo>>1, hi>>1 {
+		t.pull(lo)
+		if hi != lo {
+			t.pull(hi)
+		}
 	}
 }
 
-// min returns the minimum over positions [l, r] and the leftmost
-// position attaining it ((maxValue, -1) when the range is empty).
-func (t *ladder) min(l, r int) (int64, int32) {
-	if l > r {
-		return maxValue, -1
+// minExcept returns the minimum over every position but p and the
+// leftmost position attaining it. It walks from leaf p to the root: each
+// sibling's minimum competes with the best so far once both carry the
+// same pending adds, the left sibling winning ties. Sentinel leaves
+// never take an add, so the value is exactly maxValue when no other
+// position holds a real value.
+func (t *ladder) minExcept(p int) (int64, int32) {
+	x := t.base + p
+	m, a := t.minv[x^1], t.arg[x^1]
+	for x >>= 1; x > 1; x >>= 1 {
+		m += t.lazy[x]
+		if s := x ^ 1; t.minv[s] < m || (s < x && t.minv[s] == m) {
+			m, a = t.minv[s], t.arg[s]
+		}
 	}
-	return t.minRec(1, 0, t.base-1, l, r, 0)
-}
-
-func (t *ladder) minRec(x, lo, hi, l, r int, acc int64) (int64, int32) {
-	if r < lo || hi < l {
-		return maxValue, -1
-	}
-	if l <= lo && hi <= r {
-		return t.minv[x] + acc, t.arg[x]
-	}
-	acc += t.lazy[x]
-	mid := (lo + hi) / 2
-	lv, la := t.minRec(2*x, lo, mid, l, r, acc)
-	rv, ra := t.minRec(2*x+1, mid+1, hi, l, r, acc)
-	if lv <= rv {
-		return lv, la
-	}
-	return rv, ra
-}
-
-// pathAdd is one undo-log entry: addPath(x, y, delta) was applied.
-type pathAdd struct {
-	x, y  int32
-	delta int64
+	return m + t.lazy[1], a
 }
 
 // pathOut is one heavy path's best candidate.
@@ -337,19 +336,13 @@ type sweep struct {
 	adj *graph.Adj
 	c   []int64
 	lad *ladder
-	log []pathAdd
 }
 
 // addPath adds delta to the ladder position of every tree edge on the
 // tree path x..y, by heavy-path hops: positions along one heavy path
 // are consecutive, and the edge out of a path's head is the head's own
-// position. Appends to the undo log.
+// position. The ranges depend only on the pair {x, y}.
 func (s *sweep) addPath(x, y int32, delta int64) {
-	s.log = append(s.log, pathAdd{x: x, y: y, delta: delta})
-	s.applyPath(x, y, delta)
-}
-
-func (s *sweep) applyPath(x, y int32, delta int64) {
 	d := s.d
 	for d.head[x] != d.head[y] {
 		if d.depth[d.head[x]] < d.depth[d.head[y]] {
@@ -366,15 +359,6 @@ func (s *sweep) applyPath(x, y int32, delta int64) {
 		// x is the LCA; the path covers the edges of (x, y]'s vertices.
 		s.lad.add(int(d.tin[x])+1, int(d.tin[y]), delta)
 	}
-}
-
-// undo replays the log backwards, restoring the ladder to S(∅).
-func (s *sweep) undo() {
-	for i := len(s.log) - 1; i >= 0; i-- {
-		e := s.log[i]
-		s.applyPath(e.x, e.y, -e.delta)
-	}
-	s.log = s.log[:0]
 }
 
 // shift re-evaluates the graph edges of vertex x for the transition from
@@ -400,8 +384,9 @@ func (s *sweep) shift(x, v, u int32) {
 // runPath scans the heavy path with head hd: enters S(hd) by activating
 // every graph edge crossing e_hd, then walks down the path, querying the
 // best partner for each fixed edge and shifting the active set to the
-// heavy child, and finally undoes its updates so the ladder is clean for
-// the next path.
+// heavy child, and finally retires the edges of the path's tail leaf —
+// the whole active set left — so the ladder is back to S(∅) for the
+// next path.
 func (s *sweep) runPath(hd int32) pathOut {
 	d := s.d
 	adj := s.adj
@@ -423,14 +408,8 @@ func (s *sweep) runPath(hd int32) pathOut {
 		// Best partner for e_v: min over every other edge position. The
 		// fixed edge's own position must be excluded (its leaf currently
 		// holds c(v) − 2·B(v,v), which is not a pair value).
-		tv := int(d.tin[v])
-		m1, a1 := s.lad.min(1, tv-1)
-		m2, a2 := s.lad.min(tv+1, s.d.n-1)
-		m, a := m1, a1
-		if m2 < m {
-			m, a = m2, a2
-		}
-		if a >= 0 && m < maxValue/2 && s.c[v]+m < out.value {
+		m, a := s.lad.minExcept(int(d.tin[v]))
+		if m < maxValue && s.c[v]+m < out.value {
 			out = pathOut{value: s.c[v] + m, u: v, v: d.order[a]}
 		}
 		u := d.heavy[v]
@@ -451,7 +430,13 @@ func (s *sweep) runPath(hd int32) pathOut {
 		}
 		v = u
 	}
-	s.undo()
+	// v is the tail, a leaf, so the active set is exactly v's edges (the
+	// adjacency holds no self-loops), each added once with −2w. The
+	// ladder's state depends only on the summed adds, so retiring these
+	// undoes every update the path made.
+	for k := adj.Off[v]; k < adj.Off[v+1]; k++ {
+		s.addPath(v, adj.Nbr[k], 2*adj.W[k])
+	}
 	return out
 }
 
@@ -614,7 +599,8 @@ func buildDecomposition(parent []int32, ar *par.Arena) (*decomposition, func(), 
 	return d, put, nil
 }
 
-// newSweep borrows a ladder (and undo log) sized for d from the arena.
+// newSweep borrows a ladder sized for d from the arena. Each runPath
+// leaves it as reset here.
 func newSweep(d *decomposition, adj *graph.Adj, c []int64, ar *par.Arena) (*sweep, func()) {
 	base := 1
 	for base < d.n {
@@ -623,7 +609,6 @@ func newSweep(d *decomposition, adj *graph.Adj, c []int64, ar *par.Arena) (*swee
 	minvP := ar.Int64(2 * base)
 	lazyP := ar.Int64(2 * base)
 	argP := ar.Int32(2 * base)
-	logP := par.Slice[pathAdd](ar, 0)
 	lad := &ladder{minv: *minvP, lazy: *lazyP, arg: *argP}
 	// Leaf p carries c(order[p]): ladder positions are DFS positions.
 	valsP := ar.Int64(d.n)
@@ -633,10 +618,8 @@ func newSweep(d *decomposition, adj *graph.Adj, c []int64, ar *par.Arena) (*swee
 	}
 	lad.reset(vals)
 	ar.PutInt64(valsP)
-	sw := &sweep{d: d, adj: adj, c: c, lad: lad, log: *logP}
+	sw := &sweep{d: d, adj: adj, c: c, lad: lad}
 	put := func() {
-		*logP = sw.log[:0]
-		par.PutSlice(ar, logP)
 		ar.PutInt64(minvP)
 		ar.PutInt64(lazyP)
 		ar.PutInt32(argP)

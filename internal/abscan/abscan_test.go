@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -24,22 +25,52 @@ func scanTree(t *testing.T, g *graph.Graph, parent []int32, parallelPaths bool, 
 	return f
 }
 
+// addLoopsAndCopies gives each listed vertex a self-loop and a parallel
+// copy of one of its edges, turning g into a multigraph.
+func addLoopsAndCopies(t *testing.T, g *graph.Graph, at []int32, rng *rand.Rand) {
+	t.Helper()
+	adj := g.BuildAdj()
+	for _, v := range at {
+		y := adj.Nbr[adj.Off[v]+int32(rng.Intn(adj.Degree(int(v))))]
+		for _, e := range [][2]int32{{v, v}, {v, y}} {
+			if err := g.AddEdge(int(e[0]), int(e[1]), 1+rng.Int63n(20)); err != nil {
+				t.Fatalf("AddEdge: %v", err)
+			}
+		}
+	}
+}
+
 // TestScanMatchesRespect is the ground-truth property test: on random
-// connected graphs of varied density, with several random spanning trees
-// each, the AB sweep must find exactly the value the bough-decomposition
-// scan (internal/respect, Lemma 13) finds — both are exact minimum
-// ≤2-respecting cut searches for the given tree.
+// connected graphs of varied density, some of them multigraphs with
+// self-loops and parallel copies, plus a few of the sparse benchmark
+// workload's shape (n=520, m=2n, w≤100), with several random spanning
+// trees each, the AB sweep must find exactly the value the
+// bough-decomposition scan (internal/respect, Lemma 13) finds — both are
+// exact minimum ≤2-respecting cut searches for the given tree.
 func TestScanMatchesRespect(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 40; i++ {
-		n := 2 + rng.Intn(70)
-		maxM := n * (n - 1) / 2
-		m := n - 1
-		if maxM > n-1 {
-			m += rng.Intn(maxM - (n - 1) + 1)
+	multi := rand.New(rand.NewSource(8))
+	for i := 0; i < 43; i++ {
+		var g *graph.Graph
+		if i < 40 {
+			n := 2 + rng.Intn(70)
+			maxM := n * (n - 1) / 2
+			m := n - 1
+			if maxM > n-1 {
+				m += rng.Intn(maxM - (n - 1) + 1)
+			}
+			g = gen.RandomConnected(n, m, 50, int64(2000+i))
+		} else {
+			g = gen.RandomConnected(520, 1040, 100, int64(2000+i))
 		}
-		g := gen.RandomConnected(n, m, 50, int64(2000+i))
+		if i%4 == 1 {
+			at := make([]int32, 1+g.N()/8)
+			for j := range at {
+				at[j] = int32(multi.Intn(g.N()))
+			}
+			addLoopsAndCopies(t, g, at, multi)
+		}
 		for tr := 0; tr < 3; tr++ {
 			parent := gen.SpanningTreeParent(g, int64(i*10+tr))
 			want, err := respect.TwoRespect(g, parent, false, nil, nil)
@@ -49,7 +80,7 @@ func TestScanMatchesRespect(t *testing.T) {
 			f := scanTree(t, g, parent, tr%2 == 1, nil)
 			if f.Value != want.Value {
 				t.Fatalf("graph %d (n=%d m=%d) tree %d: abscan=%d respect=%d",
-					i, n, m, tr, f.Value, want.Value)
+					i, g.N(), g.M(), tr, f.Value, want.Value)
 			}
 			// The witness partition must re-evaluate to the found value.
 			inCut, err := Witness(g, parent, f, nil, nil)
@@ -195,5 +226,116 @@ func TestScanMeters(t *testing.T) {
 	}
 	if m1.Work() != m2.Work() || m1.Depth() != m2.Depth() {
 		t.Fatalf("meter differs across modes: (%d,%d) vs (%d,%d)", m1.Work(), m1.Depth(), m2.Work(), m2.Depth())
+	}
+}
+
+// newLadder allocates a ladder over vals, as newSweep does from the arena.
+func newLadder(vals []int64) *ladder {
+	base := 1
+	for base < len(vals) {
+		base *= 2
+	}
+	lad := &ladder{minv: make([]int64, 2*base), arg: make([]int32, 2*base), lazy: make([]int64, 2*base)}
+	lad.reset(vals)
+	return lad
+}
+
+// TestLadderMatchesNaive drives the ladder kernel against a plain array:
+// random range adds over the real positions [1, n−1], with small deltas
+// of both signs so ties are common. After every add, minExcept(p) for
+// every p must return the array's minimum over the other real positions
+// and its leftmost argmin, or maxValue when no other position is left.
+func TestLadderMatchesNaive(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{2, 3, 5, 8, 9, 520, 1024} {
+		vals := make([]int64, n)
+		for p := 1; p < n; p++ {
+			vals[p] = rng.Int63n(4)
+		}
+		lad := newLadder(vals)
+		adds := 200
+		if n > 100 {
+			adds = 30
+		}
+		for i := 0; i < adds; i++ {
+			l := 1 + rng.Intn(n-1)
+			r := l + rng.Intn(n-l)
+			delta := rng.Int63n(7) - 3
+			lad.add(l, r, delta)
+			for p := l; p <= r; p++ {
+				vals[p] += delta
+			}
+			for p := 0; p < n; p++ {
+				want, wantArg := maxValue, int32(-1)
+				for q := 1; q < n; q++ {
+					if q != p && vals[q] < want {
+						want, wantArg = vals[q], int32(q)
+					}
+				}
+				got, arg := lad.minExcept(p)
+				if got != want || (wantArg >= 0 && arg != wantArg) {
+					t.Fatalf("n=%d after add %d [%d,%d]%+d: minExcept(%d) = (%d, %d), want (%d, %d)",
+						n, i, l, r, delta, p, got, arg, want, wantArg)
+				}
+			}
+		}
+	}
+}
+
+// TestLadderRestoredAfterEveryPath pins the tail-only restore: after
+// each runPath the ladder's minv, arg and lazy equal a freshly reset
+// ladder's, entry for entry. Every tree leaf carries a self-loop and a
+// parallel copy of one of its edges, the edges the restore must skip or
+// retire once each.
+func TestLadderRestoredAfterEveryPath(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(13))
+	ar := par.Default().Arena()
+	for i := 0; i < 30; i++ {
+		n := 2 + rng.Intn(80)
+		g := gen.RandomConnected(n, n-1+rng.Intn(2*n), 20, int64(500+i))
+		parent := gen.SpanningTreeParent(g, int64(i))
+		isLeaf := make([]bool, n)
+		for v := range isLeaf {
+			isLeaf[v] = true
+		}
+		for _, p := range parent {
+			if p >= 0 {
+				isLeaf[p] = false
+			}
+		}
+		var leaves []int32
+		for v, leaf := range isLeaf {
+			if leaf {
+				leaves = append(leaves, int32(v))
+			}
+		}
+		addLoopsAndCopies(t, g, leaves, rng)
+
+		d, put, err := buildDecomposition(parent, ar)
+		if err != nil {
+			t.Fatalf("graph %d: %v", i, err)
+		}
+		adj := g.BuildAdj()
+		c := g.WeightedDegrees() // any leaf values do: the restore does not depend on them
+		sw, putSweep := newSweep(d, adj, c, ar)
+		fresh, putFresh := newSweep(d, adj, c, ar)
+		for p := 0; p < n; p++ {
+			hd := d.order[p]
+			if d.head[hd] != hd {
+				continue
+			}
+			sw.runPath(hd)
+			// Node 0 is unused and holds whatever the arena left there.
+			got, want := sw.lad, fresh.lad
+			if got.base != want.base || !slices.Equal(got.minv[1:], want.minv[1:]) ||
+				!slices.Equal(got.arg[1:], want.arg[1:]) || !slices.Equal(got.lazy[1:], want.lazy[1:]) {
+				t.Fatalf("graph %d (n=%d m=%d): ladder not restored after the heavy path at %d", i, n, g.M(), hd)
+			}
+		}
+		putFresh()
+		putSweep()
+		put()
 	}
 }
