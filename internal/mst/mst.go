@@ -6,11 +6,18 @@
 // detecting disconnected inputs, whose minimum cut is 0).
 //
 // Forest is the innermost loop of a solve — packing calls it O(log² n)
-// times per estimate guess — so its working arrays (component labels,
-// candidate slots, hook chains, selection dedupe bits) come from the
-// executor's arena and its loop bodies are pre-bound closures recycled
-// through a state pool: a steady-state Forest call performs no O(n) or
-// O(m) allocations beyond the selected-edge output the caller asked for.
+// times per estimate guess — so each round does only the work its
+// remaining components need. A list of the live component roots,
+// compacted once per round, drives every per-component step (clearing
+// candidates, hooking, breaking mutual hooks, pointer jumping, collecting
+// the selected edges); only the edge scan and the relabel visit every
+// edge and every vertex, and the rounds stop once one component is left.
+// Every loop body is a (lo, hi) chunk loop run at the executor's tuned
+// ForGrain. The working arrays (component labels, live roots, candidate
+// slots, hook chains, selection dedupe bits) come from the executor's
+// arena and the loop bodies are pre-bound closures recycled through a
+// state pool: a steady-state Forest call performs no O(n) or O(m)
+// allocations beyond the selected-edge output the caller asked for.
 package mst
 
 import (
@@ -35,10 +42,13 @@ const (
 // closures are bound once, when the state is first created, and capture
 // only the state pointer — so a recycled state re-runs the same closures
 // over freshly borrowed arrays and the per-round loops allocate nothing.
+// fInit and fRelabel run over vertices, fScan over edges, and the others
+// over live[lo:hi].
 type forestState struct {
 	edges []graph.Edge
 	cost  []int64
 	comp  []int32
+	live  []int32
 	hook  []int32
 	hook2 []int32
 	cand  []atomic.Uint64
@@ -46,13 +56,13 @@ type forestState struct {
 
 	changed atomic.Bool
 
-	fInit    func(i int)
-	fClear   func(i int)
+	fInit    func(lo, hi int)
+	fClear   func(lo, hi int)
 	fScan    func(lo, hi int)
-	fHook    func(i int)
-	fBreak   func(i int)
-	fJump    func(i int)
-	fRelabel func(i int)
+	fHook    func(lo, hi int)
+	fBreak   func(lo, hi int)
+	fJump    func(lo, hi int)
+	fRelabel func(lo, hi int)
 }
 
 var forestStates sync.Pool
@@ -62,8 +72,17 @@ func getForestState() *forestState {
 		return v.(*forestState)
 	}
 	s := &forestState{}
-	s.fInit = func(i int) { s.comp[i] = int32(i) }
-	s.fClear = func(i int) { s.cand[i].Store(noCand) }
+	s.fInit = func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			s.comp[v] = int32(v)
+			s.live[v] = int32(v)
+		}
+	}
+	s.fClear = func(lo, hi int) {
+		for _, r := range s.live[lo:hi] {
+			s.cand[r].Store(noCand)
+		}
+	}
 	// Each component's candidate: the cheapest incident edge leaving it.
 	s.fScan = func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -82,43 +101,57 @@ func getForestState() *forestState {
 		}
 	}
 	// Hook components along their candidate edges.
-	s.fHook = func(ci int) {
-		s.hook[ci] = int32(ci)
-		key := s.cand[ci].Load()
-		if key == noCand {
-			return
+	s.fHook = func(lo, hi int) {
+		for _, r := range s.live[lo:hi] {
+			s.hook[r] = r
+			key := s.cand[r].Load()
+			if key == noCand {
+				continue
+			}
+			e := s.edges[key&(1<<25-1)]
+			other := s.comp[e.U]
+			if other == r {
+				other = s.comp[e.V]
+			}
+			s.hook[r] = other
 		}
-		e := s.edges[key&(1<<25-1)]
-		other := s.comp[e.U]
-		if other == int32(ci) {
-			other = s.comp[e.V]
-		}
-		s.hook[ci] = other
 	}
 	// Break mutual hooks (2-cycles) toward the smaller label.
-	s.fBreak = func(ci int) {
-		h := s.hook[ci]
-		if s.hook[h] == int32(ci) && h > int32(ci) {
-			// ci is the smaller of a mutual pair: it becomes the root.
-			s.hook2[ci] = int32(ci)
-		} else {
-			s.hook2[ci] = h
+	s.fBreak = func(lo, hi int) {
+		for _, r := range s.live[lo:hi] {
+			h := s.hook[r]
+			if s.hook[h] == r && h > r {
+				// r is the smaller of a mutual pair: it becomes the root.
+				s.hook2[r] = r
+			} else {
+				s.hook2[r] = h
+			}
 		}
 	}
-	s.fJump = func(ci int) {
-		h := s.hook[s.hook[ci]]
-		s.hook2[ci] = h
-		if h != s.hook[ci] {
+	s.fJump = func(lo, hi int) {
+		changed := false
+		for _, r := range s.live[lo:hi] {
+			h := s.hook[s.hook[r]]
+			s.hook2[r] = h
+			if h != s.hook[r] {
+				changed = true
+			}
+		}
+		if changed {
 			s.changed.Store(true)
 		}
 	}
-	s.fRelabel = func(v int) { s.comp[v] = s.hook[s.comp[v]] }
+	s.fRelabel = func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			s.comp[v] = s.hook[s.comp[v]]
+		}
+	}
 	return s
 }
 
 func putForestState(s *forestState) {
 	s.edges, s.cost = nil, nil
-	s.comp, s.hook, s.hook2, s.cand, s.seen = nil, nil, nil, nil, nil
+	s.comp, s.live, s.hook, s.hook2, s.cand, s.seen = nil, nil, nil, nil, nil, nil
 	forestStates.Put(s)
 }
 
@@ -172,6 +205,13 @@ func Components(n int, edges []graph.Edge, pool *par.Pool, m *wd.Meter) int {
 // (len n, caller-provided) and appending selected edge indices to sel
 // (cap n-1 avoids regrowth). It returns the final sel and the component
 // count.
+//
+// A component is named by its root vertex, and s.live lists the current
+// roots in ascending order, so edges are collected in vertex order. The
+// candidate and hook slots of a vertex that is no longer a root keep
+// stale values; they are never read, because labels and hooks only ever
+// name live roots. After the jumps the list is compacted to the roots
+// whose hook is still themselves.
 func forestInto(n int, edges []graph.Edge, cost []int64, pool *par.Pool, m *wd.Meter, comp, sel []int32) ([]int32, int) {
 	mm := len(edges)
 	if mm >= maxEdges {
@@ -184,15 +224,17 @@ func forestInto(n int, edges []graph.Edge, cost []int64, pool *par.Pool, m *wd.M
 			}
 		}
 	}
+	grain := pool.Tuning().ForGrain
 	ar := pool.Arena()
 	candP := ar.AtomicUint64(n)
 	hookP := ar.Int32(n)
 	hook2P := ar.Int32(n)
+	liveP := ar.Int32(n)
 	seenP := ar.Bool(mm)
 
 	s := getForestState()
 	s.edges, s.cost = edges, cost
-	s.comp, s.cand = comp, *candP
+	s.comp, s.cand, s.live = comp, *candP, *liveP
 	s.hook, s.hook2 = *hookP, *hook2P
 	s.seen = *seenP
 	// seen dedupes selected edges across the whole call: once an edge is
@@ -200,22 +242,26 @@ func forestInto(n int, edges []graph.Edge, cost []int64, pool *par.Pool, m *wd.M
 	// candidate again — one clear up front suffices.
 	clear(s.seen)
 
-	pool.For(n, s.fInit)
+	pool.ForChunk(n, grain, s.fInit)
 	comps := n
-	for round := 0; ; round++ {
+	// One component has no edge leaving it, so the loop stops there
+	// without the scan that would find no candidate; a disconnected input
+	// ends on a round that makes no progress.
+	for round := 0; comps > 1; round++ {
 		if round > int(wd.CeilLog2(n))+2 {
 			panic("mst: round bound exceeded")
 		}
-		pool.For(n, s.fClear)
-		pool.ForChunk(mm, par.Grain, s.fScan)
+		live := len(s.live)
+		pool.ForChunk(live, grain, s.fClear)
+		pool.ForChunk(mm, grain, s.fScan)
 		m.Add(int64(mm), 1)
-		pool.For(n, s.fHook)
-		pool.For(n, s.fBreak)
+		pool.ForChunk(live, grain, s.fHook)
+		pool.ForChunk(live, grain, s.fBreak)
 		s.hook, s.hook2 = s.hook2, s.hook
 		// Collect selected edges (dedupe mutual candidates).
 		progress := false
-		for ci := 0; ci < n; ci++ {
-			key := s.cand[ci].Load()
+		for _, r := range s.live {
+			key := s.cand[r].Load()
 			if key == noCand {
 				continue
 			}
@@ -230,17 +276,29 @@ func forestInto(n int, edges []graph.Edge, cost []int64, pool *par.Pool, m *wd.M
 		if !progress {
 			break
 		}
+		// Clear, hook, break, collect and the compaction below each visit
+		// the live roots once, and so does every jump.
+		visits := 5 * int64(live)
 		// Pointer-jump hooks to roots and relabel vertex components.
 		for j := int64(0); j <= wd.CeilLog2(n); j++ {
 			s.changed.Store(false)
-			pool.For(n, s.fJump)
+			pool.ForChunk(live, grain, s.fJump)
+			visits += int64(live)
 			s.hook, s.hook2 = s.hook2, s.hook
 			if !s.changed.Load() {
 				break
 			}
 		}
-		pool.For(n, s.fRelabel)
-		m.Add(3*int64(n), wd.CeilLog2(n)+2)
+		pool.ForChunk(n, grain, s.fRelabel)
+		k := 0
+		for _, r := range s.live {
+			if s.hook[r] == r {
+				s.live[k] = r
+				k++
+			}
+		}
+		s.live = s.live[:k]
+		m.Add(int64(n)+visits, wd.CeilLog2(n)+2)
 	}
 
 	// The hook/hook2 swaps may have exchanged the backing arrays; restore
@@ -250,6 +308,7 @@ func forestInto(n int, edges []graph.Edge, cost []int64, pool *par.Pool, m *wd.M
 	ar.PutAtomicUint64(candP)
 	ar.PutInt32(hookP)
 	ar.PutInt32(hook2P)
+	ar.PutInt32(liveP)
 	ar.PutBool(seenP)
 	return sel, comps
 }

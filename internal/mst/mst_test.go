@@ -1,11 +1,13 @@
 package mst
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
+	"repro/internal/par"
 )
 
 func forestCost(edges []graph.Edge, cost []int64, sel []int32) int64 {
@@ -20,33 +22,149 @@ func forestCost(edges []graph.Edge, cost []int64, sel []int32) int64 {
 	return total
 }
 
+// sameEdgeSet reports whether a and b hold the same edge indices.
+func sameEdgeSet(a, b []int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	in := map[int32]bool{}
+	for _, i := range a {
+		in[i] = true
+	}
+	for _, i := range b {
+		if !in[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// widePools returns pools of width 1, 2 and 4 whose loops fork at the
+// smallest cutoff, so graphs of a few thousand vertices run every Forest
+// loop body on several lanes at once.
+func widePools(t *testing.T) []*par.Pool {
+	var pools []*par.Pool
+	for _, w := range []int{1, 2, 4} {
+		p := par.NewPool(w)
+		p.SetTuning(par.Tuning{ForGrain: par.MinCutoff})
+		t.Cleanup(p.Close)
+		pools = append(pools, p)
+	}
+	return pools
+}
+
 func TestForestMatchesKruskalOnRandomGraphs(t *testing.T) {
+	type input struct {
+		n        int
+		seed     int64
+		maxCost  int
+		pool     *par.Pool
+		poolName string
+	}
+	var inputs []input
 	for seed := int64(0); seed < 10; seed++ {
-		n := 5 + int(seed*97)%300
+		inputs = append(inputs, input{n: 5 + int(seed*97)%300, seed: seed, maxCost: 1000, poolName: "default"})
+	}
+	// Costs in [0, 4) leave most edges tied, so the index tie-break
+	// decides the forest.
+	for i, p := range widePools(t) {
+		for _, n := range []int{5000, 9000} {
+			inputs = append(inputs, input{n: n, seed: int64(20 + i), maxCost: 4, pool: p, poolName: fmt.Sprintf("width %d", p.Width())})
+		}
+	}
+	for _, in := range inputs {
+		n, seed := in.n, in.seed
 		g := gen.RandomConnected(n, 3*n, 50, seed)
 		rng := rand.New(rand.NewSource(seed + 7))
 		cost := make([]int64, g.M())
 		for i := range cost {
-			cost[i] = int64(rng.Intn(1000))
+			cost[i] = int64(rng.Intn(in.maxCost))
 		}
-		selB, compB := Forest(n, g.Edges(), cost, nil, nil)
+		selB, compB := Forest(n, g.Edges(), cost, in.pool, nil)
 		selK, compK := Kruskal(n, g.Edges(), cost)
 		if compB != 1 || compK != 1 {
-			t.Fatalf("seed %d: comps %d/%d", seed, compB, compK)
+			t.Fatalf("n=%d seed %d %s: comps %d/%d", n, seed, in.poolName, compB, compK)
 		}
 		if len(selB) != n-1 || len(selK) != n-1 {
-			t.Fatalf("seed %d: tree sizes %d/%d", seed, len(selB), len(selK))
+			t.Fatalf("n=%d seed %d %s: tree sizes %d/%d", n, seed, in.poolName, len(selB), len(selK))
 		}
 		// With index tie-breaking the MSF is unique: compare edge sets.
-		inK := map[int32]bool{}
-		for _, i := range selK {
-			inK[i] = true
+		if !sameEdgeSet(selB, selK) {
+			t.Fatalf("n=%d seed %d %s: Boruvka and Kruskal trees differ (cost B=%d K=%d)",
+				n, seed, in.poolName, forestCost(g.Edges(), cost, selB), forestCost(g.Edges(), cost, selK))
 		}
-		for _, i := range selB {
-			if !inK[i] {
-				t.Fatalf("seed %d: Boruvka selected %d, Kruskal did not (cost B=%d K=%d)",
-					seed, i, forestCost(g.Edges(), cost, selB), forestCost(g.Edges(), cost, selK))
+	}
+}
+
+// TestForestWithLabelsMatchesKruskalComponents: on a disconnected
+// multigraph (isolated vertices, self-loops, parallel edges, components
+// interleaved across the vertex ids), ForestWithLabels must select
+// Kruskal's forest and label vertices with exactly Kruskal's partition,
+// each component by one of its own vertices, at every pool width.
+func TestForestWithLabelsMatchesKruskalComponents(t *testing.T) {
+	const n, groups = 6000, 7
+	rng := rand.New(rand.NewSource(3))
+	group := make([]int, n)
+	members := make([][]int, groups)
+	for v := range group {
+		group[v] = rng.Intn(groups + 1) // group `groups` stays isolated
+		if group[v] < groups {
+			members[group[v]] = append(members[group[v]], v)
+		}
+	}
+	var edges []graph.Edge
+	var cost []int64
+	for len(edges) < 2*n {
+		vs := members[rng.Intn(groups)]
+		e := graph.Edge{U: int32(vs[rng.Intn(len(vs))]), V: int32(vs[rng.Intn(len(vs))]), W: 1}
+		switch rng.Intn(50) {
+		case 0:
+			e.V = e.U
+		case 1:
+			if len(edges) > 0 {
+				e = edges[len(edges)-1]
 			}
+		}
+		edges = append(edges, e)
+		cost = append(cost, int64(rng.Intn(4)))
+	}
+	selK, compK := Kruskal(n, edges, cost)
+	root := make([]int32, n)
+	for v := range root {
+		root[v] = int32(v)
+	}
+	find := func(x int32) int32 {
+		for root[x] != x {
+			x = root[x]
+		}
+		return x
+	}
+	for _, i := range selK {
+		root[find(edges[i].U)] = find(edges[i].V)
+	}
+	for _, p := range widePools(t) {
+		sel, labels, comps := ForestWithLabels(n, edges, cost, p, nil)
+		if comps != compK || !sameEdgeSet(sel, selK) {
+			t.Fatalf("width %d: %d comps and %d edges, Kruskal %d and %d", p.Width(), comps, len(sel), compK, len(selK))
+		}
+		// labels and Kruskal's roots must induce the same partition.
+		toRoot := map[int32]int32{}
+		toLabel := map[int32]int32{}
+		for v := int32(0); v < n; v++ {
+			l, r := labels[v], find(v)
+			if labels[l] != l {
+				t.Fatalf("width %d: vertex %d labelled %d, which is labelled %d", p.Width(), v, l, labels[l])
+			}
+			if x, ok := toRoot[l]; ok && x != r {
+				t.Fatalf("width %d: label %d spans Kruskal components %d and %d", p.Width(), l, x, r)
+			}
+			if x, ok := toLabel[r]; ok && x != l {
+				t.Fatalf("width %d: Kruskal component %d has labels %d and %d", p.Width(), r, x, l)
+			}
+			toRoot[l], toLabel[r] = r, l
+		}
+		if len(toRoot) != compK {
+			t.Fatalf("width %d: %d labels, %d components", p.Width(), len(toRoot), compK)
 		}
 	}
 }

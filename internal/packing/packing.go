@@ -11,10 +11,17 @@
 // Two standard reductions keep the skeleton near-linear despite large
 // weights: an edge's weight is clamped to the current cut estimate ĉ
 // before sampling (no edge heavier than ĉ can cross a cut of value ≤ ĉ, so
-// cuts at or below the estimate are unaffected), and materialized
-// multiplicity is capped at the number of packing rounds (a tree uses an
+// cuts at or below the estimate are unaffected), and an edge's number of
+// sampled copies is capped at the number of packing rounds (a tree uses an
 // edge at most once per round, so further parallel copies are never
 // load-relevant).
+//
+// The skeleton multigraph is stored compressed: one entry per sampled
+// edge, carrying its copy count, instead of one edge per unit copy. The
+// greedy packing tracks how often each entry was selected and hands the
+// minimum spanning tree computation the load of the entry's least-loaded
+// copy; pack's comment shows why that picks exactly the trees the
+// copy-level packing would.
 package packing
 
 import (
@@ -22,7 +29,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -34,16 +41,17 @@ import (
 )
 
 // scratch holds the per-attempt working buffers of the estimate loop: the
-// materialized skeleton (edges + origin map) and the greedy packing's
-// load array. Skeleton sizes are stable across attempts of a solve and
-// across solves of similar graphs, so recycling the backing arrays makes
-// repeat solves allocation-free here; the buffers are recycled through a
-// package pool because one scratch spans calls into several executors'
-// primitives.
+// compressed skeleton (entries + origin map) and the greedy packing's
+// per-entry counters. Skeleton sizes are stable across attempts of a
+// solve and across solves of similar graphs, so recycling the backing
+// arrays makes repeat solves allocation-free here; the buffers are
+// recycled through a package pool because one scratch spans calls into
+// several executors' primitives.
 type scratch struct {
 	edges  []graph.Edge
 	origin []int32
 	load   []int64
+	picks  []int64
 }
 
 var scratchPool sync.Pool
@@ -59,15 +67,21 @@ func putScratch(sc *scratch) {
 	scratchPool.Put(sc)
 }
 
-// loadFor returns sc.load resized to n and zeroed.
-func (sc *scratch) loadFor(n int) []int64 {
-	if cap(sc.load) < n {
-		sc.load = make([]int64, n)
-		return sc.load
+// countersFor returns sc.load and sc.picks resized to n and zeroed.
+func (sc *scratch) countersFor(n int) (load, picks []int64) {
+	sc.load, sc.picks = zeroed(sc.load, n), zeroed(sc.picks, n)
+	return sc.load, sc.picks
+}
+
+// zeroed returns b resized to n and zeroed, reallocating only when b is
+// too small.
+func zeroed(b []int64, n int) []int64 {
+	if cap(b) < n {
+		return make([]int64, n)
 	}
-	sc.load = sc.load[:n]
-	clear(sc.load)
-	return sc.load
+	b = b[:n]
+	clear(b)
+	return b
 }
 
 // Options control the sampling and packing constants. The defaults are
@@ -113,7 +127,8 @@ type Result struct {
 	Estimate int64
 	// PackValue is the packing value rounds/maxLoad of the accepted packing.
 	PackValue float64
-	// SkeletonCopies is the size of the accepted skeleton multigraph.
+	// SkeletonCopies is the size of the accepted skeleton multigraph, in
+	// unit copies.
 	SkeletonCopies int
 	// Packings counts how many estimate guesses ran a full packing.
 	Packings int
@@ -148,12 +163,14 @@ func binomial(w int64, p float64, cap int64, rng *rand.Rand) int64 {
 	}
 }
 
-// skeleton materializes the sampled multigraph into sc's recycled
-// buffers: each original edge e contributes Binomial(min(w(e), clamp), p)
-// unit copies (capped at multCap). origin maps each copy back to its
-// original edge index. The returned slices are views of sc's buffers and
-// are invalidated by the next skeleton call on the same scratch.
-func skeleton(g *graph.Graph, p float64, clamp, multCap int64, rng *rand.Rand, sc *scratch) (edges []graph.Edge, origin []int32) {
+// skeleton samples the skeleton multigraph into sc's recycled buffers:
+// each original edge e gets c = Binomial(min(w(e), clamp), p) parallel
+// unit copies (capped at multCap), and each edge with c ≥ 1 becomes one
+// entry {U, V, W: c}, in g.Edges() order. origin maps each entry back to
+// its original edge index, and copies is the multigraph's size, the sum
+// of the c. The returned slices are views of sc's buffers and are
+// invalidated by the next skeleton call on the same scratch.
+func skeleton(g *graph.Graph, p float64, clamp, multCap int64, rng *rand.Rand, sc *scratch) (edges []graph.Edge, origin []int32, copies int) {
 	edges, origin = sc.edges[:0], sc.origin[:0]
 	for i, e := range g.Edges() {
 		if e.U == e.V {
@@ -163,14 +180,14 @@ func skeleton(g *graph.Graph, p float64, clamp, multCap int64, rng *rand.Rand, s
 		if w > clamp {
 			w = clamp
 		}
-		c := binomial(w, p, multCap, rng)
-		for j := int64(0); j < c; j++ {
-			edges = append(edges, graph.Edge{U: e.U, V: e.V, W: 1})
+		if c := binomial(w, p, multCap, rng); c > 0 {
+			edges = append(edges, graph.Edge{U: e.U, V: e.V, W: c})
 			origin = append(origin, int32(i))
+			copies += int(c)
 		}
 	}
 	sc.edges, sc.origin = edges, origin
-	return edges, origin
+	return edges, origin, copies
 }
 
 // EstimateCut returns a constant-factor-leaning-low estimate of the
@@ -196,7 +213,7 @@ func EstimateCut(g *graph.Graph, seed int64, pool *par.Pool, m *wd.Meter) int64 
 	for j := int(math.Log2(float64(upper)/lnN)) + 1; j > 0; j-- {
 		p := math.Ldexp(1, -j) // 2^-j
 		clamp := int64(3*lnN/p) + 1
-		edges, _ := skeleton(g, p, clamp, int64(8*lnN)+4, rng, sc)
+		edges, _, _ := skeleton(g, p, clamp, int64(8*lnN)+4, rng, sc)
 		if len(edges) < n-1 {
 			continue
 		}
@@ -277,22 +294,23 @@ func SampleTreesContext(ctx context.Context, g *graph.Graph, opt Options, pool *
 			p = 1
 		}
 		asp := sp.Child("pack-attempt").AttrInt("guess", int64(guess)).AttrInt("target", ch)
-		edges, origin := skeleton(g, p, ch, int64(rounds), rng, sc)
+		edges, origin, copies := skeleton(g, p, ch, int64(rounds), rng, sc)
 		atFloor := p >= 1
 		sink.AddPackRounds(int64(rounds))
-		trees, maxLoad, ok, err := pack(ctx, n, edges, rounds, sc.loadFor(len(edges)), pool, m, sink, asp)
+		load, picks := sc.countersFor(len(edges))
+		trees, maxLoad, ok, err := pack(ctx, n, edges, rounds, load, picks, pool, m, sink, asp)
 		if err != nil {
 			asp.End()
 			return nil, err
 		}
-		asp.AttrInt("skeleton_copies", int64(len(edges)))
+		asp.AttrInt("skeleton_copies", int64(copies))
 		if ok {
 			tau := float64(rounds) / float64(maxLoad)
 			if tau >= threshold || atFloor {
 				asp.Attr("accepted", "true").End()
 				res.Estimate = ch
 				res.PackValue = tau
-				res.SkeletonCopies = len(edges)
+				res.SkeletonCopies = copies
 				res.Packings = guess + 1
 				res.Trees = chooseTrees(trees, origin, treeCount, rng)
 				return res, nil
@@ -309,14 +327,28 @@ func SampleTreesContext(ctx context.Context, g *graph.Graph, opt Options, pool *
 	}
 }
 
-// pack greedily packs spanning trees: each round takes a minimum spanning
-// tree with respect to the current integer loads, then increments the
-// loads of its edges. Returns the trees (as skeleton edge indices), the
-// maximum load (the packing value is rounds/maxLoad), and whether the
-// skeleton was connected. Each round is a cancellation seam, a progress
-// tick, and a "round" child span of sp: rounds are the packing phase's
-// unit of work.
-func pack(ctx context.Context, n int, edges []graph.Edge, rounds int, load []int64, pool *par.Pool, m *wd.Meter, sink *progress.Sink, sp trace.SpanRef) (trees [][]int32, maxLoad int64, ok bool, err error) {
+// pack greedily packs spanning trees in the skeleton multigraph: each
+// round takes a minimum spanning tree with respect to the current integer
+// loads of the unit copies, then increments the loads of the copies it
+// took. Returns the trees (as skeleton entry indices), the maximum copy
+// load (the packing value is rounds/maxLoad), and whether the skeleton
+// was connected. Each round is a cancellation seam, a progress tick, and
+// a "round" child span of sp: rounds are the packing phase's unit of
+// work. load and picks (len(edges) each, zeroed) are the per-entry
+// counters.
+//
+// The copies are never materialized. Materialized, an entry's c copies
+// would sit at consecutive indices in entry order, and Forest breaks load
+// ties by index. Of parallel copies a minimum spanning tree holds at most
+// the cheapest: with it, any other closes a cycle as its most expensive
+// edge. So after the entry has been taken k times (picks), its copies'
+// loads are ⌊k/c⌋ plus one for the first k mod c of them: the cheapest
+// copy is number k mod c, at load ⌊k/c⌋, and taking it keeps the pattern
+// for k+1. The tree over copies is therefore the tree over entries at
+// cost ⌊k/c⌋ (load), where the tie-break by entry index orders the
+// entries as their cheapest copies' indices would. An entry's most loaded
+// copy has load ⌈k/c⌉.
+func pack(ctx context.Context, n int, edges []graph.Edge, rounds int, load, picks []int64, pool *par.Pool, m *wd.Meter, sink *progress.Sink, sp trace.SpanRef) (trees [][]int32, maxLoad int64, ok bool, err error) {
 	if len(edges) < n-1 {
 		return nil, 0, false, nil
 	}
@@ -331,17 +363,16 @@ func pack(ctx context.Context, n int, edges []graph.Edge, rounds int, load []int
 			return nil, 0, false, nil
 		}
 		for _, i := range sel {
-			load[i]++
+			picks[i]++
+			load[i] = picks[i] / edges[i].W
 		}
 		trees = append(trees, sel)
 		rsp.End()
 		sink.PackRoundDone()
 	}
 	maxLoad = 1
-	for _, l := range load {
-		if l > maxLoad {
-			maxLoad = l
-		}
+	for i, k := range picks {
+		maxLoad = max(maxLoad, (k+edges[i].W-1)/edges[i].W)
 	}
 	return trees, maxLoad, true, nil
 }
@@ -349,7 +380,7 @@ func pack(ctx context.Context, n int, edges []graph.Edge, rounds int, load []int
 // chooseTrees samples treeCount trees uniformly from the packing (Karger:
 // a constant fraction of the packing's weight 2-respects the minimum cut,
 // so uniform sampling from the greedy packing finds a good tree w.h.p.),
-// translates skeleton copies to original edge indices, and deduplicates.
+// translates skeleton entries to original edge indices, and deduplicates.
 func chooseTrees(trees [][]int32, origin []int32, treeCount int, rng *rand.Rand) [][]int32 {
 	seen := make(map[string]bool)
 	var out [][]int32
@@ -359,7 +390,7 @@ func chooseTrees(trees [][]int32, origin []int32, treeCount int, rng *rand.Rand)
 		for j, ei := range t {
 			orig[j] = origin[ei]
 		}
-		sort.Slice(orig, func(a, b int) bool { return orig[a] < orig[b] })
+		slices.Sort(orig)
 		key := treeKey(orig)
 		if !seen[key] {
 			seen[key] = true

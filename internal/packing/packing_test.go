@@ -1,12 +1,17 @@
 package packing
 
 import (
+	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/mst"
+	"repro/internal/trace"
 )
 
 func TestBinomialBasics(t *testing.T) {
@@ -195,5 +200,167 @@ func TestPackValueBelowSkeletonCut(t *testing.T) {
 	}
 	if res.PackValue > 2.01 || res.PackValue < 0.5 {
 		t.Fatalf("cycle pack value %f outside [0.5, 2]", res.PackValue)
+	}
+}
+
+// refSkeleton is the materialized skeleton that the compressed one stands
+// for: one unit-weight graph.Edge per sampled copy, the copies of an edge
+// at consecutive indices in edge order, drawn from rng exactly as
+// skeleton draws.
+func refSkeleton(g *graph.Graph, p float64, clamp, multCap int64, rng *rand.Rand) (edges []graph.Edge, origin []int32) {
+	for i, e := range g.Edges() {
+		if e.U == e.V {
+			continue
+		}
+		c := binomial(min(e.W, clamp), p, multCap, rng)
+		for j := int64(0); j < c; j++ {
+			edges = append(edges, graph.Edge{U: e.U, V: e.V, W: 1})
+			origin = append(origin, int32(i))
+		}
+	}
+	return edges, origin
+}
+
+// refPack is the greedy packing over materialized copies: one load per
+// copy, and each round's minimum spanning tree taken on those loads.
+func refPack(n int, edges []graph.Edge, rounds int) (trees [][]int32, maxLoad int64, ok bool) {
+	if len(edges) < n-1 {
+		return nil, 0, false
+	}
+	load := make([]int64, len(edges))
+	for r := 0; r < rounds; r++ {
+		sel, comps := mst.Forest(n, edges, load, nil, nil)
+		if comps != 1 {
+			return nil, 0, false
+		}
+		for _, i := range sel {
+			load[i]++
+		}
+		trees = append(trees, sel)
+	}
+	return trees, max(1, slices.Max(load)), true
+}
+
+// originTrees maps each tree's skeleton indices to original edge indices,
+// sorted.
+func originTrees(trees [][]int32, origin []int32) [][]int32 {
+	out := make([][]int32, len(trees))
+	for i, t := range trees {
+		for _, ei := range t {
+			out[i] = append(out[i], origin[ei])
+		}
+		slices.Sort(out[i])
+	}
+	return out
+}
+
+// withLoopsAndParallel returns g plus a self-loop at every fifth vertex
+// and a parallel copy, with a fresh weight, of every third edge.
+func withLoopsAndParallel(g *graph.Graph, seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	h := g.Clone()
+	for v := 0; v < g.N(); v += 5 {
+		if err := h.AddEdge(v, v, 1+rng.Int63n(40)); err != nil {
+			panic(err)
+		}
+	}
+	for i := 0; i < g.M(); i += 3 {
+		e := g.Edge(i)
+		if err := h.AddEdge(int(e.U), int(e.V), 1+rng.Int63n(2*e.W)); err != nil {
+			panic(err)
+		}
+	}
+	return h
+}
+
+// TestPackMatchesMaterializedSkeleton pins the compressed skeleton to the
+// materialized one it replaces: on the same draws, skeleton plus pack
+// must pick the same trees (after mapping to original edges), the same
+// maximum copy load and the same connectivity verdict as refSkeleton plus
+// refPack, and count the same copies. Each graph is packed at every
+// sampling rate of an estimate walk from its minimum weighted degree down
+// to p = 1, which passes through disconnected and connected skeletons,
+// and at two settings with heavy copies: p = 1 with no clamp, where an
+// edge heavier than the round count has its copies capped, and p = 1/2
+// with a small cap.
+func TestPackMatchesMaterializedSkeleton(t *testing.T) {
+	weights := make([]int64, 40)
+	for i := range weights {
+		weights[i] = 1 + int64(i%3)
+	}
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"random", gen.RandomConnected(60, 240, 20, 1)},
+		{"heavy", gen.RandomConnected(40, 160, 1<<30, 2)},
+		{"loops-parallel", withLoopsAndParallel(gen.RandomConnected(50, 150, 30, 3), 4)},
+		{"dumbbell", gen.Dumbbell(12, 3, 7).G},
+		{"cycle", gen.Cycle(weights).G},
+		{"grid-loops-parallel", withLoopsAndParallel(gen.Grid(6, 8, false, 5, 5), 6)},
+	}
+	var connected, disconnected, multi, capped int
+	for _, tc := range graphs {
+		g, n := tc.g, tc.g.N()
+		lnN := math.Log(float64(n) + 1)
+		rounds := max(24, int(math.Ceil(1.5*lnN*lnN)))
+		type setting struct {
+			p              float64
+			clamp, multCap int64
+		}
+		settings := []setting{{1, math.MaxInt64, int64(rounds)}, {0.5, 1 << 20, 5}}
+		upper := slices.Min(g.WeightedDegrees())
+		for ch := upper; ; ch /= 2 {
+			p := min(1, 3*lnN/float64(ch))
+			settings = append(settings, setting{p, ch, int64(rounds)})
+			if p >= 1 || ch <= 1 {
+				break
+			}
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			for _, st := range settings {
+				sc := &scratch{}
+				edges, origin, copies := skeleton(g, st.p, st.clamp, st.multCap, rand.New(rand.NewSource(seed)), sc)
+				load, picks := sc.countersFor(len(edges))
+				trees, maxLoad, ok, err := pack(context.Background(), n, edges, rounds, load, picks, nil, nil, nil, trace.SpanRef{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				refEdges, refOrigin := refSkeleton(g, st.p, st.clamp, st.multCap, rand.New(rand.NewSource(seed)))
+				refTrees, refMax, refOK := refPack(n, refEdges, rounds)
+				where := fmt.Sprintf("%s seed %d p=%g clamp=%d cap=%d", tc.name, seed, st.p, st.clamp, st.multCap)
+				if copies != len(refEdges) {
+					t.Fatalf("%s: %d copies, materialized %d", where, copies, len(refEdges))
+				}
+				if ok != refOK || maxLoad != refMax || len(trees) != len(refTrees) {
+					t.Fatalf("%s: ok=%v maxLoad=%d trees=%d, materialized ok=%v maxLoad=%d trees=%d",
+						where, ok, maxLoad, len(trees), refOK, refMax, len(refTrees))
+				}
+				got, want := originTrees(trees, origin), originTrees(refTrees, refOrigin)
+				for r := range got {
+					if !slices.Equal(got[r], want[r]) {
+						t.Fatalf("%s: round %d tree %v, materialized %v", where, r, got[r], want[r])
+					}
+				}
+				if ok {
+					connected++
+				} else {
+					disconnected++
+				}
+				for i, e := range edges {
+					if e.W > 1 {
+						multi++
+					}
+					if e.W == st.multCap && min(g.Edge(int(origin[i])).W, st.clamp) > st.multCap {
+						capped++
+					}
+				}
+			}
+		}
+	}
+	// The inputs must reach every case the equivalence argument covers.
+	if connected == 0 || disconnected == 0 || multi == 0 || capped == 0 {
+		t.Fatalf("coverage: %d connected, %d disconnected skeletons, %d multi-copy and %d capped entries",
+			connected, disconnected, multi, capped)
 	}
 }
