@@ -10,9 +10,8 @@
 // geissmann (the paper's parallel algorithm; "parcut" is an alias, the
 // default), andersonblelloch (the same packing searched with the
 // Anderson–Blelloch scan; bit-identical values), stoerwagner (exact
-// deterministic O(n³)), kargerstein (Monte Carlo recursive contraction),
-// auto (pick by graph size; the chosen engine is printed), and brute
-// (exhaustive, n ≤ 24 — not an engine).
+// deterministic O(n³)), auto (pick by graph size; the chosen engine is
+// printed), and brute (exhaustive, n ≤ 24 — not an engine).
 package main
 
 import (
@@ -36,9 +35,9 @@ func main() {
 	in := flag.String("in", "", "input graph file (- for stdin)")
 	genSpec := flag.String("gen", "", "generate the input instead (see graphgen -spec)")
 	seed := flag.Int64("seed", 1, "random seed")
-	algo := flag.String("algo", "parcut", "parcut (= geissmann) | andersonblelloch | stoerwagner | kargerstein | auto | brute")
+	algo := flag.String("algo", "parcut", "parcut (= geissmann) | andersonblelloch | stoerwagner | auto | brute")
 	partition := flag.Bool("partition", false, "print one side of the cut")
-	stats := flag.Bool("stats", false, "print work/depth model statistics (parcut only)")
+	stats := flag.Bool("stats", false, "print work/depth model statistics (engines that meter themselves)")
 	flag.Parse()
 
 	g, truth := load(*in, *genSpec, *seed)
@@ -49,6 +48,9 @@ func main() {
 		err   error
 	)
 	var meter *wd.Meter
+	if *stats {
+		meter = new(wd.Meter)
+	}
 	engName := ""
 	if *algo == "brute" {
 		value, inCut, err = baseline.BruteForce(g)
@@ -65,9 +67,6 @@ func main() {
 			log.Fatalf("unknown algorithm %q: %v (plus the aliases parcut, brute)", *algo, rerr)
 		}
 		engName = eng.Name()
-		if *stats && engName == engine.Default {
-			meter = new(wd.Meter)
-		}
 		var res engine.Result
 		res, err = eng.Solve(context.Background(), g, engine.Options{Seed: *seed, WantPartition: *partition, Meter: meter})
 		value, inCut = res.Value, res.InCut
@@ -91,8 +90,12 @@ func main() {
 		}
 		fmt.Printf("known minimum cut: %s\n", status)
 	}
-	if meter != nil {
-		fmt.Printf("model work: %d, model depth: %d\n", meter.Work(), meter.Depth())
+	if *stats {
+		if meter.Work() > 0 {
+			fmt.Printf("model work: %d, model depth: %d\n", meter.Work(), meter.Depth())
+		} else {
+			fmt.Println("model work: not metered by this engine")
+		}
 	}
 	if *partition && inCut != nil {
 		fmt.Printf("cut side:")

@@ -578,7 +578,8 @@ func expScaling() {
 // grid (each engine capped at the sizes where it finishes in reasonable
 // time), the exact baseline's value cross-checks the randomized engines,
 // and the per-family crossover points — the largest n where Stoer–Wagner
-// still beats the paper engine — are derived from the timings. The JSON
+// still beats andersonblelloch, the engine auto picks past the
+// Stoer–Wagner region — are derived from the timings. The JSON
 // artifact (-engines-out, BENCH_engines.json in CI) records the grid, the
 // suggested thresholds, and the calibration engine.DefaultThresholds
 // ships with, so drift between measurement and shipped rule is visible.
@@ -610,7 +611,6 @@ func expEngines() {
 		"geissmann":        1 << 30,
 		"andersonblelloch": 1 << 30,
 		"stoerwagner":      1024,
-		"kargerstein":      256,
 	}
 	type row struct {
 		Family string  `json:"family"`
@@ -664,12 +664,10 @@ func expEngines() {
 			}
 		}
 	}
-	// Crossovers per family, both derived the same way: the largest n where
-	// the first engine still beat the second (0 when it never did on the
-	// measured grid). stoerwagner-vs-geissmann calibrates when to leave the
-	// exact baseline; geissmann-vs-andersonblelloch calibrates which
-	// 2-respecting scan the large graphs get.
-	crossover := func(family, slow, fast string) int {
+	// Crossover per family: the largest n where stoerwagner still beat
+	// andersonblelloch (0 when it never did on the measured grid), which
+	// calibrates when auto leaves the exact baseline.
+	crossover := func(family string) int {
 		ms := map[string]map[int]float64{}
 		for _, r := range rows {
 			if r.Family != family {
@@ -681,42 +679,34 @@ func expEngines() {
 			ms[r.Engine][r.N] = r.Millis
 		}
 		best := 0
-		for n, sl := range ms[slow] {
-			if fa, ok := ms[fast][n]; ok && sl <= fa && n > best {
+		for n, sw := range ms["stoerwagner"] {
+			if ab, ok := ms["andersonblelloch"][n]; ok && sw <= ab && n > best {
 				best = n
 			}
 		}
 		return best
 	}
-	sparseX := crossover("sparse", "stoerwagner", "geissmann")
-	denseX := crossover("dense", "stoerwagner", "geissmann")
-	abSparseX := crossover("sparse", "geissmann", "andersonblelloch")
-	abDenseX := crossover("dense", "geissmann", "andersonblelloch")
-	fmt.Printf("\ncrossover (largest n where stoerwagner wins): sparse %d, dense %d\n", sparseX, denseX)
-	fmt.Printf("crossover (largest n where geissmann beats andersonblelloch): sparse %d, dense %d\n", abSparseX, abDenseX)
-	fmt.Printf("shipped auto thresholds: small_n=%d dense_n=%d dense_frac=%g ab_n=%d\n",
-		engine.DefaultThresholds.SmallN, engine.DefaultThresholds.DenseN, engine.DefaultThresholds.DenseFrac,
-		engine.DefaultThresholds.ABN)
+	sparseX := crossover("sparse")
+	denseX := crossover("dense")
+	fmt.Printf("\ncrossover (largest n where stoerwagner beats andersonblelloch): sparse %d, dense %d\n", sparseX, denseX)
+	fmt.Printf("shipped auto thresholds: small_n=%d dense_n=%d dense_frac=%g\n",
+		engine.DefaultThresholds.SmallN, engine.DefaultThresholds.DenseN, engine.DefaultThresholds.DenseFrac)
 	if *enginesOut == "" {
 		return
 	}
 	blob, err := json.MarshalIndent(struct {
-		Experiment         string  `json:"experiment"`
-		Seed               int64   `json:"seed"`
-		Reps               int     `json:"reps"`
-		NumCPU             int     `json:"num_cpu"`
-		Rows               []row   `json:"rows"`
-		SparseCrossoverN   int     `json:"sparse_crossover_n"`
-		DenseCrossoverN    int     `json:"dense_crossover_n"`
-		ABSparseCrossoverN int     `json:"ab_sparse_crossover_n"`
-		ABDenseCrossoverN  int     `json:"ab_dense_crossover_n"`
-		ShippedSmallN      int     `json:"shipped_small_n"`
-		ShippedDenseN      int     `json:"shipped_dense_n"`
-		ShippedDenseFrac   float64 `json:"shipped_dense_frac"`
-		ShippedABN         int     `json:"shipped_ab_n"`
-	}{"engines", 7, reps, runtime.NumCPU(), rows, sparseX, denseX, abSparseX, abDenseX,
-		engine.DefaultThresholds.SmallN, engine.DefaultThresholds.DenseN, engine.DefaultThresholds.DenseFrac,
-		engine.DefaultThresholds.ABN}, "", "  ")
+		Experiment       string  `json:"experiment"`
+		Seed             int64   `json:"seed"`
+		Reps             int     `json:"reps"`
+		NumCPU           int     `json:"num_cpu"`
+		Rows             []row   `json:"rows"`
+		SparseCrossoverN int     `json:"sparse_crossover_n"`
+		DenseCrossoverN  int     `json:"dense_crossover_n"`
+		ShippedSmallN    int     `json:"shipped_small_n"`
+		ShippedDenseN    int     `json:"shipped_dense_n"`
+		ShippedDenseFrac float64 `json:"shipped_dense_frac"`
+	}{"engines", 7, reps, runtime.NumCPU(), rows, sparseX, denseX,
+		engine.DefaultThresholds.SmallN, engine.DefaultThresholds.DenseN, engine.DefaultThresholds.DenseFrac}, "", "  ")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,16 +1,11 @@
 package baseline
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 
 	"repro/internal/graph"
-	"repro/internal/par"
-	"repro/internal/progress"
-	"repro/internal/trace"
 )
 
 // ksSeedStep derives trial i's seed as seed + i*ksSeedStep — the same
@@ -19,12 +14,6 @@ import (
 // equals trial 0 of a solve seeded at seed + i*ksSeedStep). No
 // package-global rand state is ever touched.
 const ksSeedStep = 0x9e3779b9
-
-// ksCancelCheckN bounds how deep into the recursion ctx is still polled:
-// subproblems at or below this size run to completion unchecked, so a
-// cancel unwinds within O(ksCancelCheckN²) work per in-flight trial
-// without putting ctx.Err (a mutex) on the innermost contraction loops.
-const ksCancelCheckN = 64
 
 // ksState is a contracted graph in dense form, the natural representation
 // for recursive contraction (and the source of its Θ(n²) work per level).
@@ -155,18 +144,11 @@ func (s *ksState) cutOfTwo() (int64, []int32) {
 }
 
 // recurse is the Karger–Stein recursion: contract to n/√2 twice and take
-// the better of the two recursive results. ctx is polled while the
-// subproblem is still larger than ksCancelCheckN.
-func recurse(ctx context.Context, s *ksState, rng *rand.Rand) (int64, []int32, error) {
-	if s.n > ksCancelCheckN {
-		if err := ctx.Err(); err != nil {
-			return 0, nil, err
-		}
-	}
+// the better of the two recursive results.
+func recurse(s *ksState, rng *rand.Rand) (int64, []int32) {
 	if s.n <= 6 {
 		s.contractTo(2, rng)
-		v, g := s.cutOfTwo()
-		return v, g, nil
+		return s.cutOfTwo()
 	}
 	t := int(math.Ceil(1 + float64(s.n)/math.Sqrt2))
 	if t >= s.n {
@@ -174,19 +156,13 @@ func recurse(ctx context.Context, s *ksState, rng *rand.Rand) (int64, []int32, e
 	}
 	a := s.clone()
 	a.contractTo(t, rng)
-	v1, g1, err := recurse(ctx, a, rng)
-	if err != nil {
-		return 0, nil, err
-	}
+	v1, g1 := recurse(a, rng)
 	s.contractTo(t, rng)
-	v2, g2, err := recurse(ctx, s, rng)
-	if err != nil {
-		return 0, nil, err
-	}
+	v2, g2 := recurse(s, rng)
 	if v1 <= v2 {
-		return v1, g1, nil
+		return v1, g1
 	}
-	return v2, g2, nil
+	return v2, g2
 }
 
 // KargerSteinOnce runs one recursive-contraction trial (success
@@ -197,11 +173,7 @@ func KargerSteinOnce(g *graph.Graph, seed int64) (int64, []bool, error) {
 	if n < 2 {
 		return 0, nil, fmt.Errorf("baseline: minimum cut needs at least 2 vertices")
 	}
-	rng := rand.New(rand.NewSource(seed))
-	v, group, err := recurse(context.Background(), newKSState(g), rng)
-	if err != nil {
-		return 0, nil, err
-	}
+	v, group := recurse(newKSState(g), rand.New(rand.NewSource(seed)))
 	inCut := make([]bool, n)
 	for _, x := range group {
 		inCut[x] = true
@@ -209,77 +181,27 @@ func KargerSteinOnce(g *graph.Graph, seed int64) (int64, []bool, error) {
 	return v, inCut, nil
 }
 
-// ksTrials is the high-probability repetition count ⌈log²n⌉+1.
-func ksTrials(n int) int {
-	log2n := math.Log2(float64(n))
-	return int(math.Ceil(log2n*log2n)) + 1
-}
-
-// KargerSteinTrials reports how many independent trials KargerStein runs
-// on an n-vertex graph — the engine's coarse work-unit count.
-func KargerSteinTrials(n int) int { return ksTrials(n) }
-
-// KargerStein repeats the recursion ⌈log²n⌉+1 times for a high-probability
-// result (Θ(n² log³ n) total work — the Table 1 comparator). Deterministic
-// in seed: trial i runs on seed + i*ksSeedStep.
+// KargerStein repeats KargerSteinOnce ⌈log²n⌉+1 times for a
+// high-probability result (Θ(n² log³ n) total work — the Table 1
+// comparator). Deterministic in seed: trial i runs on seed + i*ksSeedStep,
+// and the first trial to reach the minimum value supplies the partition.
 func KargerStein(g *graph.Graph, seed int64) (int64, []bool, error) {
-	return KargerSteinContext(context.Background(), g, seed, nil, nil, trace.SpanRef{})
-}
-
-// KargerSteinContext is KargerStein promoted to a serveable engine. The
-// independent trials run concurrently on pool (nil means the shared
-// default pool), each on its own rand.Rand seeded from the explicit
-// per-trial derivation, and the winner is the minimum value with ties
-// broken by lowest trial index — bit-identical to the sequential loop at
-// every pool width. ctx is polled at trial entry and inside each trial's
-// recursion while subproblems are large, so cancellation unwinds
-// promptly; sink (nil-safe) enters PhaseContract and counts one coarse
-// step per finished trial on the tree counters; sp, when active, gains
-// one "contract" child span tagged with the trial count.
-func KargerSteinContext(ctx context.Context, g *graph.Graph, seed int64, pool *par.Pool, sink *progress.Sink, sp trace.SpanRef) (int64, []bool, error) {
-	n := g.N()
-	if n < 2 {
-		return 0, nil, fmt.Errorf("baseline: minimum cut needs at least 2 vertices")
+	best, bestCut, err := KargerSteinOnce(g, seed)
+	if err != nil {
+		return 0, nil, err
 	}
-	trials := ksTrials(n)
-	csp := sp.Child("contract")
-	defer csp.End()
-	csp.AttrInt("trials", int64(trials))
-	sink.EnterPhase(progress.PhaseContract)
-	sink.AddTrees(int64(trials))
-	vals := make([]int64, trials)
-	cuts := make([][]bool, trials)
-	var failed atomic.Bool // set on cancellation; read only after the join
-	// One trial per pool task: each allocates its own dense state, so
-	// live memory is bounded by pool width, not trial count.
-	pool.ForGrain(trials, 1, func(i int) {
-		if ctx.Err() != nil {
-			failed.Store(true)
-			return
-		}
-		rng := rand.New(rand.NewSource(seed + int64(i)*ksSeedStep))
-		v, group, err := recurse(ctx, newKSState(g), rng)
-		if err != nil {
-			failed.Store(true)
-			return
-		}
-		inCut := make([]bool, n)
-		for _, x := range group {
-			inCut[x] = true
-		}
-		vals[i], cuts[i] = v, inCut
-		sink.TreeDone()
-	})
-	if failed.Load() || ctx.Err() != nil {
-		return 0, nil, fmt.Errorf("baseline: canceled: %w", ctx.Err())
-	}
-	best := 0
+	log2n := math.Log2(float64(g.N()))
+	trials := int(math.Ceil(log2n*log2n)) + 1
 	for i := 1; i < trials; i++ {
-		if vals[i] < vals[best] {
-			best = i
+		v, inCut, err := KargerSteinOnce(g, seed+int64(i)*ksSeedStep)
+		if err != nil {
+			return 0, nil, err
+		}
+		if v < best {
+			best, bestCut = v, inCut
 		}
 	}
-	return vals[best], cuts[best], nil
+	return best, bestCut, nil
 }
 
 // BruteForce enumerates all 2^(n-1) cuts (n ≤ 24 enforced).

@@ -6,9 +6,10 @@
 // polylog-depth, quadratic-work" regime the paper improves on), and
 // exhaustive enumeration for tiny instances.
 //
-// Both comparison algorithms come in a Context form (cancellation,
-// par.Pool, progress, tracing) so internal/engine can serve them behind
-// the same scheduler seams as the paper solver.
+// Stoer–Wagner also comes in a Context form (cancellation, par.Pool,
+// progress, tracing) so internal/engine can serve it behind the same
+// scheduler seams as the paper solver; Karger–Stein is a sequential
+// oracle and Table 1 comparator only.
 package baseline
 
 import (

@@ -7,7 +7,7 @@
 // HTTP API can accept an "engine" field, and metrics/traces can label
 // work by backend.
 //
-// Four engines are built in:
+// Three engines are built in:
 //
 //   - "geissmann" and "andersonblelloch": two instances of one engine
 //     type running the paper's packed-tree pipeline (core.Solve) —
@@ -20,8 +20,10 @@
 //   - "stoerwagner": the exact deterministic O(n³) baseline — the right
 //     choice for small or dense graphs where polylog machinery loses to
 //     tuned sequential code.
-//   - "kargerstein": randomized recursive contraction, Θ(n² log³ n) —
-//     seedable and boost-decomposable, kept for cross-checking.
+//
+// Karger–Stein recursive contraction is not served: it is dominated on
+// every measured cell, so it lives on only as an oracle and Table 1
+// comparator in internal/baseline.
 //
 // Engines declare capabilities (Caps) so upper layers can gate features
 // structurally instead of by name: boost fan-out only decomposes solves
@@ -62,7 +64,7 @@ type Options struct {
 	// Caps.Seeded == false.
 	Seed int64
 	// WantPartition requests InCut in the result. Engines that compute a
-	// partition anyway (the dense baselines) still return nil without it,
+	// partition anyway (the exact baseline) still return nil without it,
 	// so results are canonical for caching.
 	WantPartition bool
 	// Pool is the executor the run's parallel primitives use (nil = the
@@ -86,8 +88,8 @@ type Result struct {
 	// InCut marks one side of the cut (nil unless Options.WantPartition).
 	InCut []bool
 	// TreesScanned counts the engine's coarse work units: spanning trees
-	// scanned (geissmann, andersonblelloch), contraction trials
-	// (kargerstein), 0 for the single-pass exact baseline.
+	// scanned (geissmann, andersonblelloch), 0 for the single-pass exact
+	// baseline.
 	TreesScanned int
 }
 
@@ -150,7 +152,7 @@ func Lookup(name string) (Engine, bool) {
 }
 
 // Names lists the registered engines in registration order (the built-ins
-// first: geissmann, stoerwagner, kargerstein, andersonblelloch).
+// first: geissmann, stoerwagner, andersonblelloch).
 func Names() []string {
 	regMu.RLock()
 	defer regMu.RUnlock()

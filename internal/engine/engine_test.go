@@ -12,10 +12,10 @@ import (
 	"repro/internal/par"
 )
 
-// TestRegistryBuiltins: the four built-in engines register in order, each
+// TestRegistryBuiltins: the three built-in engines register in order, each
 // resolvable by name, with the capability matrix the upper layers gate on.
 func TestRegistryBuiltins(t *testing.T) {
-	want := []string{"geissmann", "stoerwagner", "kargerstein", "andersonblelloch"}
+	want := []string{"geissmann", "stoerwagner", "andersonblelloch"}
 	if got := Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
@@ -36,9 +36,6 @@ func TestRegistryBuiltins(t *testing.T) {
 	if caps["geissmann"].Exact || !caps["geissmann"].Seeded || !caps["geissmann"].BoostDecomposable {
 		t.Fatalf("geissmann caps = %+v", caps["geissmann"])
 	}
-	if caps["kargerstein"].Exact || !caps["kargerstein"].Seeded || !caps["kargerstein"].BoostDecomposable {
-		t.Fatalf("kargerstein caps = %+v", caps["kargerstein"])
-	}
 	if ab := caps["andersonblelloch"]; ab != caps["geissmann"] {
 		t.Fatalf("andersonblelloch caps = %+v, want geissmann's %+v (same pipeline)", ab, caps["geissmann"])
 	}
@@ -48,15 +45,14 @@ func TestResolve(t *testing.T) {
 	if e, err := Resolve("", 10_000, 40_000); err != nil || e.Name() != Default {
 		t.Fatalf(`Resolve("") = %v, %v; want the default engine`, e, err)
 	}
-	if e, err := Resolve("kargerstein", 10, 20); err != nil || e.Name() != "kargerstein" {
-		t.Fatalf("Resolve(kargerstein) = %v, %v", e, err)
-	}
-	if _, err := Resolve("edmondskarp", 10, 20); err == nil {
-		t.Fatal("Resolve of an unknown engine succeeded")
+	// Karger–Stein is an internal/baseline oracle, not a served engine.
+	for _, name := range []string{"edmondskarp", "kargerstein"} {
+		if _, err := Resolve(name, 10, 20); err == nil {
+			t.Fatalf("Resolve(%q) succeeded; want an unknown-engine error", name)
+		}
 	}
 	// Auto: small goes to the exact baseline, large sparse to the
-	// Anderson–Blelloch scan (which beat geissmann on every measured
-	// cell, so ABN ships at 0), large-and-dense to the baseline again.
+	// Anderson–Blelloch scan, large-and-dense to the baseline again.
 	if e, _ := Resolve(Auto, 100, 400); e.Name() != "stoerwagner" {
 		t.Fatalf("auto(100, 400) = %s, want stoerwagner", e.Name())
 	}
@@ -69,32 +65,23 @@ func TestResolve(t *testing.T) {
 }
 
 func TestSelectThresholds(t *testing.T) {
-	// A hypothetical calibration with a mid-size geissmann window
-	// (SmallN < n <= ABN), to exercise all four rows of the table.
-	tr := Thresholds{SmallN: 512, DenseN: 1024, DenseFrac: 0.125, ABN: 2048}
+	tr := Thresholds{SmallN: 512, DenseN: 1024, DenseFrac: 0.125}
 	cases := []struct {
 		n, m int
 		want string
 	}{
 		{2, 1, "stoerwagner"},
-		{512, 2048, "stoerwagner"},        // at SmallN
-		{513, 2052, Default},              // just past SmallN, sparse, <= ABN
-		{1024, 1024 * 128, "stoerwagner"}, // <= DenseN and m = n²/8
-		{1024, 1024*128 - 1, Default},     // a hair under the density bar
-		{1025, 1025 * 1025, Default},      // past DenseN, density irrelevant
-		{2048, 8192, Default},             // at ABN
-		{2049, 8196, "andersonblelloch"},  // just past ABN
+		{512, 2048, "stoerwagner"},               // at SmallN
+		{513, 2052, "andersonblelloch"},          // just past SmallN, sparse
+		{1024, 1024 * 128, "stoerwagner"},        // <= DenseN and m = n²/8
+		{1024, 1024*128 - 1, "andersonblelloch"}, // a hair under the density bar
+		{1025, 1025 * 1025, "andersonblelloch"},  // past DenseN, density irrelevant
 		{100_000, 400_000, "andersonblelloch"},
 	}
 	for _, c := range cases {
 		if got := tr.Select(c.n, c.m); got != c.want {
 			t.Errorf("Select(%d, %d) = %s, want %s", c.n, c.m, got, c.want)
 		}
-	}
-	// The shipped calibration has no geissmann window: andersonblelloch
-	// won every measured cell, so ABN is 0.
-	if got := Select(4096, 16_384); got != "andersonblelloch" {
-		t.Errorf("shipped Select(4096, 16384) = %s, want andersonblelloch", got)
 	}
 }
 
@@ -124,14 +111,12 @@ func checkPartition(t *testing.T, g *graph.Graph, name string, res Result) {
 // exact baseline: every value must match — and andersonblelloch must
 // match geissmann bit for bit, since it packs the same trees and both
 // per-tree searches are exact — and each engine's partition must
-// re-evaluate to that value. The (much slower) Karger–Stein engine is
-// cross-checked on the smallest graphs. Runs under -race in CI.
+// re-evaluate to that value. Runs under -race in CI.
 func TestCrossEngineEquivalence(t *testing.T) {
 	t.Parallel()
 	geis, _ := Lookup("geissmann")
 	ab, _ := Lookup("andersonblelloch")
 	sw, _ := Lookup("stoerwagner")
-	ks, _ := Lookup("kargerstein")
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 50; i++ {
@@ -167,16 +152,6 @@ func TestCrossEngineEquivalence(t *testing.T) {
 		checkPartition(t, g, "stoerwagner", sres)
 		checkPartition(t, g, "geissmann", gres)
 		checkPartition(t, g, "andersonblelloch", ares)
-		if i%10 == 0 && n <= 48 {
-			kres, err := ks.Solve(ctx, g, opt)
-			if err != nil {
-				t.Fatalf("graph %d: kargerstein: %v", i, err)
-			}
-			if kres.Value != sres.Value {
-				t.Fatalf("graph %d (n=%d m=%d): kargerstein=%d exact=%d", i, n, m, kres.Value, sres.Value)
-			}
-			checkPartition(t, g, "kargerstein", kres)
-		}
 	}
 }
 

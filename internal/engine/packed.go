@@ -12,7 +12,6 @@ func init() {
 	// Names() exposes and tests pin — does not depend on file names.
 	Register(packedEngine{name: "geissmann", search: core.Boughs})
 	Register(stoerWagnerEngine{})
-	Register(kargerSteinEngine{})
 	Register(packedEngine{name: "andersonblelloch", search: core.HeavyPaths})
 }
 

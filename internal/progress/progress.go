@@ -24,9 +24,9 @@ const (
 	// PhaseScan covers the per-tree 2-respecting cut searches (paper §4):
 	// bough decomposition and the Minimum Path batches.
 	PhaseScan
-	// PhaseContract covers the contraction loops of the baseline engines
-	// (Stoer–Wagner's maximum-adjacency phases, Karger–Stein's recursive
-	// contraction trials). The paper's solver never enters it.
+	// PhaseContract covers the contraction loop of the exact baseline
+	// engine (Stoer–Wagner's maximum-adjacency phases). The paper's
+	// solver never enters it.
 	PhaseContract
 )
 

@@ -420,8 +420,7 @@ type mincutRequest struct {
 	WantPartition bool  `json:"want_partition"`
 	Boost         int   `json:"boost"`
 	// Engine picks the solver backend: "geissmann", "andersonblelloch",
-	// "stoerwagner", "kargerstein", or "auto" (the default), which selects
-	// by graph size.
+	// "stoerwagner", or "auto" (the default), which selects by graph size.
 	// "auto" resolves to a concrete engine before the job is keyed, so an
 	// auto-selected solve and an explicit request for the same engine share
 	// one result-cache entry; the chosen engine is reported on the job.
@@ -926,21 +925,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, c := range m.Classes {
 		fmt.Fprintf(&b, "mincutd_queue_wait_seconds_total{class=%q} %g\n", c.Class, time.Duration(c.QueueWaitNanos).Seconds())
 	}
-	fmt.Fprintf(&b, "# HELP mincutd_solve_phase_seconds Solver wall time attributed to pipeline phases (canceled tails included).\n# TYPE mincutd_solve_phase_seconds summary\n")
-	for _, ph := range m.PhaseSeconds {
-		fmt.Fprintf(&b, "mincutd_solve_phase_seconds_sum{phase=%q} %g\n", ph.Phase, time.Duration(ph.Nanos).Seconds())
-		fmt.Fprintf(&b, "mincutd_solve_phase_seconds_count{phase=%q} %d\n", ph.Phase, ph.Count)
-	}
 	fmt.Fprintf(&b, "# HELP mincutd_queue_wait_seconds Queued-to-dispatched wall time per class.\n# TYPE mincutd_queue_wait_seconds histogram\n")
 	for _, c := range m.Classes {
 		writeHist("mincutd_queue_wait_seconds", fmt.Sprintf("class=%q", c.Class), c.QueueWait)
 	}
-	fmt.Fprintf(&b, "# HELP mincutd_solve_duration_seconds Solver phase wall time per dispatch class (canceled tails included; the class+phase series is the sum over engines of the class+phase+engine series).\n# TYPE mincutd_solve_duration_seconds histogram\n")
-	for _, c := range m.Classes {
-		for _, ph := range c.PhaseDurations {
-			writeHist("mincutd_solve_duration_seconds", fmt.Sprintf("class=%q,phase=%q", c.Class, ph.Phase), ph.Hist)
-		}
-	}
+	fmt.Fprintf(&b, "# HELP mincutd_solve_duration_seconds Solver phase wall time per dispatch class, phase and engine (canceled tails included).\n# TYPE mincutd_solve_duration_seconds histogram\n")
 	for _, c := range m.Classes {
 		for _, ph := range c.PhaseDurationsByEngine {
 			writeHist("mincutd_solve_duration_seconds", fmt.Sprintf("class=%q,phase=%q,engine=%q", c.Class, ph.Phase, ph.Engine), ph.Hist)

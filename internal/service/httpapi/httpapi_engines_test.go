@@ -10,11 +10,12 @@ import (
 	"time"
 )
 
-// TestMinCutEngineSelection drives every engine value end-to-end through
-// POST /v1/graphs/{id}/mincut: all four produce the same cut value on the
-// same graph, the response reports the concrete engine ("auto" and the
+// TestMinCutEngineSelection drives engine values end-to-end through
+// POST /v1/graphs/{id}/mincut: all of them produce the same cut value on
+// the same graph, the response reports the concrete engine ("auto" and the
 // default report what was picked), auto shares cache entries with the
-// explicit engine it resolves to, and an unknown engine is a 400.
+// explicit engine it resolves to, and an unknown engine — including the
+// retired "kargerstein" — is a 400.
 func TestMinCutEngineSelection(t *testing.T) {
 	ts := newTestServer(t, 2)
 	id := ts.uploadCycle(t, 60)
@@ -22,7 +23,7 @@ func TestMinCutEngineSelection(t *testing.T) {
 	resolved := map[string]string{}
 	values := map[string]int64{}
 	cached := map[string]bool{}
-	for _, e := range []string{"", "auto", "stoerwagner", "geissmann", "kargerstein"} {
+	for _, e := range []string{"", "auto", "stoerwagner", "geissmann", "andersonblelloch"} {
 		body, _ := json.Marshal(map[string]any{"engine": e, "seed": 1})
 		var jr jobResponse
 		code, raw := ts.do(t, "POST", "/v1/graphs/"+id+"/mincut", "application/json", body, &jr)
@@ -44,8 +45,8 @@ func TestMinCutEngineSelection(t *testing.T) {
 	if resolved[""] != "stoerwagner" || resolved["auto"] != "stoerwagner" {
 		t.Fatalf(`resolved engines: ""=%q auto=%q, want stoerwagner for both`, resolved[""], resolved["auto"])
 	}
-	if resolved["geissmann"] != "geissmann" || resolved["kargerstein"] != "kargerstein" {
-		t.Fatalf("explicit engines echoed as %q, %q", resolved["geissmann"], resolved["kargerstein"])
+	if resolved["geissmann"] != "geissmann" || resolved["andersonblelloch"] != "andersonblelloch" {
+		t.Fatalf("explicit engines echoed as %q, %q", resolved["geissmann"], resolved["andersonblelloch"])
 	}
 	// The "" solve ran first and populated the stoerwagner entry; "auto"
 	// and the explicit request must both hit it — resolution happens
@@ -55,10 +56,12 @@ func TestMinCutEngineSelection(t *testing.T) {
 			cached["auto"], cached["stoerwagner"])
 	}
 
-	code, raw := ts.do(t, "POST", "/v1/graphs/"+id+"/mincut", "application/json",
-		[]byte(`{"engine":"edmondskarp"}`), nil)
-	if code != http.StatusBadRequest {
-		t.Fatalf("unknown engine: %d %s, want 400", code, raw)
+	for _, e := range []string{"edmondskarp", "kargerstein"} {
+		code, raw := ts.do(t, "POST", "/v1/graphs/"+id+"/mincut", "application/json",
+			[]byte(`{"engine":"`+e+`"}`), nil)
+		if code != http.StatusBadRequest {
+			t.Fatalf("unknown engine %q: %d %s, want 400", e, code, raw)
+		}
 	}
 }
 

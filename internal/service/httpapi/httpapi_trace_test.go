@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -176,7 +177,9 @@ func TestRequestIDHeader(t *testing.T) {
 }
 
 // TestHealthzBuildInfo: /healthz reports the build, and /metrics carries
-// the build_info gauge plus the new histogram families after a solve.
+// the build_info gauge plus the histogram families after a solve. One
+// geissmann solve (packing, scan) and one stoerwagner solve (contract)
+// record each phase exactly once, in series that all carry the engine.
 func TestHealthzBuildInfo(t *testing.T) {
 	ts := newTracedServer(t)
 	var hz map[string]string
@@ -189,7 +192,8 @@ func TestHealthzBuildInfo(t *testing.T) {
 	}
 
 	id := ts.uploadCycle(t, 32)
-	solveSync(t, ts, id, `{"seed": 3}`)
+	solveSync(t, ts, id, `{"seed": 3, "engine": "geissmann"}`)
+	solveSync(t, ts, id, `{"engine": "stoerwagner"}`)
 	code, body := ts.do(t, "GET", "/metrics", "", nil, nil)
 	if code != http.StatusOK {
 		t.Fatalf("/metrics: %d", code)
@@ -197,17 +201,39 @@ func TestHealthzBuildInfo(t *testing.T) {
 	text := string(body)
 	for _, want := range []string{
 		`mincutd_build_info{version="test-build",go_version="` + runtime.Version() + `"} 1`,
-		`mincutd_solve_duration_seconds_bucket{class="interactive",phase="packing",le="+Inf"}`,
-		`mincutd_solve_duration_seconds_count{class="interactive",phase="scan"}`,
+		`mincutd_solve_duration_seconds_bucket{class="interactive",phase="packing",engine="geissmann",le="+Inf"} 1`,
+		`mincutd_solve_duration_seconds_count{class="interactive",phase="scan",engine="geissmann"} 1`,
+		`mincutd_solve_duration_seconds_count{class="interactive",phase="contract",engine="stoerwagner"} 1`,
 		`mincutd_queue_wait_seconds_bucket{class="interactive",le="+Inf"}`,
-		`mincutd_http_request_duration_seconds_bucket{route="POST /v1/graphs/{id}/mincut",code="200",le="+Inf"} 1`,
-		// The pre-histogram series must survive for old dashboards.
+		`mincutd_http_request_duration_seconds_bucket{route="POST /v1/graphs/{id}/mincut",code="200",le="+Inf"} 2`,
+		// The pre-histogram queue-wait sums must survive for old dashboards.
 		`mincutd_queue_wait_seconds_total{class="interactive"}`,
-		`mincutd_solve_phase_seconds_sum{phase="packing"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics lacks %s in:\n%s", want, text)
 		}
+	}
+	if strings.Contains(text, "mincutd_solve_phase_seconds") {
+		t.Fatalf("/metrics still carries the mincutd_solve_phase_seconds summary:\n%s", text)
+	}
+	var phases int64
+	for _, line := range strings.Split(text, "\n") {
+		if !strings.HasPrefix(line, "mincutd_solve_duration_seconds") {
+			continue
+		}
+		if !strings.Contains(line, `engine="`) {
+			t.Fatalf("solve-duration series without an engine label: %s", line)
+		}
+		if strings.HasPrefix(line, "mincutd_solve_duration_seconds_count{") {
+			n, err := strconv.ParseInt(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
+			if err != nil {
+				t.Fatalf("bad sample %q: %v", line, err)
+			}
+			phases += n
+		}
+	}
+	if phases != 3 {
+		t.Fatalf("solve-duration counts sum to %d, want 3 (packing + scan + contract, each once)", phases)
 	}
 }
 

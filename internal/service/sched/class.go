@@ -252,7 +252,7 @@ func (j *Job) Events(from int) (evs []Event, wake <-chan struct{}, ended bool) {
 
 // onProgress is the solver hook: it runs on the job's solver goroutine at
 // a cancellation seam each time the solve crosses a milestone. It feeds
-// the phase-seconds metrics and appends phase/progress events. It takes
+// the phase-duration histograms and appends phase/progress events. It takes
 // only the job's event mutex — never the scheduler lock — so the solver
 // hot path cannot contend with Submit/Wait traffic.
 func (s *Scheduler) onProgress(j *Job, ps parcut.ProgressSnapshot) {
@@ -278,7 +278,7 @@ func (s *Scheduler) onProgress(j *Job, ps parcut.ProgressSnapshot) {
 }
 
 // closePhaseTimer attributes the tail of the job's current phase to the
-// phase-seconds metrics when the job reaches a terminal state.
+// phase-duration histograms when the job reaches a terminal state.
 func (s *Scheduler) closePhaseTimer(j *Job) {
 	j.evMu.Lock()
 	if j.evPhase != "" && !j.evPhaseAt.IsZero() {
@@ -289,17 +289,14 @@ func (s *Scheduler) closePhaseTimer(j *Job) {
 }
 
 // observePhaseLocked attributes d of solver wall time to the named phase:
-// the scheduler-wide counters and histograms (labeled with the job's
-// dispatch class) and the job's own accounting for the slow-solve log.
-// Caller holds j.evMu.
+// the {class, phase, engine} histogram (labeled with the job's dispatch
+// class) and the job's own accounting for the slow-solve log. Caller
+// holds j.evMu.
 func (s *Scheduler) observePhaseLocked(j *Job, phase string, d time.Duration) {
-	s.m.observePhase(j.metricClass, j.engineIdx, phase, d)
-	switch phase {
-	case "packing":
-		j.packNanos += int64(d)
-	case "scan":
-		j.scanNanos += int64(d)
-	case "contract":
-		j.contractNanos += int64(d)
+	p, ok := phaseIndex(phase)
+	if !ok {
+		return
 	}
+	s.m.solveHistCell(j.metricClass, p, j.engineIdx).observe(d)
+	j.phaseNanos[p] += int64(d)
 }

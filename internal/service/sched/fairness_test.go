@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	parcut "repro"
+	"repro/internal/engine"
 )
 
 // bgGraph returns a per-seed distinct graph heavy enough (a few ms per
@@ -337,18 +338,16 @@ func TestJobEventLog(t *testing.T) {
 			t.Fatalf("event %d has seq %d", i, ev.Seq)
 		}
 	}
-	// Phase wall time flowed into the metrics.
-	m := s.Metrics()
-	var packing, scan PhaseSeconds
-	for _, ph := range m.PhaseSeconds {
-		switch ph.Phase {
-		case "packing":
-			packing = ph
-		case "scan":
-			scan = ph
+	// Phase wall time flowed into the batch class's histograms for the
+	// default engine.
+	durations := s.Metrics().Classes[ClassBatch.rank()].PhaseDurationsByEngine
+	count := map[string]int64{}
+	for _, ph := range durations {
+		if ph.Engine == engine.Default {
+			count[ph.Phase] = ph.Hist.Count
 		}
 	}
-	if packing.Count == 0 || scan.Count == 0 {
-		t.Fatalf("phase seconds not recorded: %+v", m.PhaseSeconds)
+	if count["packing"] == 0 || count["scan"] == 0 {
+		t.Fatalf("phase durations not recorded: %+v", durations)
 	}
 }

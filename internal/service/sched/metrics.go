@@ -13,10 +13,20 @@ import (
 // solver spans from toy graphs to millions of edges.
 var latencyBuckets = [...]float64{0.001, 0.01, 0.1, 1, 10, 60}
 
-// phaseNames are the solver phases the class-labeled duration histograms
-// track, indexed like counters.solveHist's second dimension: the paper
-// solver's packing and scan, plus the baseline engines' contract.
+// phaseNames are the solver phases the duration histograms track: the
+// packed-tree engines' packing and scan, plus the exact baseline's
+// contract.
 var phaseNames = [...]string{"packing", "scan", "contract"}
+
+// phaseIndex maps a phase's wire name to its index in phaseNames.
+func phaseIndex(phase string) (int, bool) {
+	for i, n := range phaseNames {
+		if n == phase {
+			return i, true
+		}
+	}
+	return 0, false
+}
 
 // engineNames is the metric label space for the engine dimension, fixed
 // at package init from the registry (registration order). Engines
@@ -104,28 +114,16 @@ type counters struct {
 	solveNanos atomic.Int64
 	buckets    [len(latencyBuckets)]atomic.Int64 // cumulative, le semantics
 
-	// Wall time per solver phase, fed by the jobs' progress hooks (tails
-	// of canceled runs included — operators care where time went, not
-	// only where it succeeded).
-	phasePackingNanos  atomic.Int64
-	phasePackingCount  atomic.Int64
-	phaseScanNanos     atomic.Int64
-	phaseScanCount     atomic.Int64
-	phaseContractNanos atomic.Int64
-	phaseContractCount atomic.Int64
-
-	// Real histograms layered on the sums above: per-phase solve
-	// durations labeled by dispatch class, and queue wait per class.
-	solveHist     [numClasses][len(phaseNames)]hist
+	// Queue wait per class, with distribution.
 	queueWaitHist [numClasses]hist
 
 	// Engine-labeled series, allocated by initEngines (engineNames is not
-	// a compile-time constant): completions per {class, engine} and solve
-	// durations per {class, phase, engine}. The class- and phase-only
-	// series above stay as sums over engines, following the package's
-	// "legacy series kept" labeling convention.
+	// a compile-time constant): completions per {class, engine}, and solve
+	// wall time per {class, phase, engine}, fed by the jobs' progress
+	// hooks (tails of canceled runs included — operators care where time
+	// went, not only where it succeeded).
 	completedByClassEngine []atomic.Int64 // [class*len(engineNames)+engine]
-	solveHistEngine        []hist         // [(class*len(phaseNames)+phase)*len(engineNames)+engine]
+	solveHist              []hist         // [(class*len(phaseNames)+phase)*len(engineNames)+engine]
 }
 
 // initEngines sizes the engine-labeled series; New calls it once. A
@@ -135,7 +133,7 @@ type counters struct {
 func (c *counters) initEngines() {
 	ne := len(engineNames)
 	c.completedByClassEngine = make([]atomic.Int64, numClasses*ne)
-	c.solveHistEngine = make([]hist, numClasses*len(phaseNames)*ne)
+	c.solveHist = make([]hist, numClasses*len(phaseNames)*ne)
 }
 
 var (
@@ -153,10 +151,10 @@ func (c *counters) completedCell(class, eng int) *atomic.Int64 {
 
 // solveHistCell addresses the {class, phase, engine} duration histogram.
 func (c *counters) solveHistCell(class, phase, eng int) *hist {
-	if len(c.solveHistEngine) == 0 {
+	if len(c.solveHist) == 0 {
 		return &discardHist
 	}
-	return &c.solveHistEngine[(class*len(phaseNames)+phase)*len(engineNames)+eng]
+	return &c.solveHist[(class*len(phaseNames)+phase)*len(engineNames)+eng]
 }
 
 func (c *counters) observeSolve(d time.Duration) {
@@ -168,31 +166,6 @@ func (c *counters) observeSolve(d time.Duration) {
 			c.buckets[i].Add(1)
 		}
 	}
-}
-
-// observePhase attributes d of solver wall time to the named phase: the
-// legacy unlabeled sums, the class-labeled histogram, and the
-// {class, phase, engine} histogram.
-func (c *counters) observePhase(class, eng int, phase string, d time.Duration) {
-	var idx int
-	switch phase {
-	case "packing":
-		c.phasePackingNanos.Add(int64(d))
-		c.phasePackingCount.Add(1)
-		idx = 0
-	case "scan":
-		c.phaseScanNanos.Add(int64(d))
-		c.phaseScanCount.Add(1)
-		idx = 1
-	case "contract":
-		c.phaseContractNanos.Add(int64(d))
-		c.phaseContractCount.Add(1)
-		idx = 2
-	default:
-		return
-	}
-	c.solveHist[class][idx].observe(d)
-	c.solveHistCell(class, idx, eng).observe(d)
 }
 
 // LatencyBucket is one cumulative histogram bucket.
@@ -217,22 +190,13 @@ type ClassMetrics struct {
 	// QueueWait is the class's queue-wait histogram (same data as
 	// QueueWaitNanos/Dispatched, with distribution).
 	QueueWait Histogram
-	// PhaseDurations holds the class's per-phase solve-duration
-	// histograms, indexed like phaseNames (packing, scan, contract).
-	PhaseDurations []PhaseHistogram
 	// CompletedByEngine breaks Completed down by solve engine, in
 	// Metrics.Engines order.
 	CompletedByEngine []EngineCount
-	// PhaseDurationsByEngine refines PhaseDurations by engine: phases in
-	// phaseNames order, engines in Metrics.Engines order within each
-	// phase.
+	// PhaseDurationsByEngine holds the class's solve-duration histograms
+	// per {phase, engine}: phases in phaseNames order (packing, scan,
+	// contract), engines in Metrics.Engines order within each phase.
 	PhaseDurationsByEngine []EnginePhaseHistogram
-}
-
-// PhaseHistogram is one phase's duration histogram for one class.
-type PhaseHistogram struct {
-	Phase string
-	Hist  Histogram
 }
 
 // EngineCount is one engine's share of a per-class counter.
@@ -247,13 +211,6 @@ type EnginePhaseHistogram struct {
 	Phase  string
 	Engine string
 	Hist   Histogram
-}
-
-// PhaseSeconds is wall time attributed to one solver phase.
-type PhaseSeconds struct {
-	Phase string
-	Nanos int64
-	Count int64 // completed phase spans
 }
 
 // Metrics is a point-in-time snapshot of the scheduler's counters and
@@ -273,8 +230,6 @@ type Metrics struct {
 	// Engines lists the engine label values of the per-engine series
 	// (registration order).
 	Engines []string
-	// PhaseSeconds attributes solver wall time to pipeline phases.
-	PhaseSeconds []PhaseSeconds
 	// CacheHits counts Submit calls served without a new solver run —
 	// either a finished cached result or joining an in-flight job.
 	// Coalesced is the in-flight-join subset.
@@ -328,10 +283,6 @@ func (c *counters) snapshot() Metrics {
 			QueueWaitNanos: c.queueWaitNanosBy[i].Load(),
 			QueueWait:      c.queueWaitHist[i].snapshot(),
 		}
-		for p, name := range phaseNames {
-			m.Classes[i].PhaseDurations = append(m.Classes[i].PhaseDurations,
-				PhaseHistogram{Phase: name, Hist: c.solveHist[i][p].snapshot()})
-		}
 		for e, en := range engineNames {
 			m.Classes[i].CompletedByEngine = append(m.Classes[i].CompletedByEngine,
 				EngineCount{Engine: en, Count: c.completedCell(i, e).Load()})
@@ -344,11 +295,6 @@ func (c *counters) snapshot() Metrics {
 		}
 	}
 	m.Engines = append([]string(nil), engineNames...)
-	m.PhaseSeconds = []PhaseSeconds{
-		{Phase: "packing", Nanos: c.phasePackingNanos.Load(), Count: c.phasePackingCount.Load()},
-		{Phase: "scan", Nanos: c.phaseScanNanos.Load(), Count: c.phaseScanCount.Load()},
-		{Phase: "contract", Nanos: c.phaseContractNanos.Load(), Count: c.phaseContractCount.Load()},
-	}
 	for i, ub := range latencyBuckets {
 		m.LatencyBuckets = append(m.LatencyBuckets, LatencyBucket{UpperBound: ub, Count: c.buckets[i].Load()})
 	}

@@ -203,11 +203,10 @@ type Job struct {
 	evPhase    string
 	evPhaseAt  time.Time
 	evLastProg time.Time
-	// Per-job phase wall time (evMu-guarded, same writers as evPhaseAt):
-	// the slow-solve log reads these to say where a slow job's time went.
-	packNanos     int64
-	scanNanos     int64
-	contractNanos int64
+	// Per-job phase wall time, indexed like phaseNames (evMu-guarded,
+	// same writers as evPhaseAt): the slow-solve log reads it to say
+	// where a slow job's time went.
+	phaseNanos [len(phaseNames)]int64
 
 	done chan struct{}
 }
@@ -1058,7 +1057,7 @@ func (s *Scheduler) finishPublish(j *Job) {
 	if s.slowSolve > 0 {
 		if d := j.finished.Sub(j.created); d >= s.slowSolve {
 			j.evMu.Lock()
-			pack, scan, contract := j.packNanos, j.scanNanos, j.contractNanos
+			phase := j.phaseNanos
 			j.evMu.Unlock()
 			var wait time.Duration
 			if !j.dispatched.IsZero() {
@@ -1072,9 +1071,9 @@ func (s *Scheduler) finishPublish(j *Job) {
 				"state", j.state,
 				"duration", d,
 				"queue_wait", wait,
-				"packing", time.Duration(pack),
-				"scan", time.Duration(scan),
-				"contract", time.Duration(contract),
+				"packing", time.Duration(phase[0]),
+				"scan", time.Duration(phase[1]),
+				"contract", time.Duration(phase[2]),
 				"trees", j.res.TreesScanned,
 				"fanout", j.Fanout())
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/trace"
 )
 
@@ -133,15 +134,16 @@ func TestSlowSolveLog(t *testing.T) {
 		return strings.Contains(buf.String(), "slow solve")
 	})
 	line := buf.String()
-	for _, want := range []string{"job=" + j.ID(), "graph=g1", "class=interactive", "packing=", "scan=", "queue_wait="} {
+	for _, want := range []string{"job=" + j.ID(), "graph=g1", "class=interactive", "packing=", "scan=", "contract=", "queue_wait="} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("slow-solve line lacks %q: %s", want, line)
 		}
 	}
 }
 
-// TestPhaseHistograms: completed solves populate the class/phase duration
-// histograms and the queue-wait histogram.
+// TestPhaseHistograms: completed solves populate the {class, phase,
+// engine} duration histograms under the job's engine only, and the
+// queue-wait histogram.
 func TestPhaseHistograms(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer shutdown(t, s)
@@ -159,17 +161,16 @@ func TestPhaseHistograms(t *testing.T) {
 	if cm.QueueWait.Count == 0 {
 		t.Fatalf("queue-wait histogram empty: %+v", cm.QueueWait)
 	}
-	if len(cm.PhaseDurations) != len(phaseNames) {
-		t.Fatalf("phase histograms = %+v", cm.PhaseDurations)
+	if len(cm.PhaseDurationsByEngine) != len(phaseNames)*len(m.Engines) {
+		t.Fatalf("phase histograms = %+v", cm.PhaseDurationsByEngine)
 	}
-	for _, ph := range cm.PhaseDurations {
-		if ph.Phase == "contract" {
-			// The default engine never contracts; its histogram stays
-			// empty here (engine-labeled coverage is tested separately).
-			continue
-		}
-		if ph.Hist.Count == 0 {
-			t.Fatalf("phase %q histogram empty", ph.Phase)
+	for _, ph := range cm.PhaseDurationsByEngine {
+		// The default engine packs and scans but never contracts, and no
+		// other engine ran.
+		wantObserved := ph.Engine == engine.Default && ph.Phase != "contract"
+		if (ph.Hist.Count > 0) != wantObserved {
+			t.Fatalf("phase %q engine %q histogram count %d, want observed=%v",
+				ph.Phase, ph.Engine, ph.Hist.Count, wantObserved)
 		}
 		// The cumulative buckets must be monotone and end at Count.
 		last := int64(0)

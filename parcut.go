@@ -222,12 +222,12 @@ type Options struct {
 	// parallel solver — the default when empty), "andersonblelloch" (the
 	// same tree packing searched with the Anderson–Blelloch compact
 	// 2-respecting scan; bit-identical values, less work per tree),
-	// "stoerwagner" (exact, deterministic O(n³) baseline), "kargerstein"
-	// (randomized recursive contraction), or "auto" (pick by graph size:
-	// small or dense graphs go to the sequential exact baseline, larger
-	// ones to the Anderson–Blelloch scan). Engines() lists the registered
-	// names. Options an engine cannot use are ignored: Boost runs once on
-	// non-boostable engines, Seed is irrelevant to exact ones.
+	// "stoerwagner" (exact, deterministic O(n³) baseline), or "auto" (pick
+	// by graph size: small or dense graphs go to the sequential exact
+	// baseline, larger ones to the Anderson–Blelloch scan). Engines()
+	// lists the registered names. Options an engine cannot use are
+	// ignored: Boost runs once on non-boostable engines, Seed is
+	// irrelevant to exact ones.
 	Engine string
 	// Seed fixes all randomness; two runs with the same seed and input
 	// return identical results. The zero seed is a valid fixed seed.

@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
 # engines_smoke.sh — end-to-end check of the pluggable engine seam. It
 # boots the real daemon, uploads one graph, solves it over HTTP with every
-# engine value (geissmann, andersonblelloch, stoerwagner, kargerstein,
-# auto), and asserts that
+# engine value (geissmann, andersonblelloch, stoerwagner, auto), and
+# asserts that
 #
-#   * all five solves return the same cut value,
+#   * all four solves return the same cut value,
 #   * each job reports its concrete engine ("auto" reports what it
 #     picked, and on this graph size it must pick stoerwagner),
 #   * the job's trace run span carries the engine attribute,
 #   * /metrics carries the engine-labeled completion counters and solve
 #     duration histograms,
-#   * an unknown engine is rejected with a 400.
+#   * an unknown engine, and the retired kargerstein, is rejected with a
+#     400.
 #
 # Runs in CI and locally: ./scripts/engines_smoke.sh
 set -euo pipefail
@@ -50,8 +51,8 @@ done
 curl -fsS "${BASE}/healthz" >/dev/null || fail "daemon never became healthy"
 
 # A 200-vertex near-4-regular graph: small enough that every engine
-# (including Karger–Stein's Θ(n² log³ n) trials) solves it in seconds, and
-# under the auto rule's SmallN so "auto" must pick stoerwagner.
+# solves it in seconds, and under the auto rule's SmallN so "auto" must
+# pick stoerwagner.
 graph() {
   local n=200 i
   echo "p cut ${n} $((2 * n))"
@@ -70,7 +71,7 @@ ID=$(graph | curl -fsS -X POST --data-binary @- "${BASE}/v1/graphs" | json_field
 [[ "$ID" == sha256:* ]] || fail "bad upload id: ${ID}"
 
 declare -A VALUE ENGINE JOB
-for eng in geissmann andersonblelloch stoerwagner kargerstein auto; do
+for eng in geissmann andersonblelloch stoerwagner auto; do
   echo "== solving with engine=${eng}"
   RESP=$(curl -fsS -X POST -H 'Content-Type: application/json' \
     -d "{\"seed\": 7, \"engine\": \"${eng}\"}" "${BASE}/v1/graphs/${ID}/mincut")
@@ -82,13 +83,13 @@ for eng in geissmann andersonblelloch stoerwagner kargerstein auto; do
 done
 
 echo "== diffing cut values across engines"
-for eng in andersonblelloch stoerwagner kargerstein auto; do
+for eng in andersonblelloch stoerwagner auto; do
   [[ "${VALUE[$eng]}" == "${VALUE[geissmann]}" ]] ||
     fail "engine ${eng} found ${VALUE[$eng]}, geissmann found ${VALUE[geissmann]}"
 done
 
 echo "== checking reported engines"
-for eng in geissmann andersonblelloch stoerwagner kargerstein; do
+for eng in geissmann andersonblelloch stoerwagner; do
   [[ "${ENGINE[$eng]}" == "${eng}" ]] || fail "engine ${eng} reported as ${ENGINE[$eng]}"
 done
 [[ "${ENGINE[auto]}" == "stoerwagner" ]] ||
@@ -99,7 +100,7 @@ done
   fail "auto ran job ${JOB[auto]} instead of sharing ${JOB[stoerwagner]}"
 
 echo "== checking the job object reports the engine"
-curl -fsS "${BASE}/v1/jobs/${JOB[kargerstein]}" | grep -q '"engine":"kargerstein"' ||
+curl -fsS "${BASE}/v1/jobs/${JOB[andersonblelloch]}" | grep -q '"engine":"andersonblelloch"' ||
   fail "GET /v1/jobs lacks the engine"
 
 echo "== checking the trace run span carries the engine attribute"
@@ -119,17 +120,18 @@ for want in \
   'mincutd_jobs_completed_total{class="interactive",engine="geissmann"} 1' \
   'mincutd_jobs_completed_total{class="interactive",engine="andersonblelloch"} 1' \
   'mincutd_jobs_completed_total{class="interactive",engine="stoerwagner"} 1' \
-  'mincutd_jobs_completed_total{class="interactive",engine="kargerstein"} 1' \
   'mincutd_solve_duration_seconds_count{class="interactive",phase="contract",engine="stoerwagner"}' \
   'mincutd_solve_duration_seconds_count{class="interactive",phase="scan",engine="geissmann"}' \
   'mincutd_solve_duration_seconds_count{class="interactive",phase="scan",engine="andersonblelloch"}'; do
   echo "${METRICS}" | grep -qF "${want}" || fail "/metrics lacks ${want}"
 done
 
-echo "== checking an unknown engine is a 400"
-CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
-  -d '{"engine": "edmondskarp"}' "${BASE}/v1/graphs/${ID}/mincut")
-[[ "${CODE}" == "400" ]] || fail "unknown engine returned ${CODE}, want 400"
+echo "== checking an unknown or retired engine is a 400"
+for eng in edmondskarp kargerstein; do
+  CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
+    -d "{\"engine\": \"${eng}\"}" "${BASE}/v1/graphs/${ID}/mincut")
+  [[ "${CODE}" == "400" ]] || fail "engine ${eng} returned ${CODE}, want 400"
+done
 
 echo "== graceful shutdown"
 kill -TERM "${PID}"

@@ -7,9 +7,10 @@
 #     chain: job root, queue-wait, http, run, packing, and scan spans,
 #   * GET /v1/traces lists the trace and its graph/min_duration filters
 #     behave,
-#   * /metrics carries the new histogram families
-#     (solve_duration_seconds, queue_wait_seconds,
-#     http_request_duration_seconds) and the build_info gauge,
+#   * /metrics carries the histogram families (solve_duration_seconds,
+#     labeled by class, phase and engine, with the solve's packing and
+#     scan counted; queue_wait_seconds; http_request_duration_seconds),
+#     the build_info gauge, and no retired solve_phase_seconds summary,
 #   * the slow-solve threshold produces a structured "slow solve" log
 #     line, and the pprof debug listener answers.
 #
@@ -90,16 +91,22 @@ curl -fsS "${BASE}/v1/traces?graph=${ID}" | grep -q "\"id\":\"${JOB}\"" || fail 
 LISTED=$(curl -fsS "${BASE}/v1/traces?graph=${ID}&min_duration=1h")
 echo "${LISTED}" | grep -q "\"id\":\"${JOB}\"" && fail "min_duration=1h failed to filter the trace out"
 
-echo "== checking the new metric families"
+echo "== checking the metric families"
 METRICS=$(curl -fsS "${BASE}/metrics")
 for want in \
   'mincutd_build_info{version="trace-smoke"' \
-  'mincutd_solve_duration_seconds_bucket{class="interactive",phase="packing"' \
-  'mincutd_solve_duration_seconds_count{class="interactive",phase="scan"}' \
+  'mincutd_solve_duration_seconds_bucket{class="interactive",phase="packing",engine="geissmann"' \
   'mincutd_queue_wait_seconds_bucket{class="interactive"' \
   'mincutd_http_request_duration_seconds_bucket{route="POST /v1/graphs/{id}/mincut",code="200"'; do
   echo "${METRICS}" | grep -qF "${want}" || fail "/metrics lacks ${want}"
 done
+for want in \
+  'mincutd_solve_duration_seconds_count{class="interactive",phase="packing",engine="geissmann"}' \
+  'mincutd_solve_duration_seconds_count{class="interactive",phase="scan",engine="geissmann"}'; do
+  COUNT=$(echo "${METRICS}" | awk -v series="${want}" '$1 == series { print $2 }')
+  [[ -n "${COUNT}" && "${COUNT}" -ge 1 ]] || fail "/metrics ${want} = '${COUNT}', want >= 1"
+done
+[[ "${METRICS}" != *mincutd_solve_phase_seconds* ]] || fail "/metrics still carries mincutd_solve_phase_seconds"
 
 echo "== checking the slow-solve log line"
 grep -q '"msg":"slow solve"' "${LOG}" || fail "no slow-solve line despite a 1ns threshold"
