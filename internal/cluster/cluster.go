@@ -226,11 +226,7 @@ func (n *Node) Submit(ctx context.Context, key sched.Key, g *parcut.Graph, opts 
 				return nil, false, err
 			}
 			g = gg
-			name := key.Opt.Engine
-			if name == "" {
-				name = engine.Auto
-			}
-			eng, err := engine.Resolve(name, info.N, info.M)
+			eng, err := engine.ResolveWire(key.Opt.Engine, info.N, info.M)
 			if err != nil {
 				return nil, false, err
 			}

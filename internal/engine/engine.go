@@ -178,3 +178,13 @@ func Resolve(name string, n, m int) (Engine, error) {
 	}
 	return e, nil
 }
+
+// ResolveWire is Resolve for an engine name taken from a service request,
+// where "" means Auto instead of Default: a client that names no engine
+// gets the one Select picks for the graph's size.
+func ResolveWire(name string, n, m int) (Engine, error) {
+	if name == "" {
+		name = Auto
+	}
+	return Resolve(name, n, m)
+}

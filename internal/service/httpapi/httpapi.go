@@ -287,62 +287,6 @@ type batchUploadEntry struct {
 	Error string `json:"error,omitempty"`
 }
 
-// handleUploadBatch ingests many graphs in one round trip — the bulk
-// re-ingestion path after a migration or a data-dir loss. All parseable
-// items are committed as one registry batch, which group-commits to the
-// disk store (two fsync barriers for the whole batch instead of two per
-// graph). Items succeed or fail independently, except that a failed
-// group commit fails every new item; the response reports per-item
-// status in input order. The HTTP status is 200 as long as the envelope
-// was well-formed.
-func (s *Server) handleUploadBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchUploadRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBytes)).Decode(&req); err != nil {
-		code := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeErr(w, code, "bad batch upload body: %v", err)
-		return
-	}
-	if len(req.Graphs) == 0 {
-		writeErr(w, http.StatusBadRequest, "batch needs at least one graph")
-		return
-	}
-	if len(req.Graphs) > maxBatchUploadItems {
-		writeErr(w, http.StatusBadRequest, "batch of %d graphs exceeds the limit of %d", len(req.Graphs), maxBatchUploadItems)
-		return
-	}
-	results := make([]batchUploadEntry, len(req.Graphs))
-	// Parse every item first; only the parseable ones join the group
-	// commit (parse failures are the item's own problem, not the batch's).
-	graphs := make([]*parcut.Graph, 0, len(req.Graphs))
-	graphIdx := make([]int, 0, len(req.Graphs))
-	for i, item := range req.Graphs {
-		g, err := parseBatchItem(item)
-		if err != nil {
-			results[i] = batchUploadEntry{Index: i, Status: "failed", Error: err.Error()}
-			continue
-		}
-		graphs = append(graphs, g)
-		graphIdx = append(graphIdx, i)
-	}
-	node := s.nodeName()
-	for k, br := range s.reg.PutGraphBatch(graphs) {
-		i := graphIdx[k]
-		switch {
-		case br.Err != nil:
-			results[i] = batchUploadEntry{Index: i, Status: "failed", Error: br.Err.Error()}
-		case br.Existed:
-			results[i] = batchUploadEntry{Index: i, Status: "existed", ID: br.Info.ID, N: br.Info.N, M: br.Info.M, Bytes: br.Info.Bytes, Node: node}
-		default:
-			results[i] = batchUploadEntry{Index: i, Status: "created", ID: br.Info.ID, N: br.Info.N, M: br.Info.M, Bytes: br.Info.Bytes, Node: node}
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": results})
-}
-
 // parseBatchItem decodes one batch upload item in either encoding.
 func parseBatchItem(item batchUploadItem) (*parcut.Graph, error) {
 	switch {
@@ -483,10 +427,7 @@ func submitErr(w http.ResponseWriter, err error) {
 // unknown name. Resolving before the scheduler key is built is what lets
 // "auto" share cache entries with explicit requests for the same engine.
 func resolveEngine(w http.ResponseWriter, name string, info registry.Info) (engine.Engine, bool) {
-	if name == "" {
-		name = engine.Auto
-	}
-	eng, err := engine.Resolve(name, info.N, info.M)
+	eng, err := engine.ResolveWire(name, info.N, info.M)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return nil, false

@@ -27,9 +27,9 @@ import (
 // to the owner directly would see), uploads hash their payload to find
 // the owner before storing anything, batch uploads partition across
 // shards and merge in input order, and job routes fall back to peers
-// when the ID is not local. Every wrapper collapses to its plain
-// single-node handler when the server has no cluster, so single-node
-// deployments pay one nil check per request.
+// when the ID is not local. Every route collapses to its single-node
+// behavior when the server has no cluster, so single-node deployments
+// pay one nil check per request.
 
 // forwarded reports whether r already crossed the cluster once. Forwarded
 // requests are always served locally: if two nodes disagree about
@@ -237,16 +237,18 @@ func (s *Server) routeUpload(w http.ResponseWriter, r *http.Request) {
 	s.proxyToPeerBody(w, r, owner, body)
 }
 
-// routeUploadBatch shards a batch upload: every parseable item is hashed,
-// grouped by owner, committed as one registry batch per shard (keeping
-// each shard's group-commit fsync amortization), and the per-item results
-// are merged back in input order. Shard sub-batches run concurrently; a
-// shard that cannot be reached fails only its own items.
+// routeUploadBatch ingests many graphs in one round trip — the bulk
+// re-ingestion path after a migration or a data-dir loss. The items this
+// node stores are committed as one registry batch, which group-commits
+// to the disk store (two fsync barriers for the whole batch instead of
+// two per graph). In a cluster, a request not yet forwarded is sharded
+// first: every parseable item is hashed and grouped by owner, and each
+// peer's share goes to it as one sub-batch, concurrently. Items succeed
+// or fail independently, except that a failed group commit fails every
+// new item of its shard, and a shard that cannot be reached fails only
+// its own items. The response reports per-item status in input order;
+// the HTTP status is 200 as long as the envelope was well-formed.
 func (s *Server) routeUploadBatch(w http.ResponseWriter, r *http.Request) {
-	if s.cluster == nil || forwarded(r) {
-		s.handleUploadBatch(w, r)
-		return
-	}
 	var req batchUploadRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBytes)).Decode(&req); err != nil {
 		code := http.StatusBadRequest
@@ -270,7 +272,7 @@ func (s *Server) routeUploadBatch(w http.ResponseWriter, r *http.Request) {
 		items []batchUploadItem
 		idx   []int
 	}
-	self := s.cluster.Self()
+	routed := s.cluster != nil && !forwarded(r)
 	var localGraphs []*parcut.Graph
 	var localIdx []int
 	remote := make(map[string]*shard)
@@ -280,24 +282,25 @@ func (s *Server) routeUploadBatch(w http.ResponseWriter, r *http.Request) {
 			results[i] = batchUploadEntry{Index: i, Status: "failed", Error: err.Error()}
 			continue
 		}
-		id, err := registry.GraphID(g)
-		if err != nil {
-			results[i] = batchUploadEntry{Index: i, Status: "failed", Error: err.Error()}
-			continue
+		if routed {
+			id, err := registry.GraphID(g)
+			if err != nil {
+				results[i] = batchUploadEntry{Index: i, Status: "failed", Error: err.Error()}
+				continue
+			}
+			if owner := s.cluster.Owner(id); owner != s.cluster.Self() {
+				sh := remote[owner]
+				if sh == nil {
+					sh = &shard{}
+					remote[owner] = sh
+				}
+				sh.items = append(sh.items, item)
+				sh.idx = append(sh.idx, i)
+				continue
+			}
 		}
-		owner := s.cluster.Owner(id)
-		if owner == self {
-			localGraphs = append(localGraphs, g)
-			localIdx = append(localIdx, i)
-			continue
-		}
-		sh := remote[owner]
-		if sh == nil {
-			sh = &shard{}
-			remote[owner] = sh
-		}
-		sh.items = append(sh.items, item)
-		sh.idx = append(sh.idx, i)
+		localGraphs = append(localGraphs, g)
+		localIdx = append(localIdx, i)
 	}
 
 	var wg sync.WaitGroup
@@ -314,15 +317,16 @@ func (s *Server) routeUploadBatch(w http.ResponseWriter, r *http.Request) {
 			s.forwardUploadShard(r, owner, sh.items, sh.idx, results)
 		}(owner, sh)
 	}
+	node := s.nodeName()
 	for k, br := range s.reg.PutGraphBatch(localGraphs) {
 		i := localIdx[k]
 		switch {
 		case br.Err != nil:
 			results[i] = batchUploadEntry{Index: i, Status: "failed", Error: br.Err.Error()}
 		case br.Existed:
-			results[i] = batchUploadEntry{Index: i, Status: "existed", ID: br.Info.ID, N: br.Info.N, M: br.Info.M, Bytes: br.Info.Bytes, Node: self}
+			results[i] = batchUploadEntry{Index: i, Status: "existed", ID: br.Info.ID, N: br.Info.N, M: br.Info.M, Bytes: br.Info.Bytes, Node: node}
 		default:
-			results[i] = batchUploadEntry{Index: i, Status: "created", ID: br.Info.ID, N: br.Info.N, M: br.Info.M, Bytes: br.Info.Bytes, Node: self}
+			results[i] = batchUploadEntry{Index: i, Status: "created", ID: br.Info.ID, N: br.Info.N, M: br.Info.M, Bytes: br.Info.Bytes, Node: node}
 		}
 	}
 	wg.Wait()
@@ -496,11 +500,7 @@ func (s *Server) handleClusterBatch(w http.ResponseWriter, r *http.Request) {
 			subs[i].err = err
 			continue
 		}
-		name := it.Engine
-		if name == "" {
-			name = engine.Auto
-		}
-		eng, rerr := engine.Resolve(name, info.N, info.M)
+		eng, rerr := engine.ResolveWire(it.Engine, info.N, info.M)
 		if rerr != nil {
 			subs[i].err = rerr
 			continue

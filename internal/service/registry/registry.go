@@ -12,10 +12,10 @@
 // Memory is bounded: resident graphs are evicted least-recently-used once
 // the total edge bytes held exceed the configured capacity. With a
 // Backend attached (a disk store), the LRU becomes a cache over the
-// durable copy: Put writes through to the backend before the graph
-// becomes visible, eviction drops only the in-memory bytes (the entry
-// stays known and its Info still answers), and Get faults evicted graphs
-// back in transparently — concurrent Gets of the same evicted graph share
+// durable copy: every upload, single or batched, is one group commit to
+// the backend before the graph becomes visible, eviction drops only the
+// in-memory bytes (the entry stays known and its Info still answers),
+// and Get faults evicted graphs back in transparently — concurrent Gets of the same evicted graph share
 // one load. Delete removes both the resident bytes and the backend copy.
 package registry
 
@@ -49,21 +49,14 @@ var ErrNotFound = errors.New("registry: graph not found")
 // through errors.Is.
 var ErrStore = errors.New("registry: backend store failure")
 
-// BatchBackend is optionally implemented by backends that can commit many
-// graphs with one set of fsync barriers (the store's group commit).
-// PutGraphBatch uses it when present and falls back to per-item Puts
-// otherwise. The result slice aligns with ids; a batch error means
-// nothing new was committed.
-type BatchBackend interface {
-	PutMany(ids []string, gs []*parcut.Graph) (existed []bool, err error)
-}
-
 // Backend is a durable second level under the in-memory LRU. Implemented
 // by internal/service/store; all methods must be safe for concurrent use.
 type Backend interface {
-	// Put durably stores g's canonical form under id; storing an id the
-	// backend already holds reports existed=true and writes nothing.
-	Put(id string, g *parcut.Graph) (existed bool, err error)
+	// PutMany durably stores each graph's canonical form under its id as
+	// one group commit: either every new graph is committed or none is.
+	// The result aligns with ids; an id the backend already holds, or one
+	// repeated in the batch, reports existed=true and writes nothing.
+	PutMany(ids []string, gs []*parcut.Graph) (existed []bool, err error)
 	// Get loads and integrity-checks the graph stored under id.
 	Get(id string) (*parcut.Graph, error)
 	// Delete removes id, reporting whether it was present.
@@ -113,7 +106,7 @@ type entry struct {
 	g       *parcut.Graph
 	elem    *list.Element // position in the LRU list; nil when not resident
 	loading chan struct{}
-	// pending marks a PutGraph placeholder whose backend write has not
+	// pending marks a PutGraphBatch placeholder whose backend write has not
 	// committed yet: invisible to Lookup (durability before visibility),
 	// while read-through loads of committed graphs stay visible.
 	pending bool
@@ -165,81 +158,14 @@ func (r *Registry) Put(src io.Reader) (Info, bool, error) {
 	return r.PutGraph(g)
 }
 
-// PutGraph stores an already-parsed graph, deduplicating by content hash.
-// The stored copy is the graph's canonical form, not the caller's edge
-// order, so results for an ID are reproducible across permuted uploads.
-// With a backend, the graph is durable before PutGraph returns.
+// PutGraph stores an already-parsed graph, deduplicating by content hash:
+// a batch of one (see PutGraphBatch). The stored copy is the graph's
+// canonical form, not the caller's edge order, so results for an ID are
+// reproducible across permuted uploads. With a backend, the graph is
+// durable before PutGraph returns.
 func (r *Registry) PutGraph(g *parcut.Graph) (Info, bool, error) {
-	// Hash the canonical serialization as a stream; materializing it would
-	// transiently cost hundreds of MB for graphs near the budget.
-	g, info, err := r.hashGraph(g)
-	if err != nil {
-		return Info{}, false, err
-	}
-
-	r.mu.Lock()
-	for {
-		e, ok := r.entries[info.ID]
-		if !ok {
-			break
-		}
-		if e.loading != nil {
-			// Another goroutine is writing this id to the backend (or
-			// loading it); wait for the outcome rather than racing it.
-			ch := e.loading
-			r.mu.Unlock()
-			<-ch
-			r.mu.Lock()
-			continue
-		}
-		r.dedups.Add(1)
-		if e.elem != nil {
-			r.lru.MoveToFront(e.elem)
-		} else {
-			// Known but evicted: the upload body just handed us the bytes a
-			// future Get would otherwise fault in from disk — keep them.
-			r.makeResidentLocked(e, g)
-		}
-		existing := e.info
-		r.mu.Unlock()
-		return existing, true, nil
-	}
-	if r.backend == nil {
-		e := &entry{info: info, g: g}
-		e.elem = r.lru.PushFront(info.ID)
-		r.entries[info.ID] = e
-		r.bytes += info.Bytes
-		r.evictLocked()
-		r.mu.Unlock()
-		return info, false, nil
-	}
-	// Durability before visibility, without stalling the registry: a
-	// placeholder (loading channel set) reserves the id while the backend
-	// write — a segment write plus two fsyncs — runs outside the lock, so
-	// concurrent Gets of other graphs never wait on this upload's disk
-	// I/O. Concurrent operations on THIS id block on the channel above.
-	e := &entry{info: info, loading: make(chan struct{}), pending: true}
-	r.entries[info.ID] = e
-	r.mu.Unlock()
-
-	_, err = r.backend.Put(info.ID, g)
-
-	r.mu.Lock()
-	close(e.loading)
-	e.loading = nil
-	e.pending = false
-	if err != nil {
-		if r.entries[info.ID] == e {
-			delete(r.entries, info.ID)
-		}
-		r.mu.Unlock()
-		return Info{}, false, fmt.Errorf("store %s: %w", info.ID, errors.Join(ErrStore, err))
-	}
-	if r.entries[info.ID] == e && e.g == nil {
-		r.makeResidentLocked(e, g)
-	}
-	r.mu.Unlock()
-	return info, false, nil
+	br := r.PutGraphBatch([]*parcut.Graph{g})[0]
+	return br.Info, br.Existed, br.Err
 }
 
 // BatchResult is one item's outcome of PutGraphBatch, aligned with the
@@ -255,163 +181,168 @@ type BatchResult struct {
 // storing anything. The cluster router uses it to place a graph on its
 // owning node before (and instead of) a local Put; the ID it returns is
 // bit-for-bit the one the owning node's registry will assign, because
-// both hash the same canonical form.
+// both come from canonicalID.
 func GraphID(g *parcut.Graph) (string, error) {
+	_, id, err := canonicalID(g)
+	return id, err
+}
+
+// canonicalID canonicalizes g and hashes the canonical serialization as a
+// stream; materializing it would transiently cost hundreds of MB for
+// graphs near the budget.
+func canonicalID(g *parcut.Graph) (*parcut.Graph, string, error) {
+	g = g.Canonical()
 	h := sha256.New()
-	if err := g.Canonical().Write(h); err != nil {
-		return "", fmt.Errorf("registry: canonicalize: %v", err)
+	if err := g.Write(h); err != nil {
+		return nil, "", fmt.Errorf("registry: canonicalize: %v", err)
 	}
-	return IDPrefix + hex.EncodeToString(h.Sum(nil)), nil
+	return g, IDPrefix + hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // hashGraph canonicalizes g and computes its content-addressed Info.
 func (r *Registry) hashGraph(g *parcut.Graph) (*parcut.Graph, Info, error) {
-	g = g.Canonical()
-	h := sha256.New()
-	if err := g.Write(h); err != nil {
-		return nil, Info{}, fmt.Errorf("registry: canonicalize: %v", err)
+	g, id, err := canonicalID(g)
+	if err != nil {
+		return nil, Info{}, err
 	}
-	info := Info{
-		ID:    IDPrefix + hex.EncodeToString(h.Sum(nil)),
-		N:     g.N(),
-		M:     g.M(),
-		Bytes: int64(g.M()) * edgeBytes,
-	}
+	info := Info{ID: id, N: g.N(), M: g.M(), Bytes: int64(g.M()) * edgeBytes}
 	if r.capacity > 0 && info.Bytes > r.capacity {
 		return nil, Info{}, fmt.Errorf("registry: graph needs %d edge bytes, capacity is %d", info.Bytes, r.capacity)
 	}
 	return g, info, nil
 }
 
-// PutGraphBatch stores many graphs at once. With a backend that supports
-// group commit (BatchBackend — the disk store), all new graphs of the
-// batch are made durable with two fsync barriers total instead of two
-// per graph; without one it degrades to per-item PutGraph calls. Items
-// succeed or fail independently except that a group-commit failure fails
-// every new item of the batch (nothing was committed). Duplicates —
-// against the registry, the backend, or earlier items of the same batch
-// — report Existed.
+// PutGraphBatch stores many graphs at once, deduplicating by content
+// hash. With a backend, every new graph of the batch is made durable by
+// one group commit — two fsync barriers in total — before it becomes
+// visible; a failed commit fails every new item (nothing was committed).
+// Items otherwise succeed or fail independently. Duplicates — against the
+// registry, the backend, or earlier items of the same batch — report
+// Existed.
 func (r *Registry) PutGraphBatch(gs []*parcut.Graph) []BatchResult {
 	out := make([]BatchResult, len(gs))
-	bb, batchable := r.backend.(BatchBackend)
-	if !batchable {
-		for i, g := range gs {
-			out[i].Info, out[i].Existed, out[i].Err = r.PutGraph(g)
-		}
-		return out
-	}
-	type item struct {
-		g    *parcut.Graph
-		info Info
-	}
-	items := make([]item, len(gs))
+	canon := make([]*parcut.Graph, len(gs))
+	infos := make([]Info, len(gs))
+	var todo []int
 	for i, g := range gs {
-		cg, info, err := r.hashGraph(g)
-		if err != nil {
-			out[i].Err = err
-			continue
+		canon[i], infos[i], out[i].Err = r.hashGraph(g)
+		if out[i].Err == nil {
+			todo = append(todo, i)
 		}
-		items[i] = item{g: cg, info: info}
 	}
-	// Classify under the lock: known ids resolve immediately, brand-new
-	// ids get pending placeholders (durability before visibility, same
-	// protocol as PutGraph), and ids with an upload or load already in
-	// flight fall back to the singular path, which knows how to wait.
-	var newIdx, fallback []int
-	firstOf := make(map[string]int) // id -> index of the batch's first copy
-	var dups []int
-	placeholders := make(map[string]*entry)
-	r.mu.Lock()
-	for i := range items {
-		if out[i].Err != nil || items[i].g == nil {
-			continue
-		}
-		id := items[i].info.ID
-		// A repeat of an id this batch already claimed must be checked
-		// before the entries lookup: the first copy's placeholder is in
-		// entries with loading set, and the loading branch below would
-		// misroute the duplicate to the singular fallback (re-hashing the
-		// graph and, on a failed group commit, committing it solo against
-		// the all-or-nothing contract).
-		if _, dup := firstOf[id]; dup {
-			dups = append(dups, i)
-			continue
-		}
-		if e, ok := r.entries[id]; ok {
-			if e.loading != nil {
-				fallback = append(fallback, i)
+	// Each round commits the items whose id no other upload or load has in
+	// flight and releases its own placeholders; only then does it wait out
+	// the rest and retry them, so two batches never wait on each other.
+	for len(todo) > 0 {
+		var newIdx, dups, retry []int
+		var placeholders []*entry // aligned with newIdx
+		var waits []chan struct{}
+		firstOf := make(map[string]int) // id -> index of the round's first copy
+		r.mu.Lock()
+		for _, i := range todo {
+			id := infos[i].ID
+			// A repeat of an id this round already claimed must be checked
+			// before the entries lookup: the first copy's placeholder is in
+			// entries with loading set, and waiting on it would let a failed
+			// group commit retry the duplicate alone, against the
+			// all-or-nothing contract.
+			if _, dup := firstOf[id]; dup {
+				dups = append(dups, i)
 				continue
 			}
-			r.dedups.Add(1)
-			if e.elem != nil {
-				r.lru.MoveToFront(e.elem)
-			} else {
-				r.makeResidentLocked(e, items[i].g)
+			if e, ok := r.entries[id]; ok {
+				if e.loading != nil {
+					// Another upload is writing this id to the backend, or a
+					// Get is loading it; retry once that settles.
+					retry = append(retry, i)
+					waits = append(waits, e.loading)
+					continue
+				}
+				r.dedups.Add(1)
+				if e.elem != nil {
+					r.lru.MoveToFront(e.elem)
+				} else {
+					// Known but evicted: the upload just handed us the bytes a
+					// future Get would otherwise fault in from disk — keep them.
+					r.makeResidentLocked(e, canon[i])
+				}
+				out[i].Info, out[i].Existed = e.info, true
+				continue
 			}
-			out[i].Info, out[i].Existed = e.info, true
-			continue
+			firstOf[id] = i
+			if r.backend == nil {
+				e := &entry{info: infos[i]}
+				r.entries[id] = e
+				r.makeResidentLocked(e, canon[i])
+				out[i].Info = infos[i]
+				continue
+			}
+			// Durability before visibility, without stalling the registry: a
+			// placeholder (loading channel set) reserves the id while the
+			// group commit — segment writes plus two fsyncs — runs outside
+			// the lock, so concurrent Gets of other graphs never wait on this
+			// upload's disk I/O.
+			e := &entry{info: infos[i], loading: make(chan struct{}), pending: true}
+			r.entries[id] = e
+			placeholders = append(placeholders, e)
+			newIdx = append(newIdx, i)
 		}
-		firstOf[id] = i
-		e := &entry{info: items[i].info, loading: make(chan struct{}), pending: true}
-		r.entries[id] = e
-		placeholders[id] = e
-		newIdx = append(newIdx, i)
-	}
-	r.mu.Unlock()
+		r.mu.Unlock()
 
-	var batchErr error
-	var existedB []bool
-	if len(newIdx) > 0 {
-		ids := make([]string, len(newIdx))
-		graphs := make([]*parcut.Graph, len(newIdx))
+		var batchErr error
+		var existed []bool
+		if len(newIdx) > 0 {
+			ids := make([]string, len(newIdx))
+			graphs := make([]*parcut.Graph, len(newIdx))
+			for k, i := range newIdx {
+				ids[k] = infos[i].ID
+				graphs[k] = canon[i]
+			}
+			existed, batchErr = r.backend.PutMany(ids, graphs)
+		}
+
+		r.mu.Lock()
 		for k, i := range newIdx {
-			ids[k] = items[i].info.ID
-			graphs[k] = items[i].g
-		}
-		existedB, batchErr = bb.PutMany(ids, graphs)
-	}
-
-	r.mu.Lock()
-	for k, i := range newIdx {
-		id := items[i].info.ID
-		e := placeholders[id]
-		close(e.loading)
-		e.loading = nil
-		e.pending = false
-		if batchErr != nil {
-			if r.entries[id] == e {
-				delete(r.entries, id)
+			id, e := infos[i].ID, placeholders[k]
+			close(e.loading)
+			e.loading = nil
+			e.pending = false
+			if batchErr != nil {
+				if r.entries[id] == e {
+					delete(r.entries, id)
+				}
+				out[i].Err = fmt.Errorf("store %s: %w", id, errors.Join(ErrStore, batchErr))
+				continue
 			}
-			out[i].Err = fmt.Errorf("store %s: %w", id, errors.Join(ErrStore, batchErr))
-			continue
+			out[i].Info = infos[i]
+			if existed[k] {
+				// The backend held it from before this registry's lifetime
+				// (e.g. a restart recovered it to disk but the index entry
+				// was deleted meanwhile) — a dedup from the caller's point of
+				// view.
+				out[i].Existed = true
+				r.dedups.Add(1)
+			}
+			if r.entries[id] == e && e.g == nil {
+				r.makeResidentLocked(e, canon[i])
+			}
 		}
-		out[i].Info = items[i].info
-		if existedB[k] {
-			// The backend held it from before this registry's lifetime
-			// (e.g. a restart recovered it to disk but the index entry was
-			// deleted meanwhile) — a dedup from the caller's point of view.
-			out[i].Existed = true
-			r.dedups.Add(1)
+		// Later copies of an id within the round share the first copy's
+		// outcome, as Existed (their content is durable iff the first
+		// commit succeeded).
+		for _, i := range dups {
+			out[i] = out[firstOf[infos[i].ID]]
+			if out[i].Err == nil {
+				out[i].Existed = true
+				r.dedups.Add(1)
+			}
 		}
-		if r.entries[id] == e && e.g == nil {
-			r.makeResidentLocked(e, items[i].g)
-		}
-	}
-	// Later copies of an id within the batch share the first copy's
-	// outcome, as Existed (their content is durable iff the first commit
-	// succeeded).
-	for _, i := range dups {
-		first := firstOf[items[i].info.ID]
-		out[i] = out[first]
-		if out[i].Err == nil {
-			out[i].Existed = true
-			r.dedups.Add(1)
-		}
-	}
-	r.mu.Unlock()
+		r.mu.Unlock()
 
-	for _, i := range fallback {
-		out[i].Info, out[i].Existed, out[i].Err = r.PutGraph(gs[i])
+		for _, ch := range waits {
+			<-ch
+		}
+		todo = retry
 	}
 	return out
 }

@@ -169,11 +169,14 @@ type Job struct {
 
 	// Tracing (all nil/zero when the scheduler has no trace ring). rec
 	// publishes the job's span tree when its last holder releases it; the
-	// scheduler's own hold is released in finishPublish. rootSp and
-	// queueSp are written once at creation and immutable afterwards.
+	// scheduler's own hold is released once, by releaseTraceLocked. rootSp
+	// and queueSp are written once at creation and immutable afterwards.
 	rec     *trace.Recorder
 	rootSp  trace.SpanRef
 	queueSp trace.SpanRef
+	// traceReleased records, under s.mu, that the scheduler's hold on rec
+	// was released.
+	traceReleased bool
 	// metricClass is the class rank frozen at dispatch (creation rank
 	// until then): the label the solver-side metric hooks use, so they
 	// never race with escalation's writes to class. Written under s.mu
@@ -762,7 +765,8 @@ func (s *Scheduler) Wait(ctx context.Context, j *Job) (parcut.Result, error) {
 // (context cancel functions only close done channels and propagate to
 // children — they never call back into the scheduler, so holding the
 // lock is safe.) A job abandoned while still queued is removed from the
-// heap and published right here instead of burning a worker pop.
+// heap and published right here instead of burning a worker pop. The
+// last waiter of a finished job also releases its trace.
 func (s *Scheduler) dropWaiter(j *Job) {
 	s.mu.Lock()
 	if j.waiters > 0 {
@@ -774,10 +778,29 @@ func (s *Scheduler) dropWaiter(j *Job) {
 		j.cancel(errors.New("sched: all waiters gone"))
 		aborted = s.abortQueuedLocked(j)
 	}
+	release := s.releaseTraceLocked(j)
 	s.mu.Unlock()
 	if aborted {
 		s.finishPublish(j)
 	}
+	if release {
+		j.rec.Release()
+	}
+}
+
+// releaseTraceLocked reports whether the caller must release the
+// scheduler's hold on j's trace, which is once j is terminal and no
+// attached waiter is left: a handler that attaches its span between
+// Submit and Wait then always finds the trace unpublished, however fast
+// the solve. It reports true at most once per job. The caller holds s.mu
+// and calls j.rec.Release after unlocking.
+func (s *Scheduler) releaseTraceLocked(j *Job) bool {
+	if j.rec == nil || j.traceReleased || j.waiters > 0 ||
+		j.state == StateQueued || j.state == StateRunning {
+		return false
+	}
+	j.traceReleased = true
+	return true
 }
 
 // Cancel aborts the job with the given ID. It reports whether the job
@@ -1049,9 +1072,10 @@ func (s *Scheduler) finishPublish(j *Job) {
 		ev.Err = j.err.Error()
 	}
 	j.recordEvent(ev, false)
-	if j.rec != nil {
-		j.rootSp.Attr("state", string(j.state))
-		j.rootSp.End()
+	s.mu.Lock()
+	release := s.releaseTraceLocked(j)
+	s.mu.Unlock()
+	if release {
 		j.rec.Release() // publish unless an HTTP handler still holds it
 	}
 	if s.slowSolve > 0 {
@@ -1104,6 +1128,12 @@ func (s *Scheduler) publishLocked(j *Job, res parcut.Result, err error) {
 	default:
 		j.state = StateFailed
 		s.m.failed.Add(1)
+	}
+	// End the root span here, not in finishPublish: the last waiter's
+	// dropWaiter may publish the trace before finishPublish runs.
+	if j.rec != nil {
+		j.rootSp.Attr("state", string(j.state))
+		j.rootSp.End()
 	}
 	// Only successful results stay cached; a failed or canceled key must
 	// be retryable. A doomed job may already have been replaced under its

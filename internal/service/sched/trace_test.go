@@ -58,6 +58,39 @@ func TestJobTracePublished(t *testing.T) {
 	}
 }
 
+// TestTraceHeldUntilLastWaiter: a solve that finishes before its
+// submitter attaches a span (as an HTTP handler does between Submit and
+// Wait) keeps its trace open until that waiter's Wait, so the late span
+// is published with the trace instead of being dropped.
+func TestTraceHeldUntilLastWaiter(t *testing.T) {
+	ring := trace.NewRing(8)
+	s := New(Config{Workers: 1, Traces: ring})
+	defer shutdown(t, s)
+
+	j, _, err := s.Submit(Key{GraphID: "g1", Opt: SolveOptions{Seed: 3}}, cycle(t, 8), SubmitOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
+	rec := j.TraceSpan().Recorder()
+	if !rec.Hold() {
+		t.Fatal("trace published before its attached waiter called Wait")
+	}
+	sp := j.TraceSpan().Child("http")
+	if _, err := s.Wait(context.Background(), j); err != nil {
+		t.Fatal(err)
+	}
+	sp.End()
+	rec.Release()
+	tr, ok := ring.Get(j.ID())
+	if !ok {
+		t.Fatal("trace not published once every hold was released")
+	}
+	if spanNames(tr)["http"] != 1 || tr.RootAttr("state") != "done" {
+		t.Fatalf("published trace lacks the late span or the state attr: %+v", tr.Spans)
+	}
+}
+
 // TestFanoutTraceLinks: a boosted solve's parent trace names its child
 // traces, fresh children point back, and every trace publishes.
 func TestFanoutTraceLinks(t *testing.T) {

@@ -420,71 +420,17 @@ func (c *countingCRCWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Put durably stores g's canonical serialization under id. It reports
-// existed=true (and writes nothing) when the store already holds id. The
-// write is committed — visible to Get and to recovery — only after the
-// segment bytes and the manifest record are both on disk.
+// Put durably stores g's canonical serialization under id: a group
+// commit of one (see PutMany), so the write is committed — visible to Get
+// and to recovery — only after the segment bytes and the manifest record
+// are both on disk. It reports existed=true, and writes nothing, when the
+// store already holds id.
 func (s *Store) Put(id string, g *parcut.Graph) (existed bool, err error) {
-	// Any whitespace or control character would corrupt the manifest's
-	// space-delimited, newline-terminated records.
-	if id == "" || strings.ContainsFunc(id, func(r rune) bool { return r <= ' ' || r == 0x7f }) {
-		return false, fmt.Errorf("store: invalid graph id %q", id)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false, errors.New("store: closed")
-	}
-	if _, ok := s.index[id]; ok {
-		return true, nil
-	}
-	// Reject an already-full store before writing anything: the exact
-	// check happens after the payload length is known, but a retry loop
-	// against a full disk must not re-write (and truncate away) the whole
-	// payload each attempt.
-	if s.maxDsk > 0 && s.totalBytes >= s.maxDsk {
-		return false, fmt.Errorf("%w: %d bytes held, budget %d", ErrDiskFull, s.totalBytes, s.maxDsk)
-	}
-	if err := s.rotateLocked(); err != nil {
+	ex, err := s.PutMany([]string{id}, []*parcut.Graph{g})
+	if err != nil {
 		return false, err
 	}
-	cw := &countingCRCWriter{w: s.cur, crc: crc32.New(castagnoli)}
-	werr := g.Write(cw)
-	if werr == nil && s.maxDsk > 0 && s.totalBytes+cw.n > s.maxDsk {
-		werr = fmt.Errorf("%w: %d bytes held, graph needs %d, budget %d",
-			ErrDiskFull, s.totalBytes, cw.n, s.maxDsk)
-	}
-	if werr == nil {
-		werr = s.syncFile(s.cur)
-	}
-	if werr != nil {
-		// Roll the partial payload back (best effort — leftover bytes past
-		// curOff are uncommitted orphans that the next Put overwrites or
-		// the next recovery truncates) and drop the handle so the next Put
-		// reopens and reseeks to the committed end.
-		_ = s.cur.Truncate(s.curOff)
-		_ = s.cur.Close()
-		s.cur = nil
-		return false, werr
-	}
-	e := Entry{ID: id, N: g.N(), M: g.M(), Seg: s.curSeg, Off: s.curOff, Len: cw.n, CRC: cw.crc.Sum32()}
-	if err := s.appendManifestLocked(record(e)); err != nil {
-		// The payload is on disk but uncommitted; roll it back exactly like
-		// a failed write, or the next Put's manifest entry would record
-		// s.curOff while the file offset sits past these orphan bytes.
-		_ = s.cur.Truncate(s.curOff)
-		_ = s.cur.Close()
-		s.cur = nil
-		return false, err
-	}
-	s.index[id] = e
-	s.segLive[e.Seg]++
-	s.segBytes[e.Seg] += e.Len
-	s.curOff += e.Len
-	s.liveBytes += e.Len
-	s.totalBytes += e.Len
-	s.puts.Add(1)
-	return false, nil
+	return ex[0], nil
 }
 
 // PutMany durably stores every graph of the batch under its id with one
@@ -497,14 +443,17 @@ func (s *Store) Put(id string, g *parcut.Graph) (existed bool, err error) {
 // The batch is atomic: either every new graph is committed or none is (a
 // failed payload write or manifest append rolls the segment back to the
 // committed end). Graphs the store already holds — including duplicates
-// within the batch — are skipped and reported existed=true, exactly like
-// Put. The whole batch lands in one segment, so a batch may overshoot
-// the rotation threshold the same way a single oversized graph does.
+// within the batch — are skipped and reported existed=true. The whole
+// batch lands in one segment, so a batch may overshoot the rotation
+// threshold the same way a single oversized graph does. PutMany is the
+// only function that writes graph payloads.
 func (s *Store) PutMany(ids []string, gs []*parcut.Graph) (existed []bool, err error) {
 	if len(ids) != len(gs) {
 		return nil, fmt.Errorf("store: PutMany: %d ids for %d graphs", len(ids), len(gs))
 	}
 	for _, id := range ids {
+		// Any whitespace or control character would corrupt the manifest's
+		// space-delimited, newline-terminated records.
 		if id == "" || strings.ContainsFunc(id, func(r rune) bool { return r <= ' ' || r == 0x7f }) {
 			return nil, fmt.Errorf("store: invalid graph id %q", id)
 		}
@@ -528,6 +477,10 @@ func (s *Store) PutMany(ids []string, gs []*parcut.Graph) (existed []bool, err e
 	if len(fresh) == 0 {
 		return existed, nil
 	}
+	// Reject an already-full store before writing anything: the exact
+	// check happens once payload lengths are known, but a retry loop
+	// against a full disk must not re-write (and truncate away) the whole
+	// batch each attempt.
 	if s.maxDsk > 0 && s.totalBytes >= s.maxDsk {
 		return nil, fmt.Errorf("%w: %d bytes held, budget %d", ErrDiskFull, s.totalBytes, s.maxDsk)
 	}
@@ -536,7 +489,9 @@ func (s *Store) PutMany(ids []string, gs []*parcut.Graph) (existed []bool, err e
 	}
 	// Phase 1: append every payload. Offsets are assigned sequentially
 	// from the committed end; nothing is visible until the manifest
-	// records land.
+	// records land. rollback drops uncommitted payload bytes (best effort:
+	// the next rotateLocked or recovery truncates any left over) and the
+	// handle, so the next commit reseeks to the committed end.
 	rollback := func() {
 		_ = s.cur.Truncate(s.curOff)
 		_ = s.cur.Close()
@@ -550,7 +505,7 @@ func (s *Store) PutMany(ids []string, gs []*parcut.Graph) (existed []bool, err e
 		werr := gs[i].Write(cw)
 		batchBytes += cw.n
 		if werr == nil && s.maxDsk > 0 && s.totalBytes+batchBytes > s.maxDsk {
-			werr = fmt.Errorf("%w: %d bytes held, batch needs %d so far, budget %d",
+			werr = fmt.Errorf("%w: %d bytes held, %d more needed, budget %d",
 				ErrDiskFull, s.totalBytes, batchBytes, s.maxDsk)
 		}
 		if werr != nil {
@@ -606,8 +561,8 @@ func (s *Store) rotateLocked() error {
 		if err != nil {
 			return fmt.Errorf("store: open segment: %w", err)
 		}
-		// Drop any uncommitted orphan bytes a failed Put left behind, then
-		// position at the committed end.
+		// Drop any uncommitted orphan bytes a failed commit left behind,
+		// then position at the committed end.
 		if err := f.Truncate(s.curOff); err != nil {
 			f.Close()
 			return fmt.Errorf("store: truncate segment to committed end: %w", err)

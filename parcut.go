@@ -115,17 +115,12 @@ type Tuning = par.Tuning
 
 // Calibrate measures this machine's parallel-vs-sequential crossover per
 // primitive (once per process; subsequent calls return the cached result)
-// and returns the resulting cutoffs. Install them with SetDefaultTuning,
-// or per executor with Executor.SetTuning.
+// and returns the resulting cutoffs. Install them with SetDefaultTuning.
 func Calibrate() Tuning { return par.CalibrateOnce() }
 
 // SetDefaultTuning installs process-wide cutoff defaults, applied to
-// every executor without a per-executor override.
+// every executor.
 func SetDefaultTuning(t Tuning) { par.SetDefaultTuning(t) }
-
-// SetTuning overrides the cutoffs for this executor only (for a nil
-// receiver, the shared default executor).
-func (e *Executor) SetTuning(t Tuning) { e.unwrap().SetTuning(t) }
 
 // executionPool resolves the executor a call with these options runs on,
 // and whether the call owns it (and must close it when done).
@@ -134,11 +129,7 @@ func (o Options) executionPool() (pool *par.Pool, owned bool) {
 		return o.Executor.pool, false
 	}
 	if o.Parallelism > 0 {
-		p := par.NewPool(o.Parallelism)
-		if o.Tuning != nil {
-			p.SetTuning(*o.Tuning)
-		}
-		return p, true
+		return par.NewPool(o.Parallelism), true
 	}
 	return nil, false
 }
@@ -252,13 +243,6 @@ type Options struct {
 	// Parallelism. Long-lived callers issuing many solves should prefer
 	// an Executor so workers persist across calls.
 	Executor *Executor
-	// Tuning, when non-nil, overrides the per-primitive sequential
-	// cutoffs for the call's dedicated executor. It applies only when the
-	// call creates its own executor (Parallelism > 0): a caller-owned
-	// Executor keeps whatever SetTuning configured on it, and the shared
-	// default executor follows SetDefaultTuning. Cutoffs never change the
-	// Result, only speed.
-	Tuning *Tuning
 	// Progress, when non-nil, receives live progress updates (current
 	// phase, packing rounds, trees scanned, boost runs completed) while
 	// the solve runs. Attach a fresh Progress per solve; attaching one
