@@ -303,9 +303,6 @@ func run(cfg config, ready chan<- string) error {
 			Self:          cfg.advertise,
 			Members:       cfg.peers,
 			VNodes:        cfg.vnodes,
-			Local:         sched.Local{Scheduler: sch},
-			Graphs:        reg,
-			RequestID:     httpapi.RequestID,
 			Retries:       cfg.peerRetries,
 			ProbeInterval: cfg.peerProbe,
 			Logger:        logger,
@@ -314,7 +311,6 @@ func run(cfg config, ready chan<- string) error {
 			return err
 		}
 		defer node.Close()
-		apiOpts.Submitter = node
 		apiOpts.Cluster = node
 		logger.Info("cluster mode", "self", cfg.advertise, "members", node.Ring().Members(),
 			"vnodes", node.Ring().VNodes(), "job_id_prefix", idPrefix)

@@ -2,24 +2,22 @@
 // sharded service. Placement is consistent hashing over a static member
 // list: every graph lives on the node its content hash maps to, every
 // node builds the identical ring from the same -peers list, and any node
-// accepts any request — the HTTP layer forwards work it does not own to
+// accepts any request — the HTTP router forwards work it does not own to
 // the owner over the same API external clients use.
 //
-// The seam is sched.Submitter: Node implements it by dispatching each
-// submission to the local scheduler (for graphs this node owns) or to a
-// remote peer (a proxied solve with request-ID propagation, bounded
-// retries on connection errors, and per-peer health gating fed by
-// /healthz probes). Boost fan-out stays node-local — the owning node
-// decomposes boosted solves across its own worker pool exactly as in
-// single-node mode — so a cluster solve is the same decompose/merge
-// pattern as a boost solve, with the network as the seam.
+// The package is placement and transport only: the Ring, one Peer per
+// remote member (forwards with bounded retries on connection errors and
+// per-peer health gating), and the Node that holds them and runs the
+// /healthz probes. It never runs or routes a solve. Deciding where a
+// request runs belongs to the router, and a node serves its own shard
+// through its own scheduler exactly as a single-node deployment does —
+// boost fan-out included, so boosted sub-jobs never cross the network.
 //
 // Results are transport-neutral by construction: the owning node runs
 // the identical deterministic solver whichever node the request entered
 // through, so a Result is bit-for-bit identical across entry points.
-// Membership is static in this iteration (no failure takeover): when a
-// peer is down, its shard answers 502 and every other shard keeps
-// working. Replication and rebalancing build on this seam.
+// Membership is static (no failure takeover): when a peer is down, its
+// shard answers 502 and every other shard keeps working.
 package cluster
 
 import (
@@ -31,11 +29,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	parcut "repro"
-	"repro/internal/engine"
-	"repro/internal/service/registry"
-	"repro/internal/service/sched"
 )
 
 // Options configures a Node.
@@ -48,17 +41,6 @@ type Options struct {
 	// VNodes is the virtual-node count per member (0 = a sensible
 	// default). Every node must use the same value.
 	VNodes int
-	// Local runs the shard this node owns.
-	Local sched.Submitter
-	// Graphs is this node's registry, used to fetch a graph (and resolve
-	// the "auto" engine against its size) when a local submission arrives
-	// without one.
-	Graphs *registry.Registry
-	// RequestID extracts the request correlation ID from a context so
-	// forwarded requests carry it; nil disables propagation. (The HTTP
-	// layer owns the context key; injecting the accessor avoids an
-	// import cycle.)
-	RequestID func(context.Context) string
 	// Retries is how many times a forward is re-dialed after a
 	// connection-level failure (0 = default 2; negative = no retries).
 	Retries int
@@ -75,16 +57,13 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// Node is one member of the cluster: the ring, the peer clients, and the
-// local shard, glued together behind sched.Submitter.
+// Node is one member of the cluster: the ring, the peer clients, and
+// their health prober.
 type Node struct {
-	self      string
-	ring      *Ring
-	peers     map[string]*Peer // keyed by addr; excludes self
-	local     sched.Submitter
-	graphs    *registry.Registry
-	requestID func(context.Context) string
-	log       *slog.Logger
+	self  string
+	ring  *Ring
+	peers map[string]*Peer // keyed by addr; excludes self
+	log   *slog.Logger
 
 	probeEvery time.Duration
 	stopProbe  context.CancelFunc
@@ -95,9 +74,6 @@ type Node struct {
 func New(opt Options) (*Node, error) {
 	if opt.Self == "" {
 		return nil, fmt.Errorf("cluster: missing self address")
-	}
-	if opt.Local == nil {
-		return nil, fmt.Errorf("cluster: missing local submitter")
 	}
 	ring := NewRing(opt.Members, opt.VNodes)
 	selfOnRing := false
@@ -135,9 +111,6 @@ func New(opt Options) (*Node, error) {
 		self:       opt.Self,
 		ring:       ring,
 		peers:      make(map[string]*Peer),
-		local:      opt.Local,
-		graphs:     opt.Graphs,
-		requestID:  opt.RequestID,
 		log:        opt.Logger,
 		probeEvery: opt.ProbeInterval,
 	}
@@ -201,66 +174,8 @@ func (n *Node) Ring() *Ring { return n.ring }
 // Owner returns the member that owns graphID.
 func (n *Node) Owner(graphID string) string { return n.ring.Owner(graphID) }
 
-// IsLocal reports whether this node owns graphID.
-func (n *Node) IsLocal(graphID string) bool { return n.ring.Owner(graphID) == n.self }
-
 // Peer returns the client for addr (nil for self or unknown members).
 func (n *Node) Peer(addr string) *Peer { return n.peers[addr] }
-
-// Submit implements sched.Submitter by routing on the graph's owner: the
-// local scheduler for shards this node owns (fetching the graph — and
-// resolving the "auto" engine against its size — when the caller did not
-// supply it), a proxied remote solve otherwise. Remote submissions start
-// their HTTP request immediately, so submitting a batch of handles and
-// then waiting on each runs the remote solves concurrently, mirroring
-// the local scheduler's submit-all-then-wait coalescing pattern.
-func (n *Node) Submit(ctx context.Context, key sched.Key, g *parcut.Graph, opts sched.SubmitOpts) (sched.Handle, bool, error) {
-	owner := n.ring.Owner(key.GraphID)
-	if owner == n.self {
-		if g == nil || key.Opt.Engine == "" || key.Opt.Engine == engine.Auto {
-			if n.graphs == nil {
-				return nil, false, fmt.Errorf("cluster: no registry to resolve graph %s", key.GraphID)
-			}
-			gg, info, err := n.graphs.Get(key.GraphID)
-			if err != nil {
-				return nil, false, err
-			}
-			g = gg
-			eng, err := engine.ResolveWire(key.Opt.Engine, info.N, info.M)
-			if err != nil {
-				return nil, false, err
-			}
-			key.Opt.Engine = eng.Name()
-		}
-		return n.local.Submit(ctx, key, g, opts)
-	}
-	p := n.peers[owner]
-	if p == nil {
-		return nil, false, fmt.Errorf("cluster: owner %q of %s is not a known peer", owner, key.GraphID)
-	}
-	var rid string
-	if n.requestID != nil {
-		rid = n.requestID(ctx)
-	}
-	h, err := submitRemote(ctx, p, n.self, key, opts, rid)
-	if err != nil {
-		return nil, false, err
-	}
-	return h, false, nil
-}
-
-// Job implements sched.Submitter for the local shard. Cross-node job
-// lookup is an HTTP-layer concern (job IDs are node-local; the router
-// falls back to asking peers).
-func (n *Node) Job(id string) (sched.Status, bool) { return n.local.Job(id) }
-
-// Cancel implements sched.Submitter for the local shard.
-func (n *Node) Cancel(id string) bool { return n.local.Cancel(id) }
-
-// InvalidateGraph implements sched.Submitter for the local shard: graph
-// deletes are forwarded to the owner by the router, and only the owner
-// ever caches that graph's results.
-func (n *Node) InvalidateGraph(graphID string) int { return n.local.InvalidateGraph(graphID) }
 
 // PeerStats is one peer's forwarding counters for /metrics.
 type PeerStats struct {
@@ -293,5 +208,3 @@ func (n *Node) Stats() Stats {
 	sort.Slice(st.Peers, func(i, j int) bool { return st.Peers[i].Addr < st.Peers[j].Addr })
 	return st
 }
-
-var _ sched.Submitter = (*Node)(nil)

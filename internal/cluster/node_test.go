@@ -10,10 +10,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	parcut "repro"
-	"repro/internal/service/sched"
-	"repro/internal/trace"
 )
 
 // fakeTransport scripts peer responses per call: fn receives the request
@@ -128,7 +124,9 @@ func TestPeerNeverRetriesHTTPResponses(t *testing.T) {
 }
 
 // TestPeerNoRetryOnCancel: the caller giving up is not a peer failure —
-// no retry, and the peer keeps its health state.
+// no retry, the peer keeps its health state, and no failure is counted,
+// so a client abandoning a slow proxied solve cannot gate a healthy
+// owner.
 func TestPeerNoRetryOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	// Surface the canceled-context error shape the http client produces.
@@ -142,6 +140,12 @@ func TestPeerNoRetryOnCancel(t *testing.T) {
 	}
 	if got := ft.calls(); got != 1 {
 		t.Fatalf("transport calls = %d, want 1 (cancellation is not retryable)", got)
+	}
+	if !p.Up() {
+		t.Fatal("peer marked down because its caller gave up")
+	}
+	if got := p.failed.Load(); got != 0 {
+		t.Fatalf("failed counter = %d, want 0 (a cancellation is not a forward failure)", got)
 	}
 }
 
@@ -173,45 +177,12 @@ func TestPeerProbeRecovers(t *testing.T) {
 	}
 }
 
-// ridKey carries the test request ID through a context, standing in for
-// the HTTP layer's accessor.
-type ridKey struct{}
-
-// fakeLocal records local submissions and returns a canned handle.
-type fakeLocal struct {
-	mu   sync.Mutex
-	keys []sched.Key
-}
-
-func (f *fakeLocal) Submit(ctx context.Context, key sched.Key, g *parcut.Graph, opts sched.SubmitOpts) (sched.Handle, bool, error) {
-	f.mu.Lock()
-	f.keys = append(f.keys, key)
-	f.mu.Unlock()
-	return fakeHandle{}, false, nil
-}
-func (f *fakeLocal) Job(id string) (sched.Status, bool) { return sched.Status{}, false }
-func (f *fakeLocal) Cancel(id string) bool              { return false }
-func (f *fakeLocal) InvalidateGraph(graphID string) int { return 0 }
-
-type fakeHandle struct{}
-
-func (fakeHandle) ID() string               { return "local-job-1" }
-func (fakeHandle) Fanout() int              { return 0 }
-func (fakeHandle) TraceSpan() trace.SpanRef { return trace.SpanRef{} }
-func (fakeHandle) Wait(ctx context.Context) (parcut.Result, error) {
-	return parcut.Result{Value: 42}, nil
-}
-
-// testNode builds a 2-member node with a scripted transport and returns
-// it plus one graph ID owned by each member.
-func testNode(t *testing.T, ft *fakeTransport, local *fakeLocal) (n *Node, selfKey, peerKey string) {
+// testNode builds a 2-member node over a scripted transport.
+func testNode(t *testing.T, ft *fakeTransport) *Node {
 	t.Helper()
-	const self, peer = "self:1", "peer:1"
 	node, err := New(Options{
-		Self:          self,
-		Members:       []string{self, peer},
-		Local:         local,
-		RequestID:     func(ctx context.Context) string { v, _ := ctx.Value(ridKey{}).(string); return v },
+		Self:          "self:1",
+		Members:       []string{"self:1", "peer:1"},
 		Retries:       -1,
 		ProbeInterval: time.Hour, // keep the prober out of call counts
 		Transport:     ft,
@@ -220,130 +191,7 @@ func testNode(t *testing.T, ft *fakeTransport, local *fakeLocal) (n *Node, selfK
 		t.Fatal(err)
 	}
 	t.Cleanup(node.Close)
-	for k := 0; selfKey == "" || peerKey == ""; k++ {
-		id := fmt.Sprintf("sha256:%064x", k)
-		if node.Owner(id) == self && selfKey == "" {
-			selfKey = id
-		}
-		if node.Owner(id) == peer && peerKey == "" {
-			peerKey = id
-		}
-	}
-	return node, selfKey, peerKey
-}
-
-// TestNodeSubmitRoutesLocally: a graph this node owns goes straight to
-// the local submitter; the transport is never touched.
-func TestNodeSubmitRoutesLocally(t *testing.T) {
-	ft := &fakeTransport{fn: func(r *http.Request, call int) (*http.Response, error) {
-		t.Error("local submission reached the network")
-		return nil, errors.New("unreachable")
-	}}
-	local := &fakeLocal{}
-	node, selfKey, _ := testNode(t, ft, local)
-	g := parcut.NewGraph(2)
-	if err := g.AddEdge(0, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	key := sched.Key{GraphID: selfKey, Opt: sched.SolveOptions{Seed: 1, Engine: "geissmann"}}
-	h, hit, err := node.Submit(context.Background(), key, g, sched.SubmitOpts{})
-	if err != nil || hit {
-		t.Fatalf("Submit = (hit=%v, err=%v), want fresh local submission", hit, err)
-	}
-	res, err := h.Wait(context.Background())
-	if err != nil || res.Value != 42 {
-		t.Fatalf("Wait = (%v, %v), want the fake local result 42", res, err)
-	}
-	if len(local.keys) != 1 || local.keys[0].GraphID != selfKey {
-		t.Fatalf("local submitter saw %v, want one submission for %s", local.keys, selfKey)
-	}
-}
-
-// TestNodeSubmitRoutesRemotely: a graph a peer owns becomes a proxied
-// solve on that peer, carrying the forwarding marker and the caller's
-// request ID, and the handle reports the owner's result verbatim.
-func TestNodeSubmitRoutesRemotely(t *testing.T) {
-	var gotPath, gotFwd, gotRid string
-	ft := &fakeTransport{fn: func(r *http.Request, call int) (*http.Response, error) {
-		gotPath = r.URL.Path
-		gotFwd = r.Header.Get(ForwardedFromHeader)
-		gotRid = r.Header.Get("X-Request-Id")
-		return jsonResp(http.StatusOK,
-			`{"job_id":"abc-job-7","status":"done","engine":"geissmann","cached":true,"value":9,"in_cut":[true,false,false],"trees_scanned":3}`), nil
-	}}
-	local := &fakeLocal{}
-	node, _, peerKey := testNode(t, ft, local)
-	ctx := context.WithValue(context.Background(), ridKey{}, "rid-123")
-	key := sched.Key{GraphID: peerKey, Opt: sched.SolveOptions{Seed: 5, Engine: "auto"}}
-	h, hit, err := node.Submit(ctx, key, nil, sched.SubmitOpts{Class: sched.ClassBatch})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	if hit {
-		t.Fatal("remote submission reported a local cache hit")
-	}
-	res, err := h.Wait(context.Background())
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	if res.Value != 9 || len(res.InCut) != 3 || res.TreesScanned != 3 {
-		t.Fatalf("remote result = %+v, want value 9, 3-vertex partition, 3 trees", res)
-	}
-	if want := "/v1/graphs/" + peerKey + "/mincut"; gotPath != want {
-		t.Errorf("proxied path = %q, want %q", gotPath, want)
-	}
-	if gotFwd != "self:1" {
-		t.Errorf("%s = %q, want self:1", ForwardedFromHeader, gotFwd)
-	}
-	if gotRid != "rid-123" {
-		t.Errorf("X-Request-Id = %q, want rid-123 propagated from the context", gotRid)
-	}
-	if h.ID() != "abc-job-7" {
-		t.Errorf("handle ID = %q, want the owner's job ID", h.ID())
-	}
-	if rh := h.(*remoteHandle); !rh.Cached() || rh.Engine() != "geissmann" || rh.Node() != "peer:1" {
-		t.Errorf("remote handle metadata = (cached=%v, engine=%q, node=%q)", rh.Cached(), rh.Engine(), rh.Node())
-	}
-	if len(local.keys) != 0 {
-		t.Errorf("remote submission also hit the local submitter: %v", local.keys)
-	}
-}
-
-// TestNodeSubmitRemoteError: the owner answering with an error status
-// surfaces as a Wait error naming the owner, not a zero result.
-func TestNodeSubmitRemoteError(t *testing.T) {
-	ft := &fakeTransport{fn: func(r *http.Request, call int) (*http.Response, error) {
-		return jsonResp(http.StatusNotFound, `{"error":"unknown graph"}`), nil
-	}}
-	node, _, peerKey := testNode(t, ft, &fakeLocal{})
-	h, _, err := node.Submit(context.Background(), sched.Key{GraphID: peerKey}, nil, sched.SubmitOpts{})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	if _, werr := h.Wait(context.Background()); werr == nil || !strings.Contains(werr.Error(), "unknown graph") {
-		t.Fatalf("Wait error = %v, want the owner's error surfaced", werr)
-	}
-}
-
-// TestNodeSubmitGatedPeer: submissions to a down peer fail at Submit
-// time with ErrPeerDown — the caller gets immediate backpressure instead
-// of a handle doomed to time out.
-func TestNodeSubmitGatedPeer(t *testing.T) {
-	ft := &fakeTransport{fn: func(r *http.Request, call int) (*http.Response, error) {
-		return nil, errors.New("connection refused")
-	}}
-	node, _, peerKey := testNode(t, ft, &fakeLocal{})
-	node.Peer("peer:1").MarkDown()
-	h, _, err := node.Submit(context.Background(), sched.Key{GraphID: peerKey}, nil, sched.SubmitOpts{})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	if _, werr := h.Wait(context.Background()); !errors.Is(werr, ErrPeerDown) {
-		t.Fatalf("Wait error = %v, want ErrPeerDown", werr)
-	}
-	if got := ft.calls(); got != 0 {
-		t.Fatalf("gated submission touched the transport (%d calls)", got)
-	}
+	return node
 }
 
 // TestNodeStats: the snapshot carries the ring shape and per-peer
@@ -352,7 +200,7 @@ func TestNodeStats(t *testing.T) {
 	ft := &fakeTransport{fn: func(r *http.Request, call int) (*http.Response, error) {
 		return jsonResp(http.StatusOK, `{}`), nil
 	}}
-	node, _, _ := testNode(t, ft, &fakeLocal{})
+	node := testNode(t, ft)
 	st := node.Stats()
 	if st.Self != "self:1" || len(st.Members) != 2 || st.VNodes != defaultVNodes {
 		t.Fatalf("Stats = %+v, want self:1 over 2 members at default vnodes", st)

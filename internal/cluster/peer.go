@@ -18,7 +18,6 @@ import (
 const (
 	ForwardedFromHeader = "X-Mincut-Forwarded-From"
 	NodeHeader          = "X-Mincut-Node"
-	requestIDHeader     = "X-Request-Id"
 )
 
 // ErrPeerDown reports a forward short-circuited by health gating: the
@@ -55,18 +54,14 @@ func (p *Peer) MarkDown() { p.down.Store(true) }
 // MarkUp lifts the gate.
 func (p *Peer) MarkUp() { p.down.Store(false) }
 
-// retryable reports whether err is a connection-level failure worth
-// re-dialing: anything except the caller giving up. HTTP responses of any
-// status are never retried — the peer answered; its answer stands.
-func retryable(err error) bool {
-	return err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
-}
-
 // Do sends one HTTP request to the peer with health gating and bounded
 // retries on connection errors. body may be nil; it is re-sent verbatim
 // on every retry. headers are copied onto every attempt. The caller owns
-// the response body. A request that exhausts its retries marks the peer
-// down and counts as failed.
+// the response body. HTTP responses of any status are never retried —
+// the peer answered; its answer stands. A request that exhausts its
+// retries on connection errors marks the peer down and counts as failed;
+// one whose caller gives up (ctx canceled or expired) does neither, since
+// that says nothing about the peer.
 func (p *Peer) Do(ctx context.Context, method, pathAndQuery, contentType string, body []byte, headers map[string]string) (*http.Response, error) {
 	if !p.Up() {
 		p.failed.Add(1)
@@ -80,7 +75,6 @@ func (p *Peer) Do(ctx context.Context, method, pathAndQuery, contentType string,
 			select {
 			case <-time.After(time.Duration(attempt) * p.backoff):
 			case <-ctx.Done():
-				p.failed.Add(1)
 				return nil, fmt.Errorf("cluster: forward to %s: %w", p.addr, context.Cause(ctx))
 			}
 		}
@@ -109,10 +103,10 @@ func (p *Peer) Do(ctx context.Context, method, pathAndQuery, contentType string,
 		if err == nil {
 			return resp, nil
 		}
-		lastErr = err
-		if !retryable(err) {
-			break
+		if ctx.Err() != nil {
+			return nil, fmt.Errorf("cluster: forward to %s: %w", p.addr, err)
 		}
+		lastErr = err
 	}
 	p.MarkDown()
 	p.failed.Add(1)

@@ -62,10 +62,6 @@ type Result struct {
 	InCut []bool
 	// TreesScanned is the number of distinct spanning trees searched.
 	TreesScanned int
-	// Estimate is the accepted cut estimate from the packing phase.
-	Estimate int64
-	// PackValue is the tree packing's value.
-	PackValue float64
 }
 
 // Search is the pipeline's per-tree step (Lemma 13). Solve calls it once
@@ -135,11 +131,21 @@ func Solve(ctx context.Context, g *graph.Graph, opt Options, search Search) (Res
 	if err != nil {
 		return Result{}, fmt.Errorf("core: witness extraction failed: %v", err)
 	}
-	if got := g.CutValueOn(opt.Pool, inCut); got != res.Value {
-		return Result{}, fmt.Errorf("core: partition weighs %d, reported value %d", got, res.Value)
+	if err := CheckPartition(g, opt.Pool, inCut, res.Value); err != nil {
+		return Result{}, fmt.Errorf("core: %w", err)
 	}
 	res.InCut = inCut
 	return res, nil
+}
+
+// CheckPartition re-weighs the side inCut of a cut of g in O(m) work and
+// returns an error unless it weighs value, so a solver that returns a
+// partition proves the value it reports.
+func CheckPartition(g *graph.Graph, pool *par.Pool, inCut []bool, value int64) error {
+	if got := g.CutValueOn(pool, inCut); got != value {
+		return fmt.Errorf("partition weighs %d, reported value %d", got, value)
+	}
+	return nil
 }
 
 // minCut runs the pipeline up to the winning cut's value and returns the
@@ -230,7 +236,7 @@ func minCut(ctx context.Context, g *graph.Graph, opt Options, search Search) (Re
 	})
 	scanSp.End()
 	m.Par(locals...) // trees are searched in parallel (§4.3 step 3)
-	best := Result{Value: minDeg, TreesScanned: len(pk.Trees), Estimate: pk.Estimate, PackValue: pk.PackValue}
+	best := Result{Value: minDeg, TreesScanned: len(pk.Trees)}
 	// The singleton minimum-degree cut wins unless some tree beats it.
 	witness := Witness(func(*wd.Meter) ([]bool, error) {
 		inCut := make([]bool, n)

@@ -154,7 +154,7 @@ func TestMinCutDeterministicInSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Value != b.Value || a.TreesScanned != b.TreesScanned || a.Estimate != b.Estimate {
+	if a.Value != b.Value || a.TreesScanned != b.TreesScanned {
 		t.Fatalf("same seed, different results: %+v vs %+v", a, b)
 	}
 }
@@ -188,5 +188,20 @@ func TestSolveRejectsWrongWitness(t *testing.T) {
 	_, err := Solve(context.Background(), g, Options{Seed: 1, WantPartition: true}, wrong)
 	if err == nil || !strings.Contains(err.Error(), "partition weighs 0, reported value 1") {
 		t.Fatalf("wrong witness: err = %v, want a partition mismatch", err)
+	}
+}
+
+// TestCheckPartition: the re-weigh every returned partition goes through
+// accepts a side that weighs the reported value and rejects one that
+// does not.
+func TestCheckPartition(t *testing.T) {
+	g := gen.Cycle([]int64{2, 3, 4, 5, 6, 7, 8, 9}).G
+	inCut := make([]bool, g.N())
+	inCut[1], inCut[2] = true, true // cuts the edges of weight 2 and 4
+	if err := CheckPartition(g, nil, inCut, 6); err != nil {
+		t.Fatalf("right value rejected: %v", err)
+	}
+	if err := CheckPartition(g, nil, inCut, 5); err == nil || !strings.Contains(err.Error(), "partition weighs 6, reported value 5") {
+		t.Fatalf("wrong value: err = %v, want a partition mismatch", err)
 	}
 }

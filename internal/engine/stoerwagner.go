@@ -2,15 +2,18 @@ package engine
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/baseline"
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
 // stoerWagnerEngine serves baseline.StoerWagnerContext: exact,
 // deterministic, O(n³). Seed-insensitive and single-run (boosting an
 // exact algorithm is pure waste), so upper layers normalize Seed and
-// Boost away before cache keying.
+// Boost away before cache keying. A partition it returns is re-weighed
+// in O(m) first, as the packed-tree engines' are.
 type stoerWagnerEngine struct{}
 
 func (stoerWagnerEngine) Name() string { return "stoerwagner" }
@@ -25,7 +28,10 @@ func (stoerWagnerEngine) Solve(ctx context.Context, g *graph.Graph, opt Options)
 		return Result{}, err
 	}
 	if !opt.WantPartition {
-		inCut = nil
+		return Result{Value: v}, nil
+	}
+	if err := core.CheckPartition(g, opt.Pool, inCut, v); err != nil {
+		return Result{}, fmt.Errorf("stoerwagner: %w", err)
 	}
 	return Result{Value: v, InCut: inCut}, nil
 }

@@ -84,38 +84,25 @@ func zeroed(b []int64, n int) []int64 {
 	return b
 }
 
-// Options control the sampling and packing constants. The defaults are
-// tuned empirically (paperbench -exp packing measures how often some
-// sampled tree crosses the minimum cut at most twice): the paper's w.h.p.
-// analysis fixes them only up to constants.
+// The sampling and packing constants. They are tuned empirically
+// (paperbench -exp packing measures how often some sampled tree crosses
+// the minimum cut at most twice): the paper's w.h.p. analysis fixes them
+// only up to constants.
+const (
+	// kappa scales the skeleton sampling probability p = kappa·ln(n)/ĉ.
+	kappa = 3
+	// roundsFactor scales the number of packing rounds:
+	// rounds = ceil(roundsFactor · ln²(n)), at least 24.
+	roundsFactor = 1.5
+	// acceptFraction: accept an estimate when the packing value reaches
+	// acceptFraction · kappa · ln(n).
+	acceptFraction = 0.25
+)
+
+// Options control a packing run.
 type Options struct {
-	// Kappa scales the skeleton sampling probability p = Kappa·ln(n)/ĉ.
-	Kappa float64
-	// RoundsFactor scales the number of packing rounds:
-	// rounds = ceil(RoundsFactor · ln²(n)), at least 24.
-	RoundsFactor float64
-	// AcceptFraction: accept an estimate when the packing value reaches
-	// AcceptFraction · Kappa · ln(n).
-	AcceptFraction float64
-	// TreeCount is the number of trees sampled from the packing
-	// (0 = ceil(2·log2 n) + 3).
-	TreeCount int
 	// Seed drives all randomness.
 	Seed int64
-}
-
-// withDefaults fills zero fields.
-func (o Options) withDefaults() Options {
-	if o.Kappa == 0 {
-		o.Kappa = 3
-	}
-	if o.RoundsFactor == 0 {
-		o.RoundsFactor = 1.5
-	}
-	if o.AcceptFraction == 0 {
-		o.AcceptFraction = 0.25
-	}
-	return o
 }
 
 // Result is the output of SampleTrees.
@@ -245,20 +232,16 @@ func SampleTrees(g *graph.Graph, opt Options, pool *par.Pool, m *wd.Meter) (*Res
 // estimate and each packing attempt; instrumentation never affects the
 // sampled trees.
 func SampleTreesContext(ctx context.Context, g *graph.Graph, opt Options, pool *par.Pool, m *wd.Meter, sink *progress.Sink, sp trace.SpanRef) (*Result, error) {
-	opt = opt.withDefaults()
 	n := g.N()
 	if n < 2 {
 		return nil, fmt.Errorf("packing: need at least 2 vertices, have %d", n)
 	}
 	lnN := math.Log(float64(n) + 1)
-	rounds := int(math.Ceil(opt.RoundsFactor * lnN * lnN))
+	rounds := int(math.Ceil(roundsFactor * lnN * lnN))
 	if rounds < 24 {
 		rounds = 24
 	}
-	treeCount := opt.TreeCount
-	if treeCount <= 0 {
-		treeCount = int(math.Ceil(2*math.Log2(float64(n)))) + 3
-	}
+	treeCount := int(math.Ceil(2*math.Log2(float64(n)))) + 3 // trees sampled from the packing
 	deg := g.WeightedDegrees()
 	upper, _ := pool.MinInt64(deg)
 	if upper < 1 {
@@ -277,7 +260,7 @@ func SampleTreesContext(ctx context.Context, g *graph.Graph, opt Options, pool *
 	if ch < 1 {
 		ch = 1
 	}
-	threshold := opt.AcceptFraction * opt.Kappa * lnN
+	threshold := acceptFraction * kappa * lnN
 	rng := rand.New(rand.NewSource(opt.Seed + 1))
 	res := &Result{}
 	sc := getScratch()
@@ -289,7 +272,7 @@ func SampleTreesContext(ctx context.Context, g *graph.Graph, opt Options, pool *
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("packing: canceled: %w", err)
 		}
-		p := opt.Kappa * lnN / float64(ch)
+		p := kappa * lnN / float64(ch)
 		if p > 1 {
 			p = 1
 		}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -51,16 +52,13 @@ func newTestCluster(t *testing.T, size int) []*clusterNode {
 		node, err := cluster.New(cluster.Options{
 			Self:          cn.addr,
 			Members:       members,
-			Local:         sched.Local{Scheduler: cn.sch},
-			Graphs:        reg,
-			RequestID:     RequestID,
 			ProbeInterval: time.Hour, // health transitions are driven by forwards in these tests
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		cn.node = node
-		cn.api = New(reg, cn.sch, nil, Options{Traces: ring, Submitter: node, Cluster: node})
+		cn.api = New(reg, cn.sch, nil, Options{Traces: ring, Cluster: node})
 		cn.srv = &http.Server{Handler: cn.api.Handler()}
 		go func(cn *clusterNode) { _ = cn.srv.Serve(cn.ln) }(cn)
 	}
@@ -250,7 +248,7 @@ func TestClusterBatchFanout(t *testing.T) {
 
 	req := fmt.Sprintf(`{"items":[{"graph_id":%q,"seed":1},{"graph_id":%q,"seed":1},{"graph_id":"sha256:missing","seed":1}]}`, id1, id0)
 	var out struct {
-		Results []clusterBatchEntry `json:"results"`
+		Results []batchEntry `json:"results"`
 	}
 	resp, raw := clusterDo(t, nodes[0].addr, http.MethodPost, "/v1/mincut:batch", "application/json", []byte(req), nil, &out)
 	if resp.StatusCode != http.StatusOK {
@@ -303,6 +301,231 @@ func TestClusterPeerDown(t *testing.T) {
 	want := fmt.Sprintf("mincutd_cluster_peer_up{peer=%q} 0", nodes[1].addr)
 	if !strings.Contains(string(metrics), want) {
 		t.Errorf("metrics missing %q after forward failure", want)
+	}
+}
+
+// peerCounter reads one per-peer cluster counter (forwarded_total or
+// forward_failed_total) from via's /metrics.
+func peerCounter(t *testing.T, via *clusterNode, name, peer string) int64 {
+	t.Helper()
+	_, raw := clusterDo(t, via.addr, http.MethodGet, "/metrics", "", nil, nil, nil)
+	prefix := fmt.Sprintf("mincutd_cluster_%s{peer=%q} ", name, peer)
+	for _, line := range strings.Split(string(raw), "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("metric line %q: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("/metrics of %s lacks %s", via.addr, prefix)
+	return 0
+}
+
+// unknownOwnedBy returns a well-formed graph ID nobody uploaded that the
+// ring places on owner.
+func unknownOwnedBy(t *testing.T, nodes []*clusterNode, owner int) string {
+	t.Helper()
+	for k := 0; k < 10000; k++ {
+		id := fmt.Sprintf("sha256:%064x", k)
+		if nodes[0].node.Owner(id) == nodes[owner].addr {
+			return id
+		}
+	}
+	t.Fatal("no graph ID hashed onto the wanted owner")
+	return ""
+}
+
+// TestClusterBatchOneForwardPerOwner: a cross-shard batch through a
+// non-owner sends each remote owner exactly one forwarded sub-batch,
+// serves its own items locally without touching the network, and
+// returns every entry in input order exactly as the owner reports the
+// item — the owner's job, engine, value, partition and tree count — with
+// the request ID and the forwarding node in the owner's trace. An
+// unknown graph on a remote shard is rejected by its owner, as it would
+// be locally.
+func TestClusterBatchOneForwardPerOwner(t *testing.T) {
+	nodes := newTestCluster(t, 3)
+	id0, want0 := uploadOwnedBy(t, nodes, 0, 0)
+	id1, want1 := uploadOwnedBy(t, nodes, 0, 1)
+	id2, want2 := uploadOwnedBy(t, nodes, 0, 2)
+	missing := unknownOwnedBy(t, nodes, 2)
+	peers := []string{nodes[1].addr, nodes[2].addr}
+	before := map[string]int64{}
+	for _, p := range peers {
+		before[p] = peerCounter(t, nodes[0], "forwarded_total", p)
+	}
+
+	type item struct {
+		id    string
+		seed  int64
+		owner int
+		want  int64
+	}
+	items := []item{
+		{id1, 31, 1, want1}, {id0, 31, 0, want0}, {id2, 31, 2, want2},
+		{id1, 32, 1, want1}, {missing, 31, 2, 0}, {id2, 32, 2, want2},
+	}
+	parts := make([]string, len(items))
+	for i, it := range items {
+		parts[i] = fmt.Sprintf(`{"graph_id":%q,"seed":%d,"want_partition":true}`, it.id, it.seed)
+	}
+	body := `{"items":[` + strings.Join(parts, ",") + `]}`
+	var out struct {
+		Results []batchEntry `json:"results"`
+	}
+	resp, raw := clusterDo(t, nodes[0].addr, http.MethodPost, "/v1/mincut:batch", "application/json", []byte(body),
+		map[string]string{"X-Request-Id": "rid-sub-batch"}, &out)
+	if resp.StatusCode != http.StatusOK || len(out.Results) != len(items) {
+		t.Fatalf("batch: status %d, %d entries: %s", resp.StatusCode, len(out.Results), raw)
+	}
+	for _, p := range peers {
+		if got := peerCounter(t, nodes[0], "forwarded_total", p) - before[p]; got != 1 {
+			t.Errorf("batch forwarded %d requests to %s, want one sub-batch", got, p)
+		}
+	}
+	for i, it := range items {
+		e := out.Results[i]
+		owner := nodes[it.owner]
+		if e.GraphID != it.id || e.Seed != it.seed || e.Node != owner.addr {
+			t.Errorf("entry %d = %+v, want %s seed %d on %s (input order)", i, e, it.id, it.seed, owner.addr)
+			continue
+		}
+		if it.id == missing {
+			if e.Status != "rejected" || !strings.Contains(e.Error, "not found") {
+				t.Errorf("entry %d for an unknown remote graph = %+v, want rejected by its owner", i, e)
+			}
+			continue
+		}
+		if e.Status != string(sched.StateDone) || e.Value == nil || *e.Value != it.want {
+			t.Errorf("entry %d = %+v, want done with value %d", i, e, it.want)
+			continue
+		}
+		var job jobResponse
+		if resp, _ := clusterDo(t, owner.addr, http.MethodGet, "/v1/jobs/"+e.JobID, "", nil, nil, &job); resp.StatusCode != http.StatusOK {
+			t.Errorf("entry %d: owner %s does not know job %q", i, owner.addr, e.JobID)
+			continue
+		}
+		if job.GraphID != it.id || job.Engine != e.Engine || job.Node != e.Node ||
+			job.Value == nil || *job.Value != *e.Value || job.TreesScanned != e.TreesScanned ||
+			!reflect.DeepEqual(job.InCut, e.InCut) || len(e.InCut) != 8 {
+			t.Errorf("entry %d = %+v, owner reports %+v", i, e, job)
+		}
+		if it.owner != 0 {
+			_, trace := clusterDo(t, owner.addr, http.MethodGet, "/v1/traces/"+e.JobID, "", nil, nil, nil)
+			if !strings.Contains(string(trace), "rid-sub-batch") || !strings.Contains(string(trace), nodes[0].addr) {
+				t.Errorf("owner trace of %s lacks the request ID or the forwarding node: %s", e.JobID, trace)
+			}
+		}
+	}
+}
+
+// TestClusterForwardedBatchServedLocally: a cross-shard batch another
+// node already forwarded is served by the receiving node alone — its
+// items are solved locally and an item this node does not hold is
+// rejected, never forwarded again.
+func TestClusterForwardedBatchServedLocally(t *testing.T) {
+	nodes := newTestCluster(t, 2)
+	id0, want0 := uploadOwnedBy(t, nodes, 0, 0)
+	id1, _ := uploadOwnedBy(t, nodes, 0, 1)
+	before := peerCounter(t, nodes[0], "forwarded_total", nodes[1].addr)
+
+	body := fmt.Sprintf(`{"items":[{"graph_id":%q,"seed":5},{"graph_id":%q,"seed":5}]}`, id0, id1)
+	var out struct {
+		Results []batchEntry `json:"results"`
+	}
+	resp, raw := clusterDo(t, nodes[0].addr, http.MethodPost, "/v1/mincut:batch", "application/json", []byte(body),
+		map[string]string{cluster.ForwardedFromHeader: nodes[1].addr}, &out)
+	if resp.StatusCode != http.StatusOK || len(out.Results) != 2 {
+		t.Fatalf("forwarded batch: status %d: %s", resp.StatusCode, raw)
+	}
+	if e := out.Results[0]; e.Status != string(sched.StateDone) || e.Value == nil || *e.Value != want0 || e.Node != nodes[0].addr {
+		t.Errorf("local entry = %+v, want done with value %d on %s", e, want0, nodes[0].addr)
+	}
+	if e := out.Results[1]; e.Status != "rejected" || e.Node != nodes[0].addr {
+		t.Errorf("entry for a graph held elsewhere = %+v, want rejected on %s", e, nodes[0].addr)
+	}
+	if got := peerCounter(t, nodes[0], "forwarded_total", nodes[1].addr); got != before {
+		t.Errorf("forwarded batch was forwarded again (%d -> %d)", before, got)
+	}
+}
+
+// TestClusterBatchDeadShard: with one peer dead, a cross-shard batch
+// fails exactly that shard's entries, naming the forward, and still
+// returns every other entry done, in order. The failed forward gates the
+// peer, so the next batch fails the shard without dialing it.
+func TestClusterBatchDeadShard(t *testing.T) {
+	nodes := newTestCluster(t, 2)
+	id0, want0 := uploadOwnedBy(t, nodes, 0, 0)
+	id1, _ := uploadOwnedBy(t, nodes, 0, 1)
+	_ = nodes[1].srv.Close()
+	nodes[1].ln.Close()
+	dead := nodes[1].addr
+
+	body := []byte(fmt.Sprintf(`{"items":[{"graph_id":%q,"seed":1},{"graph_id":%q,"seed":1},{"graph_id":%q,"seed":2},{"graph_id":%q,"seed":2}]}`,
+		id1, id0, id1, id0))
+	for round := 0; round < 2; round++ {
+		fwd := peerCounter(t, nodes[0], "forwarded_total", dead)
+		failed := peerCounter(t, nodes[0], "forward_failed_total", dead)
+		var out struct {
+			Results []batchEntry `json:"results"`
+		}
+		resp, raw := clusterDo(t, nodes[0].addr, http.MethodPost, "/v1/mincut:batch", "application/json", body, nil, &out)
+		if resp.StatusCode != http.StatusOK || len(out.Results) != 4 {
+			t.Fatalf("round %d: status %d: %s", round, resp.StatusCode, raw)
+		}
+		for i, e := range out.Results {
+			if i%2 == 0 {
+				if e.GraphID != id1 || e.Status != "failed" || e.Node != dead || !strings.Contains(e.Error, "forward to "+dead) {
+					t.Errorf("round %d entry %d = %+v, want failed naming the forward to %s", round, i, e, dead)
+				}
+				continue
+			}
+			if e.GraphID != id0 || e.Status != string(sched.StateDone) || e.Value == nil || *e.Value != want0 {
+				t.Errorf("round %d entry %d = %+v, want done with value %d", round, i, e, want0)
+			}
+		}
+		if got := peerCounter(t, nodes[0], "forward_failed_total", dead); got != failed+1 {
+			t.Errorf("round %d: forward_failed_total %d -> %d, want one failed forward", round, failed, got)
+		}
+		if round == 1 {
+			if got := peerCounter(t, nodes[0], "forwarded_total", dead); got != fwd {
+				t.Errorf("batch dialed the gated peer (forwarded_total %d -> %d)", fwd, got)
+			}
+		}
+	}
+}
+
+// TestClusterBatchTimeoutKeepsPeerUp: a remote item still running when
+// the batch's timeout_ms expires comes back "unfinished", and the
+// abandoned forward neither gates the healthy owner nor counts as a
+// failed forward.
+func TestClusterBatchTimeoutKeepsPeerUp(t *testing.T) {
+	nodes := newTestCluster(t, 2)
+	id1, _ := uploadOwnedBy(t, nodes, 0, 1)
+	owner := nodes[1].addr
+	failed := peerCounter(t, nodes[0], "forward_failed_total", owner)
+
+	// A huge boost keeps the owner busy far past the deadline; auto would
+	// pick the exact engine, which ignores boost.
+	body := fmt.Sprintf(`{"items":[{"graph_id":%q,"seed":999,"boost":1048576,"engine":"geissmann"}],"timeout_ms":200}`, id1)
+	var out struct {
+		Results []batchEntry `json:"results"`
+	}
+	resp, raw := clusterDo(t, nodes[0].addr, http.MethodPost, "/v1/mincut:batch", "application/json", []byte(body), nil, &out)
+	if resp.StatusCode != http.StatusOK || len(out.Results) != 1 {
+		t.Fatalf("batch: status %d: %s", resp.StatusCode, raw)
+	}
+	if e := out.Results[0]; e.Status != "unfinished" || e.Node != owner {
+		t.Errorf("entry = %+v, want unfinished on %s", e, owner)
+	}
+	if got := peerCounter(t, nodes[0], "forward_failed_total", owner); got != failed {
+		t.Errorf("forward_failed_total %d -> %d after a timeout, want unchanged", failed, got)
+	}
+	_, metrics := clusterDo(t, nodes[0].addr, http.MethodGet, "/metrics", "", nil, nil, nil)
+	if want := fmt.Sprintf("mincutd_cluster_peer_up{peer=%q} 1", owner); !strings.Contains(string(metrics), want) {
+		t.Errorf("metrics lack %q: a batch timeout gated the owner", want)
 	}
 }
 

@@ -50,11 +50,9 @@ const maxUploadBytes = 256 << 20
 type Server struct {
 	reg     *registry.Registry
 	sch     *sched.Scheduler
-	sub     sched.Submitter // routing submitter: the cluster node, or local
-	local   sched.Submitter // always this node's scheduler
-	cluster *cluster.Node   // nil when running single-node
-	st      *store.Store    // nil when running memory-only; metrics only
-	traces  *trace.Ring     // nil when tracing is disabled; trace routes 404
+	cluster *cluster.Node // nil when running single-node
+	st      *store.Store  // nil when running memory-only; metrics only
+	traces  *trace.Ring   // nil when tracing is disabled; trace routes 404
 	log     *slog.Logger
 	version string
 
@@ -74,10 +72,6 @@ type Options struct {
 	// Version is the build version reported by /healthz and the
 	// mincutd_build_info metric; "" means "dev".
 	Version string
-	// Submitter routes solve submissions; nil means the local scheduler.
-	// Cluster deployments pass the cluster.Node so submissions land on
-	// each graph's owning shard.
-	Submitter sched.Submitter
 	// Cluster, when non-nil, turns on the cluster router: graph-scoped
 	// requests this node does not own are forwarded to the owner, batch
 	// requests shard across the ring, and /healthz and /metrics grow
@@ -97,13 +91,8 @@ func New(reg *registry.Registry, sch *sched.Scheduler, st *store.Store, opt Opti
 	if opt.Version == "" {
 		opt.Version = "dev"
 	}
-	local := sched.Local{Scheduler: sch}
-	sub := opt.Submitter
-	if sub == nil {
-		sub = local
-	}
 	return &Server{
-		reg: reg, sch: sch, sub: sub, local: local, cluster: opt.Cluster,
+		reg: reg, sch: sch, cluster: opt.Cluster,
 		st: st, traces: opt.Traces, log: opt.Logger, version: opt.Version,
 	}
 }
@@ -134,16 +123,15 @@ func (s *Server) Handler() http.Handler {
 // for requests another cluster node forwarded here, the origin node, so
 // a cross-node solve is linked back to its entry point. The returned
 // func ends the span and releases the hold; it is a no-op when the job
-// is untraced, its trace already published (a cached hit), or the job
-// runs on another node (remote handles carry no local span).
-func attachJobSpan(r *http.Request, job sched.Handle) func() {
+// is untraced or its trace already published (a cached hit).
+func attachJobSpan(r *http.Request, job *sched.Job) func() {
 	sp := job.TraceSpan()
 	rec := sp.Recorder()
 	if !sp.Active() || !rec.Hold() {
 		return func() {}
 	}
 	hsp := sp.Child("http").Attr("method", r.Method).Attr("path", r.URL.Path)
-	if rid := RequestID(r.Context()); rid != "" {
+	if rid := requestID(r.Context()); rid != "" {
 		hsp.Attr("request_id", rid)
 	}
 	if origin := r.Header.Get(cluster.ForwardedFromHeader); origin != "" {
@@ -348,7 +336,7 @@ func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown graph %q", id)
 		return
 	}
-	invalidated := s.sub.InvalidateGraph(id)
+	invalidated := s.sch.InvalidateGraph(id)
 	resp := map[string]any{
 		"id": id, "deleted": true, "invalidated_results": invalidated,
 	}
@@ -471,8 +459,7 @@ func (s *Server) handleMinCut(w http.ResponseWriter, r *http.Request) {
 		Boost:         req.Boost,
 		Engine:        eng.Name(),
 	}}
-	sub := s.submitterFor(r)
-	job, hit, err := sub.Submit(r.Context(), key, g, sched.SubmitOpts{Class: class, Detached: req.Async})
+	job, hit, err := s.sch.Submit(key, g, sched.SubmitOpts{Class: class, Detached: req.Async})
 	if err != nil {
 		submitErr(w, err)
 		return
@@ -480,7 +467,7 @@ func (s *Server) handleMinCut(w http.ResponseWriter, r *http.Request) {
 	detach := attachJobSpan(r, job)
 	defer detach()
 	if req.Async {
-		st, _ := sub.Job(job.ID())
+		st, _ := s.sch.Job(job.ID())
 		writeJSON(w, http.StatusAccepted, jobResponse{
 			JobID: job.ID(), GraphID: id, Status: string(st.State), Class: string(st.Class),
 			Engine: st.Engine, Cached: hit, Fanout: job.Fanout(), Node: s.nodeName(),
@@ -493,7 +480,7 @@ func (s *Server) handleMinCut(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMs)*time.Millisecond)
 		defer cancel()
 	}
-	res, err := job.Wait(ctx)
+	res, err := s.sch.Wait(ctx, job)
 	if err != nil {
 		code := http.StatusInternalServerError
 		switch {
@@ -548,12 +535,19 @@ type batchRequest struct {
 	TimeoutMs int64 `json:"timeout_ms"`
 }
 
-// batchEntry is one element of the batch response's results array.
+// batchEntry is one element of a batch response's results array, for
+// both batch routes: the graph-scoped batch fills Seed and Boost, the
+// cross-graph batch GraphID, Seed, Node and Engine.
 type batchEntry struct {
-	Seed         int64  `json:"seed"`
-	Boost        int    `json:"boost,omitempty"`
+	GraphID string `json:"graph_id,omitempty"`
+	Seed    int64  `json:"seed"`
+	Boost   int    `json:"boost,omitempty"`
+	// Node is the cluster member that ran (or would run) the solve;
+	// omitted in single-node mode.
+	Node         string `json:"node,omitempty"`
 	JobID        string `json:"job_id,omitempty"`
 	Status       string `json:"status"`
+	Engine       string `json:"engine,omitempty"`
 	Cached       bool   `json:"cached,omitempty"`
 	Value        *int64 `json:"value,omitempty"`
 	InCut        []bool `json:"in_cut,omitempty"`
@@ -562,12 +556,74 @@ type batchEntry struct {
 	Error        string `json:"error,omitempty"`
 }
 
-// handleMinCutBatch submits every item of the batch up front — so
-// overlapping seed ranges and boost fan-outs coalesce in the scheduler —
-// then streams the results array in item order, flushing each entry as
-// its solve finishes. Per-item failures (cancellation, timeout) are
-// reported in the entry's status/error fields, not by the HTTP status,
-// which is committed before the first solve completes.
+// batchSlot is one batch item between its submission and its entry being
+// written: a local job to wait for, or, for an item forwarded to its
+// owner, a channel closed once entry holds the owner's answer. A slot
+// with neither (a rejected item) is final from the start.
+type batchSlot struct {
+	entry batchEntry
+	job   *sched.Job
+	ready chan struct{}
+}
+
+// submit schedules one batch item on this node's scheduler, recording
+// the job to wait for or, when admission fails, a rejected entry.
+func (s *Server) submit(sl *batchSlot, key sched.Key, g *parcut.Graph, class sched.Class) {
+	job, hit, err := s.sch.Submit(key, g, sched.SubmitOpts{Class: class})
+	if err != nil {
+		sl.entry.Status, sl.entry.Error = "rejected", err.Error()
+		return
+	}
+	sl.job, sl.entry.Cached = job, hit
+}
+
+// streamBatch writes the response of a batch whose items were all
+// submitted up front, so overlapping seeds and boost fan-outs coalesce in
+// the scheduler: head opens the envelope, then each entry follows in item
+// order, flushed as soon as it is final — a local solve once it finishes
+// or ctx ends (status "unfinished"), a forwarded item once its owner has
+// answered for it. Per-item failures are reported in the entries, not by
+// the HTTP status, which is committed before the first solve completes.
+func (s *Server) streamBatch(ctx context.Context, w http.ResponseWriter, r *http.Request, head string, slots []batchSlot) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	_, _ = io.WriteString(w, head)
+	for i := range slots {
+		sl := &slots[i]
+		switch {
+		case sl.job != nil:
+			detach := attachJobSpan(r, sl.job)
+			res, err := s.sch.Wait(ctx, sl.job)
+			detach()
+			sl.entry.JobID, sl.entry.Fanout = sl.job.ID(), sl.job.Fanout()
+			if err != nil {
+				sl.entry.Status, sl.entry.Error = "unfinished", err.Error()
+			} else {
+				sl.entry.Status = string(sched.StateDone)
+				sl.entry.Value, sl.entry.InCut, sl.entry.TreesScanned = &res.Value, res.InCut, res.TreesScanned
+			}
+		case sl.ready != nil:
+			<-sl.ready
+		}
+		if i > 0 {
+			_, _ = io.WriteString(w, ",")
+		}
+		raw, merr := json.Marshal(sl.entry)
+		if merr != nil {
+			raw = []byte(`{"status":"failed","error":"encode"}`)
+		}
+		_, _ = w.Write(raw)
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
+	_, _ = io.WriteString(w, "]}\n")
+}
+
+// handleMinCutBatch solves many seeds of one graph: every item is
+// submitted up front and the entries stream back in item order (see
+// streamBatch).
 func (s *Server) handleMinCutBatch(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeErr(w, http.StatusServiceUnavailable, "draining")
@@ -622,75 +678,28 @@ func (s *Server) handleMinCutBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	submitter := s.submitterFor(r)
-	type submission struct {
-		job sched.Handle
-		hit bool
-		err error
-	}
-	subs := make([]submission, len(items))
+	slots := make([]batchSlot, len(items))
 	for i, it := range items {
-		key := sched.Key{GraphID: id, Opt: sched.SolveOptions{
+		slots[i].entry = batchEntry{Seed: it.Seed, Boost: it.Boost}
+		s.submit(&slots[i], sched.Key{GraphID: id, Opt: sched.SolveOptions{
 			Seed:          it.Seed,
 			WantPartition: req.WantPartition,
 			Boost:         it.Boost,
 			Engine:        eng.Name(),
-		}}
-		subs[i].job, subs[i].hit, subs[i].err = submitter.Submit(r.Context(), key, g, sched.SubmitOpts{Class: class})
+		}}, g, class)
 	}
-
 	ctx := r.Context()
 	if req.TimeoutMs > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMs)*time.Millisecond)
 		defer cancel()
 	}
-
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	fmt.Fprintf(w, `{"graph_id":%q,"engine":%q,"results":[`, id, eng.Name())
-	for i, sub := range subs {
-		entry := batchEntry{Seed: items[i].Seed, Boost: items[i].Boost}
-		switch {
-		case sub.err != nil:
-			entry.Status = "rejected"
-			entry.Error = sub.err.Error()
-		default:
-			entry.JobID = sub.job.ID()
-			entry.Cached = sub.hit
-			entry.Fanout = sub.job.Fanout()
-			detach := attachJobSpan(r, sub.job)
-			res, err := sub.job.Wait(ctx)
-			detach()
-			if err != nil {
-				entry.Status = "unfinished"
-				entry.Error = err.Error()
-			} else {
-				entry.Status = string(sched.StateDone)
-				entry.Value = &res.Value
-				entry.InCut = res.InCut
-				entry.TreesScanned = res.TreesScanned
-			}
-		}
-		if i > 0 {
-			_, _ = io.WriteString(w, ",")
-		}
-		raw, merr := json.Marshal(entry)
-		if merr != nil {
-			raw = []byte(`{"status":"failed","error":"encode"}`)
-		}
-		_, _ = w.Write(raw)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	_, _ = io.WriteString(w, "]}\n")
+	s.streamBatch(ctx, w, r, fmt.Sprintf(`{"graph_id":%q,"engine":%q,"results":[`, id, eng.Name()), slots)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	st, ok := s.sub.Job(id)
+	st, ok := s.sch.Job(id)
 	if !ok {
 		writeErr(w, http.StatusNotFound, "unknown job %q", id)
 		return
@@ -772,11 +781,11 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if _, ok := s.sub.Job(id); !ok {
+	if _, ok := s.sch.Job(id); !ok {
 		writeErr(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
-	canceled := s.sub.Cancel(id)
+	canceled := s.sch.Cancel(id)
 	writeJSON(w, http.StatusOK, map[string]any{"job_id": id, "canceled": canceled})
 }
 

@@ -16,10 +16,10 @@ type ctxKey int
 
 const requestIDKey ctxKey = iota
 
-// RequestID returns the request's correlation ID, assigned (or accepted
+// requestID returns the request's correlation ID, assigned (or accepted
 // from the client's X-Request-Id header) by the server middleware; "" if
 // the context did not pass through it.
-func RequestID(ctx context.Context) string {
+func requestID(ctx context.Context) string {
 	id, _ := ctx.Value(requestIDKey).(string)
 	return id
 }

@@ -20,16 +20,18 @@ import (
 	"repro/internal/service/sched"
 )
 
-// This file is the cluster router: the thin layer that makes any node
-// able to accept any request. Graph-scoped routes are forwarded raw to
-// the graph's owner (a byte-level proxy keeps response fidelity — cached
-// flags, async job IDs, NDJSON streams — exactly what a client talking
-// to the owner directly would see), uploads hash their payload to find
-// the owner before storing anything, batch uploads partition across
-// shards and merge in input order, and job routes fall back to peers
-// when the ID is not local. Every route collapses to its single-node
-// behavior when the server has no cluster, so single-node deployments
-// pay one nil check per request.
+// This file is the cluster router, the one place that decides where a
+// request runs; every handler it hands a request to serves it locally.
+// Graph-scoped routes are forwarded raw to the graph's owner (a
+// byte-level proxy keeps response fidelity — cached flags, async job
+// IDs, NDJSON streams — exactly what a client talking to the owner
+// directly would see), uploads hash their payload to find the owner
+// before storing anything, batch uploads and cross-graph solve batches
+// send each remote owner its items as one forwarded sub-batch and merge
+// in input order, and job routes fall back to peers when the ID is not
+// local. Every route collapses to its single-node behavior when the
+// server has no cluster, so single-node deployments pay one nil check per
+// request.
 
 // forwarded reports whether r already crossed the cluster once. Forwarded
 // requests are always served locally: if two nodes disagree about
@@ -37,17 +39,6 @@ import (
 // instead of bouncing between them forever.
 func forwarded(r *http.Request) bool {
 	return r.Header.Get(cluster.ForwardedFromHeader) != ""
-}
-
-// submitterFor picks the submission path for a solve request: the routing
-// submitter normally, the node-local scheduler when the request was
-// already forwarded once (the forwarding node believed we own the graph;
-// re-routing would risk a loop).
-func (s *Server) submitterFor(r *http.Request) sched.Submitter {
-	if s.cluster != nil && forwarded(r) {
-		return s.local
-	}
-	return s.sub
 }
 
 // nodeName is this server's cluster identity ("" when single-node),
@@ -96,21 +87,35 @@ func (s *Server) proxyToPeer(w http.ResponseWriter, r *http.Request, owner strin
 // proxyToPeerBody is proxyToPeer with the body already in hand (the
 // upload path reads it first to hash the graph).
 func (s *Server) proxyToPeerBody(w http.ResponseWriter, r *http.Request, owner string, body []byte) {
-	p := s.cluster.Peer(owner)
-	if p == nil {
-		writeErr(w, http.StatusBadGateway, "owner %q is not a cluster member", owner)
-		return
-	}
-	headers := map[string]string{cluster.ForwardedFromHeader: s.cluster.Self()}
-	if rid := RequestID(r.Context()); rid != "" {
-		headers["X-Request-Id"] = rid
-	}
-	resp, err := p.Do(r.Context(), r.Method, r.URL.RequestURI(), r.Header.Get("Content-Type"), body, headers)
+	resp, err := s.forward(r.Context(), owner, r.Method, r.URL.RequestURI(), r.Header.Get("Content-Type"), body)
 	if err != nil {
 		writeErr(w, http.StatusBadGateway, "forward to %s: %v", owner, err)
 		return
 	}
 	defer resp.Body.Close()
+	relay(w, resp)
+}
+
+// forward sends one request to owner on behalf of the client request
+// whose context is ctx. It is marked as already routed by this node and
+// carries the request ID, so the owner serves it locally and its trace
+// names both.
+func (s *Server) forward(ctx context.Context, owner, method, path, contentType string, body []byte) (*http.Response, error) {
+	p := s.cluster.Peer(owner)
+	if p == nil {
+		return nil, fmt.Errorf("owner %q is not a cluster member", owner)
+	}
+	headers := map[string]string{cluster.ForwardedFromHeader: s.cluster.Self()}
+	if rid := requestID(ctx); rid != "" {
+		headers["X-Request-Id"] = rid
+	}
+	return p.Do(ctx, method, path, contentType, body, headers)
+}
+
+// relay copies a peer's response to w: the status, the headers a client
+// reads (content type and the serving node's stamp), and the body,
+// flushed as it arrives.
+func relay(w http.ResponseWriter, resp *http.Response) {
 	for _, h := range []string{"Content-Type", cluster.NodeHeader} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
@@ -149,21 +154,15 @@ func (s *Server) routeJob(next http.HandlerFunc) http.HandlerFunc {
 			next(w, r)
 			return
 		}
-		id := r.PathValue("id")
-		if _, ok := s.sub.Job(id); ok {
+		if _, ok := s.sch.Job(r.PathValue("id")); ok {
 			next(w, r)
 			return
 		}
-		headers := map[string]string{cluster.ForwardedFromHeader: s.cluster.Self()}
-		if rid := RequestID(r.Context()); rid != "" {
-			headers["X-Request-Id"] = rid
-		}
 		for _, addr := range s.cluster.Ring().Members() {
-			p := s.cluster.Peer(addr)
-			if p == nil || !p.Up() {
+			if p := s.cluster.Peer(addr); p == nil || !p.Up() {
 				continue
 			}
-			resp, err := p.Do(r.Context(), r.Method, r.URL.RequestURI(), "", nil, headers)
+			resp, err := s.forward(r.Context(), addr, r.Method, r.URL.RequestURI(), "", nil)
 			if err != nil {
 				continue
 			}
@@ -171,13 +170,7 @@ func (s *Server) routeJob(next http.HandlerFunc) http.HandlerFunc {
 				resp.Body.Close()
 				continue
 			}
-			for _, h := range []string{"Content-Type", cluster.NodeHeader} {
-				if v := resp.Header.Get(h); v != "" {
-					w.Header().Set(h, v)
-				}
-			}
-			w.WriteHeader(resp.StatusCode)
-			_, _ = io.Copy(flushingWriter{w}, resp.Body)
+			relay(w, resp)
 			resp.Body.Close()
 			return
 		}
@@ -343,21 +336,12 @@ func (s *Server) forwardUploadShard(r *http.Request, owner string, items []batch
 			results[i] = batchUploadEntry{Index: i, Status: "failed", Error: msg}
 		}
 	}
-	p := s.cluster.Peer(owner)
-	if p == nil {
-		fail(fmt.Sprintf("owner %q is not a cluster member", owner))
-		return
-	}
 	body, err := json.Marshal(batchUploadRequest{Graphs: items})
 	if err != nil {
 		fail(err.Error())
 		return
 	}
-	headers := map[string]string{cluster.ForwardedFromHeader: s.cluster.Self()}
-	if rid := RequestID(r.Context()); rid != "" {
-		headers["X-Request-Id"] = rid
-	}
-	resp, err := p.Do(r.Context(), http.MethodPost, "/v1/graphs:batch", "application/json", body, headers)
+	resp, err := s.forward(r.Context(), owner, http.MethodPost, "/v1/graphs:batch", "application/json", body)
 	if err != nil {
 		fail(fmt.Sprintf("forward to %s: %v", owner, err))
 		return
@@ -408,30 +392,13 @@ type clusterBatchRequest struct {
 	TimeoutMs int64 `json:"timeout_ms"`
 }
 
-// clusterBatchEntry is one element of the cross-shard batch response.
-type clusterBatchEntry struct {
-	GraphID string `json:"graph_id"`
-	Seed    int64  `json:"seed"`
-	// Node is the cluster member that ran (or would run) the solve;
-	// omitted in single-node mode.
-	Node         string `json:"node,omitempty"`
-	JobID        string `json:"job_id,omitempty"`
-	Status       string `json:"status"`
-	Engine       string `json:"engine,omitempty"`
-	Cached       bool   `json:"cached,omitempty"`
-	Value        *int64 `json:"value,omitempty"`
-	InCut        []bool `json:"in_cut,omitempty"`
-	TreesScanned int    `json:"trees_scanned,omitempty"`
-	Fanout       int    `json:"fanout,omitempty"`
-	Error        string `json:"error,omitempty"`
-}
-
 // handleClusterBatch solves many graphs in one request, wherever they
-// live. Every item is submitted up front through the routing Submitter —
-// local items coalesce in this node's scheduler, remote items start their
-// proxied solves concurrently on their owners — and the results stream
-// back in input order as each solve finishes. Per-item failures (an
-// unreachable shard, an unknown graph) fail only their own entries.
+// live. The items this node owns — every item single-node, and every item
+// of a request another node forwarded — are submitted to the local
+// scheduler up front, where they coalesce; each remote owner gets its
+// items as one forwarded sub-batch, all owners concurrently. Entries
+// stream back in input order (see streamBatch). Per-item failures (an
+// unknown graph, an unreachable shard) fail only their own entries.
 func (s *Server) handleClusterBatch(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeErr(w, http.StatusServiceUnavailable, "draining")
@@ -473,110 +440,123 @@ func (s *Server) handleClusterBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	sub := s.submitterFor(r)
-	type submission struct {
-		handle sched.Handle
-		node   string
-		hit    bool
-		err    error
-	}
-	subs := make([]submission, len(req.Items))
-	for i, it := range req.Items {
-		key := sched.Key{GraphID: it.GraphID, Opt: sched.SolveOptions{
-			Seed:          it.Seed,
-			WantPartition: it.WantPartition,
-			Boost:         it.Boost,
-			Engine:        it.Engine,
-		}}
-		if s.cluster != nil {
-			subs[i].node = s.cluster.Owner(it.GraphID)
-			subs[i].handle, subs[i].hit, subs[i].err = sub.Submit(r.Context(), key, nil, sched.SubmitOpts{Class: class})
-			continue
-		}
-		// Single-node: fetch the graph and resolve the engine here, the
-		// same way the graph-scoped solve route does.
-		g, info, err := s.reg.Get(it.GraphID)
-		if err != nil {
-			subs[i].err = err
-			continue
-		}
-		eng, rerr := engine.ResolveWire(it.Engine, info.N, info.M)
-		if rerr != nil {
-			subs[i].err = rerr
-			continue
-		}
-		key.Opt.Engine = eng.Name()
-		subs[i].handle, subs[i].hit, subs[i].err = sub.Submit(r.Context(), key, g, sched.SubmitOpts{Class: class})
-	}
-
 	ctx := r.Context()
 	if req.TimeoutMs > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMs)*time.Millisecond)
 		defer cancel()
 	}
-
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	_, _ = io.WriteString(w, `{"results":[`)
-	for i, sb := range subs {
-		entry := clusterBatchEntry{GraphID: req.Items[i].GraphID, Seed: req.Items[i].Seed, Node: sb.node}
-		switch {
-		case sb.err != nil:
-			entry.Status = "rejected"
-			entry.Error = sb.err.Error()
-		default:
-			entry.Cached = sb.hit
-			detach := attachJobSpan(r, sb.handle)
-			res, err := sb.handle.Wait(ctx)
-			detach()
-			entry.JobID = sb.handle.ID()
-			entry.Fanout = sb.handle.Fanout()
-			fillBatchEngine(&entry, sb.handle, s.sub)
-			if err != nil {
-				entry.Status = "unfinished"
-				entry.Error = err.Error()
-			} else {
-				entry.Status = string(sched.StateDone)
-				entry.Value = &res.Value
-				entry.InCut = res.InCut
-				entry.TreesScanned = res.TreesScanned
+	routed := s.cluster != nil && !forwarded(r)
+	node := s.nodeName()
+	slots := make([]batchSlot, len(req.Items))
+	remote := make(map[string][]int) // owner -> item indices, in input order
+	for i, it := range req.Items {
+		sl := &slots[i]
+		sl.entry = batchEntry{GraphID: it.GraphID, Seed: it.Seed, Node: node}
+		if routed {
+			if owner := s.cluster.Owner(it.GraphID); owner != s.cluster.Self() {
+				sl.entry.Node, sl.ready = owner, make(chan struct{})
+				remote[owner] = append(remote[owner], i)
+				continue
 			}
 		}
-		if i > 0 {
-			_, _ = io.WriteString(w, ",")
+		g, info, err := s.reg.Get(it.GraphID)
+		var eng engine.Engine
+		if err == nil {
+			eng, err = engine.ResolveWire(it.Engine, info.N, info.M)
 		}
-		raw, merr := json.Marshal(entry)
-		if merr != nil {
-			raw = []byte(`{"status":"failed","error":"encode"}`)
+		if err != nil {
+			sl.entry.Status, sl.entry.Error = "rejected", err.Error()
+			continue
 		}
-		_, _ = w.Write(raw)
-		if flusher != nil {
-			flusher.Flush()
-		}
+		sl.entry.Engine = eng.Name()
+		s.submit(sl, sched.Key{GraphID: it.GraphID, Opt: sched.SolveOptions{
+			Seed:          it.Seed,
+			WantPartition: it.WantPartition,
+			Boost:         it.Boost,
+			Engine:        eng.Name(),
+		}}, g, class)
 	}
-	_, _ = io.WriteString(w, "]}\n")
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for owner, idx := range remote {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.forwardBatchShard(ctx, owner, req, idx, slots)
+		}()
+	}
+	s.streamBatch(ctx, w, r, `{"results":[`, slots)
 }
 
-// fillBatchEngine reports which engine ran (and, for remote handles,
-// whether the owner served it from cache): remote handles carry both on
-// the handle, local jobs report through the scheduler's status.
-func fillBatchEngine(entry *clusterBatchEntry, h sched.Handle, sub sched.Submitter) {
-	type remoteInfo interface {
-		Engine() string
-		Cached() bool
+// forwardBatchShard sends owner the items idx of a cross-shard batch as
+// one forwarded sub-batch with the batch's class and timeout_ms, and
+// fills their slots from the owner's streamed answer, releasing each slot
+// as its entry arrives. Items the owner did not answer for fail: "failed"
+// with the reason when the shard could not be reached or answered badly,
+// "unfinished" when ctx — the batch's deadline or its client — cut the
+// forward short. idx disjointness across shards makes the concurrent
+// slot writes race-free.
+func (s *Server) forwardBatchShard(ctx context.Context, owner string, req clusterBatchRequest, idx []int, slots []batchSlot) {
+	answered := 0
+	fail := func(err error) {
+		status, msg := "failed", err.Error()
+		if ctx.Err() != nil {
+			status, msg = "unfinished", context.Cause(ctx).Error()
+		}
+		for _, i := range idx[answered:] {
+			slots[i].entry.Status, slots[i].entry.Error = status, msg
+			close(slots[i].ready)
+		}
 	}
-	if ri, ok := h.(remoteInfo); ok {
-		if ri.Engine() != "" {
-			entry.Engine = ri.Engine()
-		}
-		if ri.Cached() {
-			entry.Cached = true
-		}
+	sub := clusterBatchRequest{Class: req.Class, TimeoutMs: req.TimeoutMs}
+	for _, i := range idx {
+		sub.Items = append(sub.Items, req.Items[i])
+	}
+	body, err := json.Marshal(sub)
+	if err != nil {
+		fail(err)
 		return
 	}
-	if st, ok := sub.Job(h.ID()); ok {
-		entry.Engine = st.Engine
+	resp, err := s.forward(ctx, owner, http.MethodPost, "/v1/mincut:batch", "application/json", body)
+	if err != nil {
+		fail(fmt.Errorf("forward to %s: %v", owner, err))
+		return
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		var out struct {
+			Error string `json:"error"`
+		}
+		_ = dec.Decode(&out) // an undecodable body falls back to the status line
+		if out.Error == "" {
+			out.Error = resp.Status
+		}
+		fail(fmt.Errorf("sub-batch on %s: %s", owner, out.Error))
+		return
+	}
+	// The owner streams {"results":[...]}, one entry per item in order.
+	for _, want := range []json.Token{json.Delim('{'), "results", json.Delim('[')} {
+		tok, err := dec.Token()
+		if err == nil && tok != want {
+			err = fmt.Errorf("got %v, want %v", tok, want)
+		}
+		if err != nil {
+			fail(fmt.Errorf("bad response from %s: %v", owner, err))
+			return
+		}
+	}
+	for ; answered < len(idx) && dec.More(); answered++ {
+		var e batchEntry
+		if err := dec.Decode(&e); err != nil {
+			fail(fmt.Errorf("bad response from %s: %v", owner, err))
+			return
+		}
+		slots[idx[answered]].entry = e
+		close(slots[idx[answered]].ready)
+	}
+	if answered < len(idx) {
+		fail(fmt.Errorf("bad response from %s: %d of %d entries", owner, answered, len(idx)))
 	}
 }

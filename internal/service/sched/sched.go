@@ -145,10 +145,9 @@ type fanout struct {
 // mutex; Done is closed exactly once when the job reaches a terminal
 // state.
 type Job struct {
-	id    string
-	key   Key
-	g     *parcut.Graph
-	owner *Scheduler // the scheduler that created the job; Handle.Wait needs it
+	id  string
+	key Key
+	g   *parcut.Graph
 
 	class    Class
 	prio     int           // graph edge count; smaller solves first within a class
@@ -550,7 +549,6 @@ func (s *Scheduler) newJobLocked(key Key, g *parcut.Graph, class Class, detached
 		id:       fmt.Sprintf("%sjob-%d", s.idPrefix, s.nextSeq),
 		key:      key,
 		g:        g,
-		owner:    s,
 		class:    class,
 		prio:     g.M(),
 		seq:      s.nextSeq,

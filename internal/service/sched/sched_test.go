@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -717,5 +718,37 @@ func TestMetricsAggregateExecutorPoolCounters(t *testing.T) {
 	}
 	if m.Pool.LocalPushes+m.Pool.SharedPushes+m.Pool.OverflowPushes == 0 {
 		t.Errorf("no forks recorded at width 2; counters = %+v", m.Pool)
+	}
+}
+
+// TestIDPrefix pins the cluster-wide job-ID contract: a scheduler given
+// an IDPrefix mints every job ID under it, and the default prefix is
+// empty (single-node IDs stay "job-N"). Cross-node job lookup routes by
+// this prefix, so it may never silently change.
+func TestIDPrefix(t *testing.T) {
+	s := New(Config{Workers: 1, IDPrefix: "n7-"})
+	defer shutdown(t, s)
+	j, _, err := s.Submit(Key{GraphID: "g", Opt: SolveOptions{Seed: 1}}, cycle(t, 8), SubmitOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Wait(context.Background(), j); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(j.ID(), "n7-job-") {
+		t.Fatalf("job ID %q does not carry the configured prefix", j.ID())
+	}
+
+	plain := New(Config{Workers: 1})
+	defer shutdown(t, plain)
+	pj, _, err := plain.Submit(Key{GraphID: "g", Opt: SolveOptions{Seed: 1}}, cycle(t, 8), SubmitOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plain.Wait(context.Background(), pj); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(pj.ID(), "job-") {
+		t.Fatalf("unprefixed scheduler minted %q, want job-N", pj.ID())
 	}
 }
