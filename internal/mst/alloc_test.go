@@ -1,6 +1,7 @@
 package mst
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
@@ -8,17 +9,28 @@ import (
 	"repro/internal/wd"
 )
 
+// allocPools returns a width-1 pool and a width-2 pool whose loops fork
+// at the smallest cutoff; the allocation tests run n=2048 on both.
+func allocPools(t *testing.T) []*par.Pool {
+	seq := par.NewPool(1)
+	wide := par.NewPool(2)
+	wide.SetTuning(par.Tuning{ForGrain: par.MinCutoff})
+	t.Cleanup(seq.Close)
+	t.Cleanup(wide.Close)
+	return []*par.Pool{seq, wide}
+}
+
 // TestComponentsZeroAllocSteadyState asserts the packing inner loop's
 // core claim: a steady-state connectivity check — the operation
 // EstimateCut hammers while walking the sampling rate — performs zero
-// heap allocations once the executor's arena is warm. Loop bodies are
-// pre-bound closures recycled with the forest state; labels, candidates,
-// hooks, and the dedupe bits all come from the arena.
+// heap allocations once the executor's arena is warm. The Kruskal pass
+// takes its labels, the discarded selection, the sort's index buffers and
+// its digit counts from the arena, on every pool width.
 func TestComponentsZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts; zero-alloc holds only in normal builds")
 	}
-	const n = 512
+	const n = 2048
 	edges := make([]graph.Edge, 0, 2*n)
 	for i := 1; i < n; i++ {
 		edges = append(edges, graph.Edge{U: int32(i / 2), V: int32(i), W: 1})
@@ -26,45 +38,55 @@ func TestComponentsZeroAllocSteadyState(t *testing.T) {
 	for i := 0; i+7 < n; i += 3 {
 		edges = append(edges, graph.Edge{U: int32(i), V: int32(i + 7), W: 1})
 	}
-	p := par.NewPool(1)
-	defer p.Close()
 	m := &wd.Meter{}
-
-	run := func() {
-		if comps := Components(n, edges, p, m); comps != 1 {
-			t.Fatalf("Components = %d, want 1", comps)
-		}
-	}
-	run() // warm the arena and the forest state pool
-	if avg := testing.AllocsPerRun(50, run); avg > 0 {
-		t.Errorf("steady-state Components: %.2f allocs/op, want 0", avg)
+	for _, p := range allocPools(t) {
+		t.Run(fmt.Sprintf("width=%d", p.Width()), func(t *testing.T) {
+			run := func() {
+				if comps := Components(n, edges, p, m); comps != 1 {
+					t.Fatalf("Components = %d, want 1", comps)
+				}
+			}
+			run() // warm the arena
+			if avg := testing.AllocsPerRun(50, run); avg > 0 {
+				t.Errorf("steady-state Components: %.2f allocs/op, want 0", avg)
+			}
+		})
 	}
 }
 
-// TestForestSteadyStateAllocsOnlyOutput: Forest must allocate only what
-// it returns (the selected-edge slice), never its working arrays.
+// TestForestSteadyStateAllocsOnlyOutput: given room for its output and
+// packing-shaped costs, Forest allocates nothing: its working arrays come
+// from the arena, and it appends the selected edges to the caller's
+// buffer.
 func TestForestSteadyStateAllocsOnlyOutput(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race-mode sync.Pool drops Puts; the output-only bound holds only in normal builds")
+		t.Skip("race-mode sync.Pool drops Puts; the zero-alloc bound holds only in normal builds")
 	}
-	const n = 512
-	edges := make([]graph.Edge, 0, n)
+	const n = 2048
+	edges := make([]graph.Edge, 0, 2*n)
+	cost := make([]int64, 0, 2*n)
 	for i := 1; i < n; i++ {
 		edges = append(edges, graph.Edge{U: int32(i / 2), V: int32(i), W: 1})
+		cost = append(cost, int64(i%5))
 	}
-	p := par.NewPool(1)
-	defer p.Close()
+	for i := 0; i+7 < n; i += 3 {
+		edges = append(edges, graph.Edge{U: int32(i), V: int32(i + 7), W: 1})
+		cost = append(cost, int64(i%3))
+	}
 	m := &wd.Meter{}
-
-	run := func() {
-		sel, comps := Forest(n, edges, nil, p, m)
-		if comps != 1 || len(sel) != n-1 {
-			t.Fatalf("Forest: %d comps, %d edges", comps, len(sel))
-		}
-	}
-	run()
-	// One allocation: the returned sel backing array.
-	if avg := testing.AllocsPerRun(50, run); avg > 1 {
-		t.Errorf("steady-state Forest: %.2f allocs/op, want <= 1 (output only)", avg)
+	buf := make([]int32, 0, n-1)
+	for _, p := range allocPools(t) {
+		t.Run(fmt.Sprintf("width=%d", p.Width()), func(t *testing.T) {
+			run := func() {
+				sel, comps := Forest(buf, n, edges, cost, p, m)
+				if comps != 1 || len(sel) != n-1 {
+					t.Fatalf("Forest: %d comps, %d edges", comps, len(sel))
+				}
+			}
+			run()
+			if avg := testing.AllocsPerRun(50, run); avg > 0 {
+				t.Errorf("steady-state Forest into a buffer: %.2f allocs/op, want 0", avg)
+			}
+		})
 	}
 }

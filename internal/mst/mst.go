@@ -1,173 +1,54 @@
-// Package mst computes minimum spanning forests with parallel Borůvka
-// rounds. The tree-packing procedure behind Lemma 1 performs O(log² n)
-// minimum spanning tree computations with respect to evolving edge loads;
-// Borůvka is the classic O(log n)-round parallel MST algorithm, so it is
-// the natural engine here (and it doubles as the connectivity test for
-// detecting disconnected inputs, whose minimum cut is 0).
+// Package mst computes minimum spanning forests. The tree-packing
+// procedure behind Lemma 1 performs O(log² n) minimum spanning tree
+// computations with respect to evolving edge loads, and the solver's
+// connectivity test (a disconnected input's minimum cut is 0) is one
+// more. Lemma 1 needs minimum spanning trees, not a particular MST
+// algorithm. Forest returns the forest that is minimum under (cost, edge
+// index), a total order, so the forest is unique.
 //
-// Forest is the innermost loop of a solve — packing calls it O(log² n)
-// times per estimate guess — so each round does only the work its
-// remaining components need. A list of the live component roots,
-// compacted once per round, drives every per-component step (clearing
-// candidates, hooking, breaking mutual hooks, pointer jumping, collecting
-// the selected edges); only the edge scan and the relabel visit every
-// edge and every vertex, and the rounds stop once one component is left.
-// Every loop body is a (lo, hi) chunk loop run at the executor's tuned
-// ForGrain. The working arrays (component labels, live roots, candidate
-// slots, hook chains, selection dedupe bits) come from the executor's
-// arena and the loop bodies are pre-bound closures recycled through a
-// state pool: a steady-state Forest call performs no O(n) or O(m)
-// allocations beyond the selected-edge output the caller asked for.
+// Forest is a Kruskal pass: a stable radix sort of the edges by (cost,
+// index), whose passes are counting sorts (packing's loads never exceed
+// its round count, so there one pass sorts), then union-find until one
+// component is left. Its working arrays (labels, the sort's index buffers
+// and counts) come from the executor's arena, so a steady-state call
+// performs no allocation beyond the selected-edge output the caller
+// asked for.
+//
+// The paper's depth bound assumes a parallel MST, such as Borůvka's
+// ⌈log₂ n⌉ rounds of hooking and pointer jumping. The meter charges that
+// model cost on every pool: (m + n) work and ⌈log₂ n⌉+3 depth per round.
+// It is a model, not a bound on a Borůvka run, which also pays for
+// visiting its live roots. Forest does not run Borůvka: on a 2-vCPU Xeon
+// the Kruskal pass beat two-lane Borůvka rounds at every size measured
+// (up to 2^18 vertices and 2^20 edges) under uniform costs and packing's
+// loads, the only costs the callers pass (docs/ARCHITECTURE.md).
 package mst
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"math/bits"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/wd"
 )
 
-// maxCost bounds edge costs so that (cost, edgeIndex) pairs pack into one
-// uint64 for atomic candidate selection: cost < 2^38, index < 2^25.
-const (
-	maxCost  = int64(1) << 38
-	maxEdges = 1 << 25
-	noCand   = ^uint64(0)
-)
-
-// forestState carries one Forest invocation's working set. The loop-body
-// closures are bound once, when the state is first created, and capture
-// only the state pointer — so a recycled state re-runs the same closures
-// over freshly borrowed arrays and the per-round loops allocate nothing.
-// fInit and fRelabel run over vertices, fScan over edges, and the others
-// over live[lo:hi].
-type forestState struct {
-	edges []graph.Edge
-	cost  []int64
-	comp  []int32
-	live  []int32
-	hook  []int32
-	hook2 []int32
-	cand  []atomic.Uint64
-	seen  []bool
-
-	changed atomic.Bool
-
-	fInit    func(lo, hi int)
-	fClear   func(lo, hi int)
-	fScan    func(lo, hi int)
-	fHook    func(lo, hi int)
-	fBreak   func(lo, hi int)
-	fJump    func(lo, hi int)
-	fRelabel func(lo, hi int)
-}
-
-var forestStates sync.Pool
-
-func getForestState() *forestState {
-	if v := forestStates.Get(); v != nil {
-		return v.(*forestState)
-	}
-	s := &forestState{}
-	s.fInit = func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			s.comp[v] = int32(v)
-			s.live[v] = int32(v)
-		}
-	}
-	s.fClear = func(lo, hi int) {
-		for _, r := range s.live[lo:hi] {
-			s.cand[r].Store(noCand)
-		}
-	}
-	// Each component's candidate: the cheapest incident edge leaving it.
-	s.fScan = func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := s.edges[i]
-			cu, cv := s.comp[e.U], s.comp[e.V]
-			if cu == cv {
-				continue
-			}
-			var c int64
-			if s.cost != nil {
-				c = s.cost[i]
-			}
-			key := uint64(c)<<25 | uint64(i)
-			atomicMin(&s.cand[cu], key)
-			atomicMin(&s.cand[cv], key)
-		}
-	}
-	// Hook components along their candidate edges.
-	s.fHook = func(lo, hi int) {
-		for _, r := range s.live[lo:hi] {
-			s.hook[r] = r
-			key := s.cand[r].Load()
-			if key == noCand {
-				continue
-			}
-			e := s.edges[key&(1<<25-1)]
-			other := s.comp[e.U]
-			if other == r {
-				other = s.comp[e.V]
-			}
-			s.hook[r] = other
-		}
-	}
-	// Break mutual hooks (2-cycles) toward the smaller label.
-	s.fBreak = func(lo, hi int) {
-		for _, r := range s.live[lo:hi] {
-			h := s.hook[r]
-			if s.hook[h] == r && h > r {
-				// r is the smaller of a mutual pair: it becomes the root.
-				s.hook2[r] = r
-			} else {
-				s.hook2[r] = h
-			}
-		}
-	}
-	s.fJump = func(lo, hi int) {
-		changed := false
-		for _, r := range s.live[lo:hi] {
-			h := s.hook[s.hook[r]]
-			s.hook2[r] = h
-			if h != s.hook[r] {
-				changed = true
-			}
-		}
-		if changed {
-			s.changed.Store(true)
-		}
-	}
-	s.fRelabel = func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			s.comp[v] = s.hook[s.comp[v]]
-		}
-	}
-	return s
-}
-
-func putForestState(s *forestState) {
-	s.edges, s.cost = nil, nil
-	s.comp, s.live, s.hook, s.hook2, s.cand, s.seen = nil, nil, nil, nil, nil, nil
-	forestStates.Put(s)
-}
-
 // Forest computes a minimum spanning forest of the n-vertex multigraph
-// with the given edges. cost[i] is the cost of edge i (nil means uniform
-// cost); ties break by edge index, making the forest unique and the
-// Borůvka hooking cycle-free. It returns the indices of the selected
-// edges and the number of connected components.
-func Forest(n int, edges []graph.Edge, cost []int64, pool *par.Pool, m *wd.Meter) (sel []int32, comps int) {
+// with the given edges. cost[i] is the non-negative cost of edge i (nil
+// means uniform cost); ties break by edge index, making the forest
+// unique. It appends the indices of the selected edges, in no particular
+// order, to dst (nil allowed) and returns the extended slice, in the
+// style of strconv.AppendInt, together with the number of connected
+// components. Given room for n-1 more indices in dst, it makes no
+// allocation of its own: its working arrays come from the pool's arena.
+func Forest(dst []int32, n int, edges []graph.Edge, cost []int64, pool *par.Pool, m *wd.Meter) (sel []int32, comps int) {
 	if n == 0 {
-		return nil, 0
+		return dst, 0
 	}
 	ar := pool.Arena()
 	compP := ar.Int32(n)
-	sel = make([]int32, 0, n-1)
-	sel, comps = forestInto(n, edges, cost, pool, m, *compP, sel)
+	sel, comps = forestInto(n, edges, cost, ar, m, *compP, slices.Grow(dst, n-1))
 	ar.PutInt32(compP)
 	return sel, comps
 }
@@ -180,14 +61,17 @@ func ForestWithLabels(n int, edges []graph.Edge, cost []int64, pool *par.Pool, m
 	}
 	labels = make([]int32, n)
 	sel = make([]int32, 0, n-1)
-	sel, comps = forestInto(n, edges, cost, pool, m, labels, sel)
+	sel, comps = forestInto(n, edges, cost, pool.Arena(), m, labels, sel)
+	// Point every vertex straight at its component's root.
+	for v := range labels {
+		labels[v] = root(labels, int32(v))
+	}
 	return sel, labels, comps
 }
 
-// Components returns the number of connected components (Borůvka with
-// uniform costs, discarding the forest). With the forest discarded, every
-// working array comes from the executor's arena: steady-state calls are
-// allocation-free.
+// Components returns the number of connected components (a uniform-cost
+// forest, discarded). With the forest discarded, every working array
+// comes from the executor's arena: steady-state calls are allocation-free.
 func Components(n int, edges []graph.Edge, pool *par.Pool, m *wd.Meter) int {
 	if n == 0 {
 		return 0
@@ -195,136 +79,103 @@ func Components(n int, edges []graph.Edge, pool *par.Pool, m *wd.Meter) int {
 	ar := pool.Arena()
 	compP := ar.Int32(n)
 	selP := ar.Int32(n - 1)
-	_, comps := forestInto(n, edges, nil, pool, m, *compP, (*selP)[:0])
+	_, comps := forestInto(n, edges, nil, ar, m, *compP, (*selP)[:0])
 	ar.PutInt32(selP)
 	ar.PutInt32(compP)
 	return comps
 }
 
-// forestInto runs the Borůvka rounds, writing component labels into comp
-// (len n, caller-provided) and appending selected edge indices to sel
-// (cap n-1 avoids regrowth). It returns the final sel and the component
-// count.
-//
-// A component is named by its root vertex, and s.live lists the current
-// roots in ascending order, so edges are collected in vertex order. The
-// candidate and hook slots of a vertex that is no longer a root keep
-// stale values; they are never read, because labels and hooks only ever
-// name live roots. After the jumps the list is compacted to the roots
-// whose hook is still themselves.
-func forestInto(n int, edges []graph.Edge, cost []int64, pool *par.Pool, m *wd.Meter, comp, sel []int32) ([]int32, int) {
+// forestInto computes the forest and returns sel, extended by the
+// selected edge indices (cap n-1 avoids regrowth), and the component
+// count. It visits the edges in (cost, index) order and keeps each one
+// that joins two trees of the union-find forest in comp (len n, provided
+// by the caller), stopping once one component is left; comp ends with
+// its roots naming the components. The meter is charged Borůvka's model
+// cost (see the package comment).
+func forestInto(n int, edges []graph.Edge, cost []int64, ar *par.Arena, m *wd.Meter, comp, sel []int32) ([]int32, int) {
+	var maxC int64
+	for i, c := range cost {
+		if c < 0 {
+			panic(fmt.Sprintf("mst: cost[%d]=%d is negative", i, c))
+		}
+		maxC = max(maxC, c)
+	}
 	mm := len(edges)
-	if mm >= maxEdges {
-		panic(fmt.Sprintf("mst: %d edges exceed packed-candidate limit %d", mm, maxEdges))
+	orderP, tmpP := ar.Int32(mm), ar.Int32(mm)
+	order := sortByCost(cost, maxC, *orderP, *tmpP, ar)
+	for v := range comp {
+		comp[v] = int32(v)
 	}
-	if cost != nil {
-		for i, c := range cost {
-			if c < 0 || c >= maxCost {
-				panic(fmt.Sprintf("mst: cost[%d]=%d outside [0, 2^38)", i, c))
-			}
-		}
-	}
-	grain := pool.Tuning().ForGrain
-	ar := pool.Arena()
-	candP := ar.AtomicUint64(n)
-	hookP := ar.Int32(n)
-	hook2P := ar.Int32(n)
-	liveP := ar.Int32(n)
-	seenP := ar.Bool(mm)
-
-	s := getForestState()
-	s.edges, s.cost = edges, cost
-	s.comp, s.cand, s.live = comp, *candP, *liveP
-	s.hook, s.hook2 = *hookP, *hook2P
-	s.seen = *seenP
-	// seen dedupes selected edges across the whole call: once an edge is
-	// selected its endpoints share a component, so it can never become a
-	// candidate again — one clear up front suffices.
-	clear(s.seen)
-
-	pool.ForChunk(n, grain, s.fInit)
 	comps := n
-	// One component has no edge leaving it, so the loop stops there
-	// without the scan that would find no candidate; a disconnected input
-	// ends on a round that makes no progress.
-	for round := 0; comps > 1; round++ {
-		if round > int(wd.CeilLog2(n))+2 {
-			panic("mst: round bound exceeded")
-		}
-		live := len(s.live)
-		pool.ForChunk(live, grain, s.fClear)
-		pool.ForChunk(mm, grain, s.fScan)
-		m.Add(int64(mm), 1)
-		pool.ForChunk(live, grain, s.fHook)
-		pool.ForChunk(live, grain, s.fBreak)
-		s.hook, s.hook2 = s.hook2, s.hook
-		// Collect selected edges (dedupe mutual candidates).
-		progress := false
-		for _, r := range s.live {
-			key := s.cand[r].Load()
-			if key == noCand {
-				continue
-			}
-			idx := int32(key & (1<<25 - 1))
-			if !s.seen[idx] {
-				s.seen[idx] = true
-				sel = append(sel, idx)
-				comps--
-				progress = true
-			}
-		}
-		if !progress {
+	for _, i := range order {
+		if comps == 1 {
 			break
 		}
-		// Clear, hook, break, collect and the compaction below each visit
-		// the live roots once, and so does every jump.
-		visits := 5 * int64(live)
-		// Pointer-jump hooks to roots and relabel vertex components.
-		for j := int64(0); j <= wd.CeilLog2(n); j++ {
-			s.changed.Store(false)
-			pool.ForChunk(live, grain, s.fJump)
-			visits += int64(live)
-			s.hook, s.hook2 = s.hook2, s.hook
-			if !s.changed.Load() {
-				break
-			}
+		e := edges[i]
+		if ru, rv := root(comp, e.U), root(comp, e.V); ru != rv {
+			comp[ru] = rv
+			sel = append(sel, i)
+			comps--
 		}
-		pool.ForChunk(n, grain, s.fRelabel)
-		k := 0
-		for _, r := range s.live {
-			if s.hook[r] == r {
-				s.live[k] = r
-				k++
-			}
-		}
-		s.live = s.live[:k]
-		m.Add(int64(n)+visits, wd.CeilLog2(n)+2)
 	}
-
-	// The hook/hook2 swaps may have exchanged the backing arrays; restore
-	// the headers before returning them to the arena.
-	*hookP, *hook2P = s.hook, s.hook2
-	putForestState(s)
-	ar.PutAtomicUint64(candP)
-	ar.PutInt32(hookP)
-	ar.PutInt32(hook2P)
-	ar.PutInt32(liveP)
-	ar.PutBool(seenP)
+	ar.PutInt32(orderP)
+	ar.PutInt32(tmpP)
+	lg := wd.CeilLog2(n)
+	m.Add(lg*int64(mm+n), lg*(lg+3))
 	return sel, comps
 }
 
-// atomicMin lowers a to min(a, key).
-func atomicMin(a *atomic.Uint64, key uint64) {
-	for {
-		cur := a.Load()
-		if key >= cur || a.CompareAndSwap(cur, key) {
-			return
-		}
+// root returns the root of v's tree in the union-find forest parent,
+// halving the path on the way.
+func root(parent []int32, v int32) int32 {
+	for parent[v] != v {
+		parent[v] = parent[parent[v]]
+		v = parent[v]
 	}
+	return v
 }
 
-// Kruskal is the sequential reference MST used by tests: sort edge indices
-// by (cost, index) and union-find.
+// sortByCost returns the indices 0..len(order)-1 ordered by (cost, index),
+// in one of the buffers order and tmp (len(cost) each, or any equal length
+// when cost is nil). It is a least-significant-digit radix sort: each
+// pass is a stable counting sort on the next digit, so equal costs keep
+// index order. A digit covers every cost up to maxC when that takes at
+// most max(8, ⌈log₂ len⌉) bits, as packing's loads do.
+func sortByCost(cost []int64, maxC int64, order, tmp []int32, ar *par.Arena) []int32 {
+	for i := range order {
+		order[i] = int32(i)
+	}
+	if maxC == 0 {
+		return order
+	}
+	width := min(bits.Len64(uint64(maxC)), max(8, bits.Len(uint(len(order)))))
+	mask := int64(1)<<width - 1
+	countP := ar.Int32(1<<width + 1)
+	count := *countP
+	for shift := 0; maxC>>shift > 0; shift += width {
+		// count[d+1] counts digit d; the prefix sum turns count[d] into
+		// the first output slot of digit d.
+		clear(count)
+		for _, i := range order {
+			count[cost[i]>>shift&mask+1]++
+		}
+		for d := 1; d < len(count); d++ {
+			count[d] += count[d-1]
+		}
+		for _, i := range order {
+			d := cost[i] >> shift & mask
+			tmp[count[d]] = i
+			count[d]++
+		}
+		order, tmp = tmp, order
+	}
+	ar.PutInt32(countP)
+	return order
+}
+
+// Kruskal is the reference MST used by tests: sort edge indices by (cost,
+// index) with a comparison sort and union-find. It shares no code with
+// Forest's radix sort and union-find.
 func Kruskal(n int, edges []graph.Edge, cost []int64) (sel []int32, comps int) {
 	idx := make([]int32, len(edges))
 	for i := range idx {

@@ -2,12 +2,14 @@ package mst
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/par"
+	"repro/internal/wd"
 )
 
 func forestCost(edges []graph.Edge, cost []int64, sel []int32) int64 {
@@ -40,8 +42,8 @@ func sameEdgeSet(a, b []int32) bool {
 }
 
 // widePools returns pools of width 1, 2 and 4 whose loops fork at the
-// smallest cutoff, so graphs of a few thousand vertices run every Forest
-// loop body on several lanes at once.
+// smallest cutoff, so graphs of a few thousand vertices would split every
+// chunk loop across lanes.
 func widePools(t *testing.T) []*par.Pool {
 	var pools []*par.Pool
 	for _, w := range []int{1, 2, 4} {
@@ -53,45 +55,91 @@ func widePools(t *testing.T) []*par.Pool {
 	return pools
 }
 
+// modelCharge is what Forest charges the meter on n vertices and m edges:
+// Borůvka's model cost of ⌈log₂ n⌉ rounds.
+func modelCharge(n, m int) (work, depth int64) {
+	lg := wd.CeilLog2(n)
+	return lg * int64(m+n), lg * (lg + 3)
+}
+
+// costShapes are the costs the Kruskal-equivalence tests draw for a graph
+// with m edges: few distinct costs, so the index tie-break decides most of
+// the forest; packing's loads, in [0, rounds] for n=1024; costs above the
+// edge count, which Forest sorts in two digits; and costs up to the
+// largest int64, half of them tied there.
+var costShapes = []struct {
+	name string
+	draw func(rng *rand.Rand, m int) int64
+}{
+	{"ties", func(rng *rand.Rand, m int) int64 { return rng.Int63n(4) }},
+	{"loads", func(rng *rand.Rand, m int) int64 { return rng.Int63n(74) }},
+	{"above-m", func(rng *rand.Rand, m int) int64 { return int64(m) + rng.Int63n(100*int64(m)) }},
+	{"top", func(rng *rand.Rand, m int) int64 {
+		if rng.Intn(2) == 0 {
+			return math.MaxInt64
+		}
+		return rng.Int63()
+	}},
+}
+
+// TestForestMatchesKruskalOnRandomGraphs pins Forest to the
+// comparison-sort Kruskal oracle. Small graphs run on the default pool;
+// a dense graph (n=300, m=1025) and sparse ones (n=5000 and 9000, m=3n)
+// run on widths 1, 2 and 4 under every cost shape. Every call must charge
+// the meter exactly the model cost, whatever the pool.
 func TestForestMatchesKruskalOnRandomGraphs(t *testing.T) {
 	type input struct {
-		n        int
-		seed     int64
-		maxCost  int
-		pool     *par.Pool
-		poolName string
+		n, m  int
+		seed  int64
+		pool  *par.Pool
+		shape int // index into costShapes; -1 draws costs in [0, 1000)
 	}
 	var inputs []input
 	for seed := int64(0); seed < 10; seed++ {
-		inputs = append(inputs, input{n: 5 + int(seed*97)%300, seed: seed, maxCost: 1000, poolName: "default"})
+		n := 5 + int(seed*97)%300
+		inputs = append(inputs, input{n: n, m: 3 * n, seed: seed, shape: -1})
 	}
-	// Costs in [0, 4) leave most edges tied, so the index tie-break
-	// decides the forest.
-	for i, p := range widePools(t) {
-		for _, n := range []int{5000, 9000} {
-			inputs = append(inputs, input{n: n, seed: int64(20 + i), maxCost: 4, pool: p, poolName: fmt.Sprintf("width %d", p.Width())})
+	pools := widePools(t)
+	for shape := range costShapes {
+		for i, p := range pools {
+			for _, c := range []struct{ n, m int }{{300, par.MinCutoff + 1}, {5000, 15000}, {9000, 27000}} {
+				inputs = append(inputs, input{n: c.n, m: c.m, seed: int64(20 + i), pool: p, shape: shape})
+			}
 		}
 	}
 	for _, in := range inputs {
-		n, seed := in.n, in.seed
-		g := gen.RandomConnected(n, 3*n, 50, seed)
-		rng := rand.New(rand.NewSource(seed + 7))
-		cost := make([]int64, g.M())
+		n, m := in.n, in.m
+		g := gen.RandomConnected(n, m, 50, in.seed)
+		rng := rand.New(rand.NewSource(in.seed + 7))
+		cost := make([]int64, m)
+		name := "uniform-1000"
 		for i := range cost {
-			cost[i] = int64(rng.Intn(in.maxCost))
+			if in.shape < 0 {
+				cost[i] = rng.Int63n(1000)
+			} else {
+				cost[i] = costShapes[in.shape].draw(rng, m)
+			}
 		}
-		selB, compB := Forest(n, g.Edges(), cost, in.pool, nil)
+		if in.shape >= 0 {
+			name = costShapes[in.shape].name
+		}
+		where := fmt.Sprintf("n=%d m=%d %s width %d", n, m, name, in.pool.Width())
+		var meter wd.Meter
+		selB, compB := Forest(nil, n, g.Edges(), cost, in.pool, &meter)
 		selK, compK := Kruskal(n, g.Edges(), cost)
 		if compB != 1 || compK != 1 {
-			t.Fatalf("n=%d seed %d %s: comps %d/%d", n, seed, in.poolName, compB, compK)
+			t.Fatalf("%s: comps %d/%d", where, compB, compK)
 		}
 		if len(selB) != n-1 || len(selK) != n-1 {
-			t.Fatalf("n=%d seed %d %s: tree sizes %d/%d", n, seed, in.poolName, len(selB), len(selK))
+			t.Fatalf("%s: tree sizes %d/%d", where, len(selB), len(selK))
 		}
 		// With index tie-breaking the MSF is unique: compare edge sets.
 		if !sameEdgeSet(selB, selK) {
-			t.Fatalf("n=%d seed %d %s: Boruvka and Kruskal trees differ (cost B=%d K=%d)",
-				n, seed, in.poolName, forestCost(g.Edges(), cost, selB), forestCost(g.Edges(), cost, selK))
+			t.Fatalf("%s: Forest and Kruskal trees differ (cost %d and %d)",
+				where, forestCost(g.Edges(), cost, selB), forestCost(g.Edges(), cost, selK))
+		}
+		if work, depth := modelCharge(n, m); meter.Work() != work || meter.Depth() != depth {
+			t.Fatalf("%s: meter (%d, %d), model cost (%d, %d)", where, meter.Work(), meter.Depth(), work, depth)
 		}
 	}
 }
@@ -171,7 +219,7 @@ func TestForestWithLabelsMatchesKruskalComponents(t *testing.T) {
 
 func TestForestUniformCosts(t *testing.T) {
 	g := gen.RandomConnected(100, 400, 10, 3)
-	sel, comps := Forest(100, g.Edges(), nil, nil, nil)
+	sel, comps := Forest(nil, 100, g.Edges(), nil, nil, nil)
 	if comps != 1 || len(sel) != 99 {
 		t.Fatalf("comps=%d |sel|=%d", comps, len(sel))
 	}
@@ -179,7 +227,7 @@ func TestForestUniformCosts(t *testing.T) {
 
 func TestForestDisconnected(t *testing.T) {
 	g := gen.Disconnected(20, 30, 5)
-	sel, comps := Forest(g.N(), g.Edges(), nil, nil, nil)
+	sel, comps := Forest(nil, g.N(), g.Edges(), nil, nil, nil)
 	if comps != 2 {
 		t.Fatalf("comps=%d want 2", comps)
 	}
@@ -202,7 +250,7 @@ func TestForestParallelEdgesAndLoops(t *testing.T) {
 		}
 	}
 	cost := []int64{5, 2, 1, 9, 9}
-	sel, comps := Forest(3, g.Edges(), cost, nil, nil)
+	sel, comps := Forest(nil, 3, g.Edges(), cost, nil, nil)
 	if comps != 1 || len(sel) != 2 {
 		t.Fatalf("comps=%d sel=%v", comps, sel)
 	}
@@ -215,13 +263,13 @@ func TestForestParallelEdgesAndLoops(t *testing.T) {
 }
 
 func TestForestEmptyAndSingle(t *testing.T) {
-	if sel, comps := Forest(0, nil, nil, nil, nil); len(sel) != 0 || comps != 0 {
+	if sel, comps := Forest(nil, 0, nil, nil, nil, nil); len(sel) != 0 || comps != 0 {
 		t.Fatal("empty graph")
 	}
-	if sel, comps := Forest(1, nil, nil, nil, nil); len(sel) != 0 || comps != 1 {
+	if sel, comps := Forest(nil, 1, nil, nil, nil, nil); len(sel) != 0 || comps != 1 {
 		t.Fatal("single vertex")
 	}
-	if sel, comps := Forest(5, nil, nil, nil, nil); len(sel) != 0 || comps != 5 {
+	if sel, comps := Forest(nil, 5, nil, nil, nil, nil); len(sel) != 0 || comps != 5 {
 		t.Fatal("isolated vertices")
 	}
 }
@@ -238,7 +286,7 @@ func TestForestRespectsLoadOrdering(t *testing.T) {
 	load := []int64{0, 0, 0, 0, 0}
 	counts := map[int32]int{}
 	for round := 0; round < 10; round++ {
-		sel, comps := Forest(4, g.Edges(), load, nil, nil)
+		sel, comps := Forest(nil, 4, g.Edges(), load, nil, nil)
 		if comps != 1 || len(sel) != 3 {
 			t.Fatalf("round %d: comps=%d sel=%v", round, comps, sel)
 		}

@@ -28,6 +28,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sync"
@@ -41,17 +42,25 @@ import (
 )
 
 // scratch holds the per-attempt working buffers of the estimate loop: the
-// compressed skeleton (entries + origin map) and the greedy packing's
-// per-entry counters. Skeleton sizes are stable across attempts of a
-// solve and across solves of similar graphs, so recycling the backing
-// arrays makes repeat solves allocation-free here; the buffers are
-// recycled through a package pool because one scratch spans calls into
-// several executors' primitives.
+// compressed skeleton (entries + origin map), the greedy packing's
+// per-entry counters and its trees, and chooseTrees' marks. Skeleton sizes
+// are stable across attempts of a solve and across solves of similar
+// graphs, so recycling the backing arrays makes repeat solves
+// allocation-free here; the buffers are recycled through a package pool
+// because one scratch spans calls into several executors' primitives.
 type scratch struct {
 	edges  []graph.Edge
 	origin []int32
 	load   []int64
 	picks  []int64
+	// forests holds every greedy round's tree, n-1 entry indices per
+	// round, and trees the per-round views of it.
+	forests []int32
+	trees   [][]int32
+	// marks is a bitset over the entries and tree one chosen tree's
+	// original edge indices.
+	marks []uint64
+	tree  []int32
 }
 
 var scratchPool sync.Pool
@@ -67,17 +76,11 @@ func putScratch(sc *scratch) {
 	scratchPool.Put(sc)
 }
 
-// countersFor returns sc.load and sc.picks resized to n and zeroed.
-func (sc *scratch) countersFor(n int) (load, picks []int64) {
-	sc.load, sc.picks = zeroed(sc.load, n), zeroed(sc.picks, n)
-	return sc.load, sc.picks
-}
-
 // zeroed returns b resized to n and zeroed, reallocating only when b is
 // too small.
-func zeroed(b []int64, n int) []int64 {
+func zeroed[T int64 | uint64](b []T, n int) []T {
 	if cap(b) < n {
-		return make([]int64, n)
+		return make([]T, n)
 	}
 	b = b[:n]
 	clear(b)
@@ -280,8 +283,7 @@ func SampleTreesContext(ctx context.Context, g *graph.Graph, opt Options, pool *
 		edges, origin, copies := skeleton(g, p, ch, int64(rounds), rng, sc)
 		atFloor := p >= 1
 		sink.AddPackRounds(int64(rounds))
-		load, picks := sc.countersFor(len(edges))
-		trees, maxLoad, ok, err := pack(ctx, n, edges, rounds, load, picks, pool, m, sink, asp)
+		trees, maxLoad, ok, err := pack(ctx, n, edges, rounds, sc, pool, m, sink, asp)
 		if err != nil {
 			asp.End()
 			return nil, err
@@ -295,7 +297,7 @@ func SampleTreesContext(ctx context.Context, g *graph.Graph, opt Options, pool *
 				res.PackValue = tau
 				res.SkeletonCopies = copies
 				res.Packings = guess + 1
-				res.Trees = chooseTrees(trees, origin, treeCount, rng)
+				res.Trees = sc.chooseTrees(trees, origin, treeCount, rng)
 				return res, nil
 			}
 		} else if atFloor {
@@ -317,8 +319,8 @@ func SampleTreesContext(ctx context.Context, g *graph.Graph, opt Options, pool *
 // load (the packing value is rounds/maxLoad), and whether the skeleton
 // was connected. Each round is a cancellation seam, a progress tick, and
 // a "round" child span of sp: rounds are the packing phase's unit of
-// work. load and picks (len(edges) each, zeroed) are the per-entry
-// counters.
+// work. The per-entry counters and the trees live in sc's buffers, so the
+// trees are invalidated by the next pack call on the same scratch.
 //
 // The copies are never materialized. Materialized, an entry's c copies
 // would sit at consecutive indices in entry order, and Forest breaks load
@@ -331,16 +333,23 @@ func SampleTreesContext(ctx context.Context, g *graph.Graph, opt Options, pool *
 // cost ⌊k/c⌋ (load), where the tie-break by entry index orders the
 // entries as their cheapest copies' indices would. An entry's most loaded
 // copy has load ⌈k/c⌉.
-func pack(ctx context.Context, n int, edges []graph.Edge, rounds int, load, picks []int64, pool *par.Pool, m *wd.Meter, sink *progress.Sink, sp trace.SpanRef) (trees [][]int32, maxLoad int64, ok bool, err error) {
+func pack(ctx context.Context, n int, edges []graph.Edge, rounds int, sc *scratch, pool *par.Pool, m *wd.Meter, sink *progress.Sink, sp trace.SpanRef) (trees [][]int32, maxLoad int64, ok bool, err error) {
 	if len(edges) < n-1 {
 		return nil, 0, false, nil
 	}
+	sc.load, sc.picks = zeroed(sc.load, len(edges)), zeroed(sc.picks, len(edges))
+	load, picks := sc.load, sc.picks
+	if need := rounds * (n - 1); cap(sc.forests) < need {
+		sc.forests = make([]int32, need)
+	}
+	sc.trees = sc.trees[:0]
 	for r := 0; r < rounds; r++ {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, false, fmt.Errorf("packing: canceled at round %d/%d: %w", r, rounds, err)
 		}
 		rsp := sp.Child("round").AttrInt("round", int64(r))
-		sel, comps := mst.Forest(n, edges, load, pool, m)
+		lo := r * (n - 1)
+		sel, comps := mst.Forest(sc.forests[lo:lo:lo+n-1], n, edges, load, pool, m)
 		if comps != 1 {
 			rsp.End()
 			return nil, 0, false, nil
@@ -349,7 +358,7 @@ func pack(ctx context.Context, n int, edges []graph.Edge, rounds int, load, pick
 			picks[i]++
 			load[i] = picks[i] / edges[i].W
 		}
-		trees = append(trees, sel)
+		sc.trees = append(sc.trees, sel)
 		rsp.End()
 		sink.PackRoundDone()
 	}
@@ -357,40 +366,49 @@ func pack(ctx context.Context, n int, edges []graph.Edge, rounds int, load, pick
 	for i, k := range picks {
 		maxLoad = max(maxLoad, (k+edges[i].W-1)/edges[i].W)
 	}
-	return trees, maxLoad, true, nil
+	return sc.trees, maxLoad, true, nil
 }
 
 // chooseTrees samples treeCount trees uniformly from the packing (Karger:
 // a constant fraction of the packing's weight 2-respects the minimum cut,
 // so uniform sampling from the greedy packing finds a good tree w.h.p.),
 // translates skeleton entries to original edge indices, and deduplicates.
-func chooseTrees(trees [][]int32, origin []int32, treeCount int, rng *rand.Rand) [][]int32 {
-	seen := make(map[string]bool)
+// It copies out every tree it keeps, since trees are views of sc's
+// buffers. skeleton emits entries in edge order, so origin is increasing:
+// marking a tree's entries and reading the marks back in entry order
+// yields its original edge indices already sorted. A kept tree is
+// compared with earlier ones by a 64-bit hash, confirmed element by
+// element.
+func (sc *scratch) chooseTrees(trees [][]int32, origin []int32, treeCount int, rng *rand.Rand) [][]int32 {
+	const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
+	sc.marks = zeroed(sc.marks, (len(origin)+63)/64)
 	var out [][]int32
+	var hashes []uint64
 	for i := 0; i < treeCount && len(trees) > 0; i++ {
-		t := trees[rng.Intn(len(trees))]
-		orig := make([]int32, len(t))
-		for j, ei := range t {
-			orig[j] = origin[ei]
+		for _, ei := range trees[rng.Intn(len(trees))] {
+			sc.marks[ei/64] |= 1 << (ei % 64)
 		}
-		slices.Sort(orig)
-		key := treeKey(orig)
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, orig)
+		orig, h := sc.tree[:0], uint64(fnvOffset)
+		for w, word := range sc.marks {
+			for ; word != 0; word &= word - 1 {
+				v := origin[w*64+bits.TrailingZeros64(word)]
+				orig = append(orig, v)
+				h = (h ^ uint64(v)) * fnvPrime
+			}
+			sc.marks[w] = 0
+		}
+		sc.tree = orig
+		dup := false
+		for j, hj := range hashes {
+			if hj == h && slices.Equal(out[j], orig) {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			out = append(out, slices.Clone(orig))
+			hashes = append(hashes, h)
 		}
 	}
 	return out
-}
-
-// treeKey builds a map key from sorted edge indices.
-func treeKey(orig []int32) string {
-	b := make([]byte, 4*len(orig))
-	for i, v := range orig {
-		b[4*i] = byte(v)
-		b[4*i+1] = byte(v >> 8)
-		b[4*i+2] = byte(v >> 16)
-		b[4*i+3] = byte(v >> 24)
-	}
-	return string(b)
 }

@@ -229,7 +229,7 @@ func refPack(n int, edges []graph.Edge, rounds int) (trees [][]int32, maxLoad in
 	}
 	load := make([]int64, len(edges))
 	for r := 0; r < rounds; r++ {
-		sel, comps := mst.Forest(n, edges, load, nil, nil)
+		sel, comps := mst.Forest(nil, n, edges, load, nil, nil)
 		if comps != 1 {
 			return nil, 0, false
 		}
@@ -321,8 +321,7 @@ func TestPackMatchesMaterializedSkeleton(t *testing.T) {
 			for _, st := range settings {
 				sc := &scratch{}
 				edges, origin, copies := skeleton(g, st.p, st.clamp, st.multCap, rand.New(rand.NewSource(seed)), sc)
-				load, picks := sc.countersFor(len(edges))
-				trees, maxLoad, ok, err := pack(context.Background(), n, edges, rounds, load, picks, nil, nil, nil, trace.SpanRef{})
+				trees, maxLoad, ok, err := pack(context.Background(), n, edges, rounds, sc, nil, nil, nil, trace.SpanRef{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,9 +1,13 @@
 package tree
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/listrank"
+	"repro/internal/par"
 	"repro/internal/wd"
 )
 
@@ -175,39 +179,102 @@ func TestSubtreeSumRandomAgainstNaive(t *testing.T) {
 	}
 }
 
+// unrooted forgets a parent array's orientation: its edges, in vertex
+// order, and its root.
+func unrooted(parent []int32) (edges [][2]int32, root int32) {
+	for v, p := range parent {
+		if p == None {
+			root = int32(v)
+			continue
+		}
+		edges = append(edges, [2]int32{int32(v), p})
+	}
+	return edges, root
+}
+
+// widePools returns pools of width 1, 2 and 4 whose ForGrain is
+// par.MinCutoff, so any chunk loop over a few thousand elements would fork
+// on the wider two.
+func widePools(t *testing.T) []*par.Pool {
+	var pools []*par.Pool
+	for _, w := range []int{1, 2, 4} {
+		p := par.NewPool(w)
+		p.SetTuning(par.Tuning{ForGrain: par.MinCutoff})
+		t.Cleanup(p.Close)
+		pools = append(pools, p)
+	}
+	return pools
+}
+
+// eulerTourCharge is the Euler tour's cost on a spanning tree of n
+// vertices, built from its parts: two passes over the 2(n-1) arcs, what
+// listrank.Rank charges to rank a list of that length, and the
+// orientation pass over the vertices.
+func eulerTourCharge(n int) (work, depth int64) {
+	arcs := 2 * (n - 1)
+	next := make([]int32, arcs)
+	for i := range next {
+		next[i] = int32(i + 1)
+	}
+	next[arcs-1] = listrank.Nil
+	var m wd.Meter
+	listrank.Rank(next, nil, &m)
+	return m.Work() + 2*int64(arcs) + int64(n), m.Depth() + 3
+}
+
+// TestRootEdgeList roots random trees with n up to 500, and random and
+// path trees with n in {600, 2000, 5000}, on the default pool and on
+// widths 1, 2 and 4: every call must return the input orientation, as
+// the BFS reference does, and charge the meter exactly the Euler tour's
+// cost.
 func TestRootEdgeList(t *testing.T) {
+	type input struct {
+		name   string
+		parent []int32
+	}
+	var inputs []input
 	for seed := int64(0); seed < 8; seed++ {
 		n := 2 + int(seed*53)%500
-		parent := randomParent(n, seed+7)
-		// Forget the orientation, keep the edges.
-		var edges [][2]int32
-		var root int32
-		for v, p := range parent {
-			if p == None {
-				root = int32(v)
-				continue
-			}
-			edges = append(edges, [2]int32{int32(v), p})
-		}
-		got, err := RootEdgeList(n, edges, root, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		inputs = append(inputs, input{fmt.Sprintf("random seed %d", seed), randomParent(n, seed+7)})
+	}
+	for _, n := range []int{600, 2000, 5000} {
+		inputs = append(inputs,
+			input{fmt.Sprintf("random n=%d", n), randomParent(n, int64(n))},
+			input{fmt.Sprintf("path n=%d", n), pathParent(n)})
+	}
+	pools := append([]*par.Pool{nil}, widePools(t)...)
+	for _, in := range inputs {
+		n := len(in.parent)
+		edges, root := unrooted(in.parent)
 		seq, err := RootEdgeListSeq(n, edges, root)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", in.name, err)
 		}
-		for v := 0; v < n; v++ {
-			if got[v] != parent[v] {
-				t.Fatalf("seed %d: parent[%d]=%d want %d", seed, v, got[v], parent[v])
+		if !slices.Equal(seq, in.parent) {
+			t.Fatalf("%s: RootEdgeListSeq differs from the input", in.name)
+		}
+		work, depth := eulerTourCharge(n)
+		for _, p := range pools {
+			var m wd.Meter
+			got, err := RootEdgeList(n, edges, root, p, &m)
+			if err != nil {
+				t.Fatalf("%s width %d: %v", in.name, p.Width(), err)
 			}
-			if seq[v] != parent[v] {
-				t.Fatalf("seed %d: seq parent[%d]=%d want %d", seed, v, seq[v], parent[v])
+			if !slices.Equal(got, in.parent) {
+				t.Fatalf("%s width %d: parent array differs from the input", in.name, p.Width())
+			}
+			if m.Work() != work || m.Depth() != depth {
+				t.Fatalf("%s width %d: charged (%d, %d), Euler tour cost (%d, %d)",
+					in.name, p.Width(), m.Work(), m.Depth(), work, depth)
 			}
 		}
 	}
 }
 
+// TestRootEdgeListRejectsNonTree: n-1 edges that do not span — a cycle
+// plus an isolated vertex, a self-loop, a duplicated edge — are rejected
+// by RootEdgeList (n=4 on the default pool, n=600 on widths 1, 2 and 4)
+// and by the BFS reference.
 func TestRootEdgeListRejectsNonTree(t *testing.T) {
 	// Triangle + isolated vertex: 3 edges on 4 vertices.
 	edges := [][2]int32{{0, 1}, {1, 2}, {2, 0}}
@@ -219,6 +286,49 @@ func TestRootEdgeListRejectsNonTree(t *testing.T) {
 	}
 	if _, err := RootEdgeList(4, edges[:2], 0, nil, nil); err == nil {
 		t.Error("wrong edge count accepted")
+	}
+
+	const n = 600
+	tree, _ := unrooted(pathParent(n)) // edge i joins i+1 to i
+	bad := map[string][][2]int32{
+		// The last vertex loses its edge and 0-1-2 closes a triangle.
+		"cycle":     append(slices.Clone(tree[:n-2]), [2]int32{0, 2}),
+		"self-loop": append(slices.Clone(tree[:n-2]), [2]int32{7, 7}),
+		"duplicate": append(slices.Clone(tree[:n-2]), tree[5]),
+	}
+	pools := widePools(t)
+	for name, edges := range bad {
+		for _, p := range pools {
+			if _, err := RootEdgeList(n, edges, 0, p, nil); err == nil {
+				t.Errorf("%s accepted by RootEdgeList on width %d", name, p.Width())
+			}
+		}
+		if _, err := RootEdgeListSeq(n, edges, 0); err == nil {
+			t.Errorf("%s accepted by RootEdgeListSeq", name)
+		}
+	}
+}
+
+// TestRootEdgeListAllocsOnlyOutput: a steady-state RootEdgeList
+// allocates only the parent array it returns, on widths 1, 2 and 4; the
+// DFS's adjacency array and stack come from the arena.
+func TestRootEdgeListAllocsOnlyOutput(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts; the output-only bound holds only in normal builds")
+	}
+	const n = 1024
+	edges, root := unrooted(randomParent(n, 5))
+	m := &wd.Meter{}
+	for _, p := range widePools(t) {
+		run := func() {
+			if _, err := RootEdgeList(n, edges, root, p, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		if avg := testing.AllocsPerRun(50, run); avg > 1 {
+			t.Errorf("width %d: steady-state RootEdgeList: %.2f allocs/op, want 1 (the parent array)", p.Width(), avg)
+		}
 	}
 }
 
