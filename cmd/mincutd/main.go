@@ -50,7 +50,6 @@ import (
 	"syscall"
 	"time"
 
-	parcut "repro"
 	"repro/internal/cluster"
 	"repro/internal/service/httpapi"
 	"repro/internal/service/registry"
@@ -81,7 +80,6 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "separate listener for net/http/pprof profiling endpoints (empty = disabled)")
 	traceBuffer := flag.Int("trace-buffer", 256, "finished solve traces retained for GET /v1/traces (0 = tracing disabled)")
 	traceSlow := flag.Duration("trace-slow-threshold", 0, "log one structured line per solve slower than this (0 = disabled)")
-	parTune := flag.Bool("par-tune", false, "calibrate parallel-primitive granularity cutoffs at startup instead of using the built-in baseline (~1s of probing)")
 	peers := flag.String("peers", "", `static cluster member list, e.g. "host1:8080,host2:8080,host3:8080" (empty = single-node); every node must be given the same list`)
 	advertise := flag.String("advertise", "", "this node's address as it appears in -peers (required with -peers)")
 	clusterVNodes := flag.Int("cluster-vnodes", 0, "virtual nodes per member on the placement ring (0 = 256); must match across the cluster")
@@ -111,18 +109,6 @@ func main() {
 	}
 	if *traceBuffer < 0 {
 		fatal("bad -trace-buffer", "error", "must be >= 0")
-	}
-	if *parTune {
-		// Calibrate once against this machine and make the result the
-		// process-wide default: every executor the scheduler's workers
-		// create from here on picks it up.
-		start := time.Now()
-		t := parcut.Calibrate()
-		parcut.SetDefaultTuning(t)
-		logger.Info("calibrated parallel cutoffs",
-			"for_grain", t.ForGrain, "scan", t.Scan, "reduce", t.Reduce,
-			"merge", t.Merge, "sort", t.Sort,
-			"elapsed", time.Since(start).Round(time.Millisecond))
 	}
 	if err := run(config{
 		addr:         *addr,

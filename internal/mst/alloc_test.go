@@ -9,12 +9,12 @@ import (
 	"repro/internal/wd"
 )
 
-// allocPools returns a width-1 pool and a width-2 pool whose loops fork
-// at the smallest cutoff; the allocation tests run n=2048 on both.
+// allocPools returns pools of width 1 and 2: Forest and Components
+// borrow their scratch from the pool's arena, so the allocation tests run
+// n=2048 on both.
 func allocPools(t *testing.T) []*par.Pool {
 	seq := par.NewPool(1)
 	wide := par.NewPool(2)
-	wide.SetTuning(par.Tuning{ForGrain: par.MinCutoff})
 	t.Cleanup(seq.Close)
 	t.Cleanup(wide.Close)
 	return []*par.Pool{seq, wide}

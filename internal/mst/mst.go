@@ -25,6 +25,7 @@
 package mst
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -181,15 +182,15 @@ func Kruskal(n int, edges []graph.Edge, cost []int64) (sel []int32, comps int) {
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	par.SortStable(idx, func(a, b int32) bool {
+	slices.SortFunc(idx, func(a, b int32) int {
 		var ca, cb int64
 		if cost != nil {
 			ca, cb = cost[a], cost[b]
 		}
-		if ca != cb {
-			return ca < cb
+		if c := cmp.Compare(ca, cb); c != 0 {
+			return c
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 	parent := make([]int32, n)
 	for i := range parent {

@@ -20,7 +20,7 @@ func BenchmarkExclusiveSum1M(b *testing.B) {
 	b.ReportAllocs()
 	b.SetBytes(int64(len(xs) * 8))
 	for i := 0; i < b.N; i++ {
-		ExclusiveSum(xs, out)
+		Default().ExclusiveSum(xs, out)
 	}
 }
 
@@ -37,7 +37,7 @@ func BenchmarkSegmentedBroadcast1M(b *testing.B) {
 	b.ReportAllocs()
 	b.SetBytes(int64(n * 8))
 	for i := 0; i < b.N; i++ {
-		SegmentedBroadcast(present, vals, out, 0)
+		Default().SegmentedBroadcast(present, vals, out, 0)
 	}
 }
 
@@ -46,13 +46,13 @@ func BenchmarkMerge1M(b *testing.B) {
 	x := benchInts(n, 3)
 	y := benchInts(n, 4)
 	less := func(a, b int64) bool { return a < b }
-	SortStable(x, less)
-	SortStable(y, less)
+	SortStableOn(nil, x, less)
+	SortStableOn(nil, y, less)
 	out := make([]int64, 2*n)
 	b.ReportAllocs()
 	b.SetBytes(int64(2 * n * 8))
 	for i := 0; i < b.N; i++ {
-		Merge(x, y, out, less)
+		MergeOn(nil, x, y, out, less)
 	}
 }
 
@@ -64,7 +64,7 @@ func BenchmarkSortStable1M(b *testing.B) {
 	b.SetBytes(int64(len(src) * 8))
 	for i := 0; i < b.N; i++ {
 		copy(xs, src)
-		SortStable(xs, less)
+		SortStableOn(nil, xs, less)
 	}
 }
 
@@ -73,6 +73,6 @@ func BenchmarkReduceMin1M(b *testing.B) {
 	b.ReportAllocs()
 	b.SetBytes(int64(len(xs) * 8))
 	for i := 0; i < b.N; i++ {
-		MinInt64(xs)
+		Default().MinInt64(xs)
 	}
 }

@@ -10,20 +10,15 @@ import "sort"
 // merge [7]); the recursion is lane-aware, so whichever lane executes a
 // branch — owner or thief — pushes its sub-branches onto its own deque.
 // Forked branches are described by recycled frames rather than fresh
-// closures, so steady-state merges allocate nothing.
-// Merge/SortStable are package functions rather than Pool methods because
-// Go does not allow generic methods.
+// closures, so steady-state merges allocate nothing. MergeOn and
+// SortStableOn are package functions rather than Pool methods because Go
+// does not allow generic methods.
 func MergeOn[T any](p *Pool, a, b, out []T, less func(x, y T) bool) {
 	if len(out) != len(a)+len(b) {
 		panic("par: Merge output length mismatch")
 	}
 	p = p.get()
-	mergeRec(p, nil, a, b, out, less, p.tun().Merge, false)
-}
-
-// Merge merges on the default pool.
-func Merge[T any](a, b, out []T, less func(x, y T) bool) {
-	MergeOn(nil, a, b, out, less)
+	mergeRec(p, nil, a, b, out, less, p.cut.merge, false)
 }
 
 // mergeFrame carries the arguments of a forked mergeRec branch plus a
@@ -140,19 +135,13 @@ func SortStableOn[T any](p *Pool, xs []T, less func(x, y T) bool) {
 	if n <= 1 {
 		return
 	}
-	t := p.tun()
 	bufp := Slice[T](&p.arena, n)
-	if p.lanes == nil || n <= t.Sort {
+	if p.lanes == nil || n <= p.cut.sort {
 		seqSortStable(xs, *bufp, less)
 	} else {
-		sortInto(p, nil, xs, *bufp, less, true, t.Sort, t.Merge)
+		sortInto(p, nil, xs, *bufp, less, true, p.cut.sort, p.cut.merge)
 	}
 	PutSlice(&p.arena, bufp)
-}
-
-// SortStable sorts on the default pool.
-func SortStable[T any](xs []T, less func(x, y T) bool) {
-	SortStableOn(nil, xs, less)
 }
 
 // sortFrame is the recycled fork descriptor for sortInto's right

@@ -23,7 +23,7 @@ func TestMergeSkewedSizes(t *testing.T) {
 			b[i] = kv{key: 2*i + 1, seq: tc.na + i}
 		}
 		out := make([]kv, tc.na+tc.nb)
-		Merge(a, b, out, func(x, y kv) bool { return x.key < y.key })
+		MergeOn(nil, a, b, out, func(x, y kv) bool { return x.key < y.key })
 		for i := 1; i < len(out); i++ {
 			if out[i].key < out[i-1].key {
 				t.Fatalf("na=%d nb=%d: not sorted at %d", tc.na, tc.nb, i)
@@ -45,7 +45,7 @@ func TestMergeAllEqualKeys(t *testing.T) {
 		b[i] = kv{key: 7, seq: n + i}
 	}
 	out := make([]kv, len(a)+len(b))
-	Merge(a, b, out, func(x, y kv) bool { return x.key < y.key })
+	MergeOn(nil, a, b, out, func(x, y kv) bool { return x.key < y.key })
 	for i := 1; i < len(out); i++ {
 		if out[i].seq < out[i-1].seq {
 			t.Fatalf("stability broken at %d: %d before %d", i, out[i-1].seq, out[i].seq)
@@ -67,7 +67,7 @@ func TestSortStableConstantAndSkewedKeys(t *testing.T) {
 		}
 		xs[i] = kv{key: key, seq: i}
 	}
-	SortStable(xs, func(x, y kv) bool { return x.key < y.key })
+	SortStableOn(nil, xs, func(x, y kv) bool { return x.key < y.key })
 	for i := 1; i < n; i++ {
 		if xs[i].key < xs[i-1].key || (xs[i].key == xs[i-1].key && xs[i].seq < xs[i-1].seq) {
 			t.Fatalf("order broken at %d", i)

@@ -5,35 +5,53 @@
 //
 // Go has no work-stealing fork-join runtime, so the primitives emulate the
 // Work-Depth model on an explicit executor, Pool: a persistent bounded-width
-// worker set with per-worker work-stealing deques on which all primitives
-// are methods. The non-generic primitives hang off *Pool directly; the
-// generic ones (Merge, SortStable) are package functions taking the pool as
-// their first argument (Go has no generic methods) under the names MergeOn
-// and SortStableOn. The historic package-level functions remain and
-// delegate to a shared default pool of width GOMAXPROCS, so code that does
-// not care about executor placement keeps working unchanged — but without
-// per-call goroutine spawning.
+// worker set with per-worker work-stealing deques. Every primitive has one
+// way to be called: the non-generic ones are *Pool methods, and the generic
+// ones are the package functions MergeOn and SortStableOn, which take the
+// pool as their first argument (Go has no generic methods). A nil *Pool
+// means the shared default pool of width GOMAXPROCS.
 //
-// Every primitive degrades to its sequential form below a cutoff size
-// (per-primitive, machine-calibratable — see Tuning and Calibrate), which
-// keeps constant factors competitive with hand-written loops while
-// preserving the parallel structure that the paper's depth bounds rely on,
-// and every primitive returns identical results at every pool width.
+// Every primitive runs its sequential form below a fixed per-primitive
+// size cutoff, which keeps constant factors competitive with hand-written
+// loops while preserving the parallel structure that the paper's depth
+// bounds rely on. Cutoffs, like widths, never change a result: every
+// primitive returns identical output at every pool width.
 package par
 
 // Grain is the default smallest amount of per-lane sequential work, and
-// the anchor for the baseline per-primitive cutoffs (see BaselineTuning).
-// Loops over fewer elements run sequentially: handing a branch to a worker
-// and joining it costs on the order of microseconds, so data-parallel loops
-// only pay off once each lane gets several thousand elements. Task
-// parallelism over few-but-large units (tree scans, segment batches) uses
-// ForGrain with an explicit small grain instead.
+// the anchor for the per-primitive cutoffs (see cutoffs). Loops over fewer
+// elements run sequentially: handing a branch to a worker and joining it
+// costs on the order of microseconds, so data-parallel loops only pay off
+// once each lane gets several thousand elements. Task parallelism over
+// few-but-large units (tree scans, segment batches) uses ForGrain with an
+// explicit small grain instead.
 const Grain = 8192
+
+// cutoffs holds the per-primitive sequential cutoffs: a primitive invoked
+// on at most its cutoff's number of elements runs sequentially in the
+// caller. The values differ per primitive because the work per element
+// does: a scan makes two cheap passes, a sort a comparison cascade.
+type cutoffs struct {
+	forGrain int // per-chunk element count of For loops
+	scan     int // ExclusiveSum, InclusiveSum, SegmentedBroadcast
+	reduce   int // ReduceInt64, MinInt64, SumInt64
+	merge    int // MergeOn, by total elements across both inputs
+	sort     int // SortStableOn
+}
+
+// fixedCutoffs are the cutoffs every pool runs with.
+var fixedCutoffs = cutoffs{
+	forGrain: Grain,
+	scan:     4 * Grain,
+	reduce:   Grain,
+	merge:    4 * Grain,
+	sort:     8 * Grain,
+}
 
 // For runs f(i) for every i in [0, n) with no ordering guarantees.
 func (p *Pool) For(n int, f func(i int)) {
 	p = p.get()
-	p.ForGrain(n, p.tun().ForGrain, f)
+	p.ForGrain(n, p.cut.forGrain, f)
 }
 
 // ForGrain is For with an explicit grain size.
@@ -186,7 +204,7 @@ func (p *Pool) ReduceInt64(xs []int64, identity int64, op func(a, b int64) int64
 	if n == 0 {
 		return identity
 	}
-	if p.lanes == nil || n <= p.tun().Reduce {
+	if p.lanes == nil || n <= p.cut.reduce {
 		acc := identity
 		for _, x := range xs {
 			acc = op(acc, x)
@@ -225,7 +243,7 @@ func (p *Pool) MinInt64(xs []int64) (int64, int) {
 		panic("par: MinInt64 of empty slice")
 	}
 	n := len(xs)
-	if p.lanes == nil || n <= p.tun().Reduce {
+	if p.lanes == nil || n <= p.cut.reduce {
 		return seqMin(xs, 0)
 	}
 	chunks := p.numChunks(n)
@@ -267,31 +285,3 @@ func seqMin(xs []int64, base int) (int64, int) {
 func (p *Pool) SumInt64(xs []int64) int64 {
 	return p.ReduceInt64(xs, 0, func(a, b int64) int64 { return a + b })
 }
-
-// --- package-level compatibility wrappers (shared default pool) ---
-
-// For runs f(i) for every i in [0, n) on the default pool.
-func For(n int, f func(i int)) { Default().For(n, f) }
-
-// ForGrain is For with an explicit grain size, on the default pool.
-func ForGrain(n, grain int, f func(i int)) { Default().ForGrain(n, grain, f) }
-
-// ForChunk runs chunked parallel loops on the default pool.
-func ForChunk(n, grain int, f func(lo, hi int)) { Default().ForChunk(n, grain, f) }
-
-// Do runs fork-join branches on the default pool.
-func Do(fs ...func()) { Default().Do(fs...) }
-
-// Do2 is a binary fork-join on the default pool.
-func Do2(a, b func()) { Default().Do2(a, b) }
-
-// ReduceInt64 reduces on the default pool.
-func ReduceInt64(xs []int64, identity int64, op func(a, b int64) int64) int64 {
-	return Default().ReduceInt64(xs, identity, op)
-}
-
-// MinInt64 takes the argmin on the default pool.
-func MinInt64(xs []int64) (int64, int) { return Default().MinInt64(xs) }
-
-// SumInt64 sums on the default pool.
-func SumInt64(xs []int64) int64 { return Default().SumInt64(xs) }

@@ -11,7 +11,7 @@ import (
 func TestForCoversAllIndices(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, Grain - 1, Grain, Grain + 1, 10 * Grain} {
 		seen := make([]atomic.Int32, n)
-		For(n, func(i int) { seen[i].Add(1) })
+		Default().For(n, func(i int) { seen[i].Add(1) })
 		for i := range seen {
 			if got := seen[i].Load(); got != 1 {
 				t.Fatalf("n=%d: index %d visited %d times", n, i, got)
@@ -23,7 +23,7 @@ func TestForCoversAllIndices(t *testing.T) {
 func TestForChunkPartitions(t *testing.T) {
 	n := 5*Grain + 13
 	var total atomic.Int64
-	ForChunk(n, 64, func(lo, hi int) {
+	Default().ForChunk(n, 64, func(lo, hi int) {
 		if lo < 0 || hi > n || lo >= hi {
 			t.Errorf("bad chunk [%d,%d)", lo, hi)
 		}
@@ -36,11 +36,11 @@ func TestForChunkPartitions(t *testing.T) {
 
 func TestDoRunsAll(t *testing.T) {
 	var a, b, c atomic.Bool
-	Do(func() { a.Store(true) }, func() { b.Store(true) }, func() { c.Store(true) })
+	Default().Do(func() { a.Store(true) }, func() { b.Store(true) }, func() { c.Store(true) })
 	if !a.Load() || !b.Load() || !c.Load() {
 		t.Fatal("Do skipped a branch")
 	}
-	Do() // must not hang
+	Default().Do() // must not hang
 }
 
 func TestReduceAndMin(t *testing.T) {
@@ -57,10 +57,10 @@ func TestReduceAndMin(t *testing.T) {
 				wantMin, wantIdx = xs[i], i
 			}
 		}
-		if got := SumInt64(xs); got != want {
+		if got := Default().SumInt64(xs); got != want {
 			t.Fatalf("n=%d: sum=%d want %d", n, got, want)
 		}
-		gotMin, gotIdx := MinInt64(xs)
+		gotMin, gotIdx := Default().MinInt64(xs)
 		if gotMin != wantMin || gotIdx != wantIdx {
 			t.Fatalf("n=%d: min=(%d,%d) want (%d,%d)", n, gotMin, gotIdx, wantMin, wantIdx)
 		}
@@ -72,7 +72,7 @@ func TestMinInt64FirstIndexOnTies(t *testing.T) {
 	for i := range xs {
 		xs[i] = 7
 	}
-	if _, idx := MinInt64(xs); idx != 0 {
+	if _, idx := Default().MinInt64(xs); idx != 0 {
 		t.Fatalf("tie-break index = %d, want 0", idx)
 	}
 }
@@ -90,7 +90,7 @@ func TestExclusiveSumMatchesSequential(t *testing.T) {
 			acc += x
 		}
 		got := make([]int64, len(xs))
-		total := ExclusiveSum(xs, got)
+		total := Default().ExclusiveSum(xs, got)
 		if total != acc {
 			return false
 		}
@@ -114,8 +114,8 @@ func TestScansLarge(t *testing.T) {
 	}
 	excl := make([]int64, n)
 	incl := make([]int64, n)
-	totE := ExclusiveSum(xs, excl)
-	totI := InclusiveSum(xs, incl)
+	totE := Default().ExclusiveSum(xs, excl)
+	totI := Default().InclusiveSum(xs, incl)
 	var acc int64
 	for i := 0; i < n; i++ {
 		if excl[i] != acc {
@@ -137,7 +137,7 @@ func TestScanInPlaceAliasing(t *testing.T) {
 	for i := range xs {
 		xs[i] = 1
 	}
-	ExclusiveSum(xs, xs)
+	Default().ExclusiveSum(xs, xs)
 	for i := range xs {
 		if xs[i] != int64(i) {
 			t.Fatalf("aliased scan wrong at %d: %d", i, xs[i])
@@ -155,7 +155,7 @@ func TestSegmentedBroadcast(t *testing.T) {
 			vals[i] = int64(rng.Intn(1000))
 		}
 		out := make([]int64, n)
-		SegmentedBroadcast(present, vals, out, -5)
+		Default().SegmentedBroadcast(present, vals, out, -5)
 		acc := int64(-5)
 		for i := 0; i < n; i++ {
 			if present[i] {
@@ -185,10 +185,10 @@ func TestMergeStable(t *testing.T) {
 			b[i] = kv{rng.Intn(50), n + i}
 		}
 		less := func(x, y kv) bool { return x.key < y.key }
-		SortStable(a, less)
-		SortStable(b, less)
+		SortStableOn(nil, a, less)
+		SortStableOn(nil, b, less)
 		out := make([]kv, len(a)+len(b))
-		Merge(a, b, out, less)
+		MergeOn(nil, a, b, out, less)
 		for i := 1; i < len(out); i++ {
 			if out[i].key < out[i-1].key {
 				t.Fatalf("merge not sorted at %d", i)
@@ -207,7 +207,7 @@ func TestSortStableLargeAndStability(t *testing.T) {
 	for i := range xs {
 		xs[i] = kv{rng.Intn(97), i}
 	}
-	SortStable(xs, func(x, y kv) bool { return x.key < y.key })
+	SortStableOn(nil, xs, func(x, y kv) bool { return x.key < y.key })
 	for i := 1; i < n; i++ {
 		if xs[i].key < xs[i-1].key {
 			t.Fatalf("not sorted at %d", i)
@@ -225,11 +225,11 @@ func TestPrimitivesUnderSingleWorker(t *testing.T) {
 	for i := range xs {
 		xs[i] = 2
 	}
-	if got := SumInt64(xs); got != int64(2*len(xs)) {
+	if got := Default().SumInt64(xs); got != int64(2*len(xs)) {
 		t.Fatalf("sum under GOMAXPROCS=1: %d", got)
 	}
 	out := make([]int64, len(xs))
-	if got := ExclusiveSum(xs, out); got != int64(2*len(xs)) {
+	if got := Default().ExclusiveSum(xs, out); got != int64(2*len(xs)) {
 		t.Fatalf("scan under GOMAXPROCS=1: %d", got)
 	}
 }

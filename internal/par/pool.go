@@ -30,8 +30,7 @@ import (
 // so callers may treat the width purely as a resource knob.
 //
 // A nil *Pool is valid everywhere a pool is accepted and means the shared
-// process-wide default pool (width GOMAXPROCS), which is how the
-// package-level compatibility functions run. Pools are safe for concurrent
+// process-wide default pool (width GOMAXPROCS). Pools are safe for concurrent
 // use by multiple goroutines; each concurrent caller adds one lane, so
 // give logically independent solvers independent pools to keep their
 // combined footprint explicit.
@@ -65,9 +64,10 @@ type Pool struct {
 
 	stats poolStats
 
-	// tuning overrides the package-default granularity cutoffs for this
-	// pool; nil means "follow the process-wide default" (see Tuning).
-	tuning atomic.Pointer[Tuning]
+	// cut holds the sequential cutoffs: fixedCutoffs, set by NewPool.
+	// Only this package's tests lower them, to force forks on small
+	// inputs.
+	cut cutoffs
 
 	// arena recycles the typed scratch slices of the primitives and the
 	// solver inner loops (see Arena); joins and chunk loops are recycled
@@ -133,6 +133,7 @@ func NewPool(width int) *Pool {
 	p := &Pool{
 		width: width,
 		stop:  make(chan struct{}),
+		cut:   fixedCutoffs,
 	}
 	if width > 1 {
 		p.wake = make(chan struct{}, 2*width)
@@ -147,10 +148,10 @@ func NewPool(width int) *Pool {
 	return p
 }
 
-// defaultPool is the shared executor behind the package-level primitives
-// and nil *Pool receivers: one set of workers for all legacy callers
-// instead of per-primitive goroutine spawning. The atomic pointer (with
-// defaultMu serializing replacement) keeps Default and Close race-free.
+// defaultPool is the shared executor behind nil *Pool receivers: one set
+// of workers for every caller that does not pick a pool. The atomic
+// pointer (with defaultMu serializing replacement) keeps Default and Close
+// race-free.
 var (
 	defaultMu   sync.Mutex
 	defaultPool atomic.Pointer[Pool]
@@ -195,12 +196,6 @@ func (p *Pool) get() *Pool {
 // receiver).
 func (p *Pool) Width() int {
 	return p.get().width
-}
-
-// Workers reports the parallelism the package-level primitives will use
-// (the default pool's width).
-func Workers() int {
-	return Default().width
 }
 
 // Close stops the pool's workers. Primitives invoked after Close (or

@@ -255,9 +255,6 @@ func TestDefaultPoolTracksGOMAXPROCS(t *testing.T) {
 	if resized.Width() != next {
 		t.Fatalf("after GOMAXPROCS(%d) default width = %d", next, resized.Width())
 	}
-	if Workers() != next {
-		t.Fatalf("Workers() = %d, want %d", Workers(), next)
-	}
 	// The old default still computes (degraded to sequential is fine).
 	xs := []int64{1, 2, 3}
 	if total := first.InclusiveSum(xs, xs); total != 6 {
@@ -270,19 +267,16 @@ func TestDefaultPoolTracksGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestDefaultPoolSharedByPackageFuncs: the package-level wrappers keep
-// working and report a positive width.
+// TestDefaultPoolSharedByPackageFuncs: a nil pool is the default pool,
+// for methods and for the package functions MergeOn and SortStableOn.
 func TestDefaultPoolSharedByPackageFuncs(t *testing.T) {
-	if Workers() < 1 {
-		t.Fatalf("Workers() = %d", Workers())
-	}
 	var nilPool *Pool
-	if nilPool.Width() != Workers() {
-		t.Fatalf("nil pool width %d != default %d", nilPool.Width(), Workers())
+	if w := Default().Width(); w < 1 || nilPool.Width() != w {
+		t.Fatalf("nil pool width %d, default width %d", nilPool.Width(), w)
 	}
 	xs := []int64{3, 1, 2}
-	SortStable(xs, func(a, b int64) bool { return a < b })
+	SortStableOn(nil, xs, func(a, b int64) bool { return a < b })
 	if xs[0] != 1 || xs[2] != 3 {
-		t.Fatalf("package-level SortStable broken: %v", xs)
+		t.Fatalf("SortStableOn on the nil pool broken: %v", xs)
 	}
 }

@@ -141,13 +141,15 @@ func TestStealingStressWidthEquivalence(t *testing.T) {
 
 	// Drop the cutoffs so the recursion forks aggressively even at this
 	// (test-sized) n: deep cascades at width 2 and 7 guarantee deques
-	// fill, spill, and get stolen from.
-	forced := Tuning{ForGrain: MinCutoff, Scan: MinCutoff, Reduce: MinCutoff, Merge: MinCutoff, Sort: MinCutoff}
+	// fill, spill, and get stolen from. Comparing these widths against
+	// width 1 also pins that cutoffs never change a result.
+	const low = 1 << 10
+	forced := cutoffs{forGrain: low, scan: low, reduce: low, merge: low, sort: low}
 
 	var want int64
 	for wi, w := range widths {
 		p := NewPool(w)
-		p.SetTuning(forced)
+		p.cut = forced
 		var got int64
 		// Several concurrent no-lane callers, several rounds each: bursty
 		// nested fork-join from outside the worker set.
@@ -280,7 +282,7 @@ func TestDefaultConcurrentResize(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < 50; r++ {
-				if got := SumInt64(xs); got != want {
+				if got := Default().SumInt64(xs); got != want {
 					t.Errorf("SumInt64 = %d, want %d", got, want)
 					return
 				}

@@ -8,8 +8,7 @@ import (
 )
 
 // BenchmarkRootEdgeList roots path and random trees with n=1024, the ring
-// workload's tree size, on width-1 and width-2 pools at the default
-// tuning.
+// workload's tree size, on width-1 and width-2 pools.
 func BenchmarkRootEdgeList(b *testing.B) {
 	const n = 1024
 	for _, shape := range []string{"path", "random"} {

@@ -192,14 +192,13 @@ func unrooted(parent []int32) (edges [][2]int32, root int32) {
 	return edges, root
 }
 
-// widePools returns pools of width 1, 2 and 4 whose ForGrain is
-// par.MinCutoff, so any chunk loop over a few thousand elements would fork
-// on the wider two.
+// widePools returns pools of width 1, 2 and 4. RootEdgeList runs no pool
+// loop, so the tests on them check that its output and meter charge do
+// not depend on the width of the pool whose arena it borrows.
 func widePools(t *testing.T) []*par.Pool {
 	var pools []*par.Pool
 	for _, w := range []int{1, 2, 4} {
 		p := par.NewPool(w)
-		p.SetTuning(par.Tuning{ForGrain: par.MinCutoff})
 		t.Cleanup(p.Close)
 		pools = append(pools, p)
 	}

@@ -107,21 +107,6 @@ func (e *Executor) Stats() PoolStats {
 	}
 }
 
-// Tuning holds the per-primitive sequential cutoffs of the parallel
-// primitives (loops, scans, reductions, merges, sorts): below its cutoff
-// a primitive runs sequentially in the caller. Zero fields mean the
-// built-in baseline; cutoffs never change results, only constant factors.
-type Tuning = par.Tuning
-
-// Calibrate measures this machine's parallel-vs-sequential crossover per
-// primitive (once per process; subsequent calls return the cached result)
-// and returns the resulting cutoffs. Install them with SetDefaultTuning.
-func Calibrate() Tuning { return par.CalibrateOnce() }
-
-// SetDefaultTuning installs process-wide cutoff defaults, applied to
-// every executor.
-func SetDefaultTuning(t Tuning) { par.SetDefaultTuning(t) }
-
 // executionPool resolves the executor a call with these options runs on,
 // and whether the call owns it (and must close it when done).
 func (o Options) executionPool() (pool *par.Pool, owned bool) {
