@@ -69,7 +69,6 @@ func main() {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "solver worker pool size")
 	cacheBytes := flag.Int64("graph-cache-bytes", 1<<30, "graph registry budget in edge bytes (0 = unbounded)")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "how long shutdown waits for in-flight jobs")
-	boostFanout := flag.Int("boost-fanout", 0, "max sub-jobs per boosted solve (0 = max(2*workers, 8), 1 = sequential boost)")
 	solvePar := flag.Int("solve-parallelism", 0, "executor width per solver worker (0 = ceil(GOMAXPROCS/workers), partitioning the machine across workers)")
 	dataDir := flag.String("data-dir", "", "directory for the persistent graph store (empty = memory-only, graphs lost on restart)")
 	maxDiskBytes := flag.Int64("max-disk-bytes", 0, "disk budget for the graph store; uploads are rejected past it (0 = unbounded)")
@@ -115,7 +114,6 @@ func main() {
 		workers:      *workers,
 		cacheBytes:   *cacheBytes,
 		drainTimeout: *drainTimeout,
-		boostFanout:  *boostFanout,
 		solvePar:     *solvePar,
 		dataDir:      *dataDir,
 		maxDiskBytes: *maxDiskBytes,
@@ -180,7 +178,6 @@ type config struct {
 	workers      int
 	cacheBytes   int64
 	drainTimeout time.Duration
-	boostFanout  int
 	solvePar     int
 	dataDir      string
 	maxDiskBytes int64
@@ -273,7 +270,6 @@ func run(cfg config, ready chan<- string) error {
 	reg := registry.New(cfg.cacheBytes, backend)
 	sch := sched.New(sched.Config{
 		Workers:          cfg.workers,
-		MaxFanout:        cfg.boostFanout,
 		SolveParallelism: cfg.solvePar,
 		ClassWeights:     cfg.classWeights,
 		ClassQueueCaps:   cfg.classCaps,

@@ -10,8 +10,7 @@
 // per-peer health gating), and the Node that holds them and runs the
 // /healthz probes. It never runs or routes a solve. Deciding where a
 // request runs belongs to the router, and a node serves its own shard
-// through its own scheduler exactly as a single-node deployment does —
-// boost fan-out included, so boosted sub-jobs never cross the network.
+// through its own scheduler exactly as a single-node deployment does.
 //
 // Results are transport-neutral by construction: the owning node runs
 // the identical deterministic solver whichever node the request entered

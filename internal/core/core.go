@@ -9,7 +9,8 @@
 // Boughs is the paper's search (bough decomposition and batched Minimum
 // Path operations, internal/respect); HeavyPaths is the Anderson–Blelloch
 // search (internal/abscan), which finds the same minimum on every tree
-// with one log factor less work, so both return bit-identical results.
+// with one log factor less work, so both return the same value and tree
+// count.
 // MinCut runs the pipeline with Boughs.
 package core
 

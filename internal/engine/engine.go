@@ -11,12 +11,13 @@
 //
 //   - "geissmann" and "andersonblelloch": two instances of one engine
 //     type running the paper's packed-tree pipeline (core.Solve) —
-//     near-linear work, polylog depth, Monte Carlo, boost-decomposable.
-//     They differ only in the per-tree search: geissmann uses the paper's
-//     bough decomposition (core.Boughs), andersonblelloch the
-//     Anderson–Blelloch heavy-path sweep (core.HeavyPaths), which does
-//     one log factor less work per tree. Both searches are exact, so the
-//     two return bit-identical results.
+//     near-linear work, polylog depth, Monte Carlo. They differ only in
+//     the per-tree search: geissmann uses the paper's bough decomposition
+//     (core.Boughs), andersonblelloch the Anderson–Blelloch heavy-path
+//     sweep (core.HeavyPaths), which does one log factor less work per
+//     tree. Both searches are exact per tree, so the two return the same
+//     value and tree count; when a tree crosses two minimum cuts they may
+//     pick different partitions of that weight.
 //   - "stoerwagner": the exact deterministic O(n³) baseline — the right
 //     choice for small or dense graphs where polylog machinery loses to
 //     tuned sequential code.
@@ -26,10 +27,10 @@
 // comparator in internal/baseline.
 //
 // Engines declare capabilities (Caps) so upper layers can gate features
-// structurally instead of by name: boost fan-out only decomposes solves
-// on engines whose extra seeded runs actually change the answer, and
-// options an engine ignores are normalized away before result-cache
-// keying so equivalent requests share cache entries.
+// structurally instead of by name: the boost loop runs once on an exact
+// engine, and the seed and boost an exact engine ignores are normalized
+// away before result-cache keying so equivalent requests share cache
+// entries.
 package engine
 
 import (
@@ -60,8 +61,7 @@ const Auto = "auto"
 // do not claim (e.g. Seed on an exact engine), and the normalization in
 // upper layers relies on that.
 type Options struct {
-	// Seed fixes the run's randomness; ignored by engines with
-	// Caps.Seeded == false.
+	// Seed fixes the run's randomness; ignored by exact engines.
 	Seed int64
 	// WantPartition requests InCut in the result. Engines that compute a
 	// partition anyway (the exact baseline) still return nil without it,
@@ -97,15 +97,11 @@ type Result struct {
 // structural rather than name-based.
 type Caps struct {
 	// Exact: the result is the true minimum cut deterministically (not
-	// Monte Carlo). Exact engines gain nothing from boosting.
+	// Monte Carlo), so it ignores Options.Seed and gains nothing from
+	// boosting. An engine that is not exact depends on the seed, and
+	// repeating it with BoostSeed-derived seeds and keeping the smallest
+	// cut lowers its failure probability.
 	Exact bool
-	// Seeded: the result depends on Options.Seed.
-	Seeded bool
-	// BoostDecomposable: repeating the run with BoostSeed-derived seeds
-	// and taking the minimum improves the failure probability, and such a
-	// boosted solve may be decomposed into independent sub-runs (the
-	// scheduler's boost fan-out).
-	BoostDecomposable bool
 }
 
 // Engine computes one minimum cut run. Implementations must be safe for
@@ -117,7 +113,7 @@ type Engine interface {
 	// Caps reports the engine's capabilities.
 	Caps() Caps
 	// Solve computes one run. Boosting (minimum over several seeded runs)
-	// is the caller's loop, gated on Caps.BoostDecomposable.
+	// is the caller's loop, skipped when Caps.Exact.
 	Solve(ctx context.Context, g *graph.Graph, opt Options) (Result, error)
 }
 

@@ -19,7 +19,7 @@ func init() {
 // the Engine seam: Karger tree packing, then every sampled tree searched
 // for its smallest cut crossing at most two tree edges, Monte Carlo whp.
 // Its instances differ only in that per-tree search, and every search is
-// exact per tree, so all of them return bit-identical results.
+// exact per tree, so all of them return the same value and tree count.
 type packedEngine struct {
 	name   string
 	search core.Search
@@ -28,7 +28,7 @@ type packedEngine struct {
 func (e packedEngine) Name() string { return e.name }
 
 func (packedEngine) Caps() Caps {
-	return Caps{Seeded: true, BoostDecomposable: true}
+	return Caps{}
 }
 
 func (e packedEngine) Solve(ctx context.Context, g *graph.Graph, opt Options) (Result, error) {

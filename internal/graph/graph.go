@@ -60,7 +60,8 @@ func (g *Graph) AddEdge(u, v int, w int64) error {
 	if w <= 0 {
 		return fmt.Errorf("graph: edge {%d,%d} has non-positive weight %d", u, v, w)
 	}
-	if g.total+w > MaxTotalWeight {
+	// Compared as a difference: total+w would wrap for w near MaxInt64.
+	if w > MaxTotalWeight-g.total {
 		return fmt.Errorf("graph: total weight would exceed %d", MaxTotalWeight)
 	}
 	g.edges = append(g.edges, Edge{int32(u), int32(v), w})

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -38,6 +39,15 @@ func TestTotalWeightGuard(t *testing.T) {
 	}
 	if err := g.AddEdge(0, 1, 1); err == nil {
 		t.Fatal("weight above cap accepted")
+	}
+	// A weight whose sum with the total wraps past MaxInt64 is above the
+	// cap too.
+	h := New(2)
+	if err := h.AddEdge(0, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.AddEdge(0, 1, math.MaxInt64); err == nil || h.TotalWeight() != 1 {
+		t.Fatalf("weight MaxInt64 on total 1: err=%v, total %d", err, h.TotalWeight())
 	}
 }
 

@@ -381,11 +381,8 @@ type jobResponse struct {
 	Value        *int64 `json:"value,omitempty"`
 	InCut        []bool `json:"in_cut,omitempty"`
 	TreesScanned int    `json:"trees_scanned,omitempty"`
-	// Fanout is the number of scheduler sub-jobs a boosted solve was
-	// decomposed into; absent for single-run solves.
-	Fanout int `json:"fanout,omitempty"`
 	// Phase, Progress, and Fraction report live solver progress for
-	// queued/running jobs (phase "fanout" aggregates a boost's sub-jobs).
+	// queued/running jobs.
 	Phase    string                   `json:"phase,omitempty"`
 	Progress *parcut.ProgressSnapshot `json:"progress,omitempty"`
 	Fraction *float64                 `json:"fraction,omitempty"`
@@ -470,7 +467,7 @@ func (s *Server) handleMinCut(w http.ResponseWriter, r *http.Request) {
 		st, _ := s.sch.Job(job.ID())
 		writeJSON(w, http.StatusAccepted, jobResponse{
 			JobID: job.ID(), GraphID: id, Status: string(st.State), Class: string(st.Class),
-			Engine: st.Engine, Cached: hit, Fanout: job.Fanout(), Node: s.nodeName(),
+			Engine: st.Engine, Cached: hit, Node: s.nodeName(),
 		})
 		return
 	}
@@ -499,8 +496,7 @@ func (s *Server) handleMinCut(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, jobResponse{
 		JobID: job.ID(), GraphID: id, Status: string(sched.StateDone), Class: string(class),
 		Engine: eng.Name(), Cached: hit,
-		Value: &res.Value, InCut: res.InCut, TreesScanned: res.TreesScanned, Fanout: job.Fanout(),
-		Node: s.nodeName(),
+		Value: &res.Value, InCut: res.InCut, TreesScanned: res.TreesScanned, Node: s.nodeName(),
 	})
 }
 
@@ -552,7 +548,6 @@ type batchEntry struct {
 	Value        *int64 `json:"value,omitempty"`
 	InCut        []bool `json:"in_cut,omitempty"`
 	TreesScanned int    `json:"trees_scanned,omitempty"`
-	Fanout       int    `json:"fanout,omitempty"`
 	Error        string `json:"error,omitempty"`
 }
 
@@ -578,11 +573,11 @@ func (s *Server) submit(sl *batchSlot, key sched.Key, g *parcut.Graph, class sch
 }
 
 // streamBatch writes the response of a batch whose items were all
-// submitted up front, so overlapping seeds and boost fan-outs coalesce in
-// the scheduler: head opens the envelope, then each entry follows in item
-// order, flushed as soon as it is final — a local solve once it finishes
-// or ctx ends (status "unfinished"), a forwarded item once its owner has
-// answered for it. Per-item failures are reported in the entries, not by
+// submitted up front, so repeated items coalesce in the scheduler: head
+// opens the envelope, then each entry follows in item order, flushed as
+// soon as it is final — a local solve once it finishes or ctx ends
+// (status "unfinished"), a forwarded item once its owner has answered
+// for it. Per-item failures are reported in the entries, not by
 // the HTTP status, which is committed before the first solve completes.
 func (s *Server) streamBatch(ctx context.Context, w http.ResponseWriter, r *http.Request, head string, slots []batchSlot) {
 	w.Header().Set("Content-Type", "application/json")
@@ -596,7 +591,7 @@ func (s *Server) streamBatch(ctx context.Context, w http.ResponseWriter, r *http
 			detach := attachJobSpan(r, sl.job)
 			res, err := s.sch.Wait(ctx, sl.job)
 			detach()
-			sl.entry.JobID, sl.entry.Fanout = sl.job.ID(), sl.job.Fanout()
+			sl.entry.JobID = sl.job.ID()
 			if err != nil {
 				sl.entry.Status, sl.entry.Error = "unfinished", err.Error()
 			} else {
@@ -706,7 +701,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := jobResponse{
 		JobID: st.ID, GraphID: st.GraphID, Status: string(st.State), Class: string(st.Class),
-		Engine: st.Engine, Fanout: st.Fanout, Error: st.Err, Node: s.nodeName(),
+		Engine: st.Engine, Error: st.Err, Node: s.nodeName(),
 	}
 	fraction := st.Fraction
 	resp.Fraction = &fraction
@@ -897,9 +892,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	counter("mincutd_cache_hits_total", "Submissions served without a new solver run (cached result or coalesced onto an in-flight job).", m.CacheHits)
 	counter("mincutd_jobs_coalesced_total", "Submissions that joined an in-flight job (subset of cache hits).", m.Coalesced)
-	counter("mincutd_boost_fanouts_total", "Boosted solves decomposed into parallel sub-jobs.", m.Fanouts)
-	counter("mincutd_boost_subjobs_total", "Sub-jobs requested by boost fan-outs.", m.SubJobs)
-	counter("mincutd_boost_subjobs_shared_total", "Fan-out sub-jobs served by an existing or cached run.", m.SubJobsShared)
 	gauge("mincutd_queue_depth", "Jobs waiting for a worker (sum; class label breaks it down).", int64(m.QueueDepth))
 	for _, c := range m.Classes {
 		fmt.Fprintf(&b, "mincutd_queue_depth{class=%q} %d\n", c.Class, c.QueueDepth)

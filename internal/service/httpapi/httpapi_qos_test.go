@@ -218,7 +218,7 @@ func TestJobStatusReportsClassAndProgress(t *testing.T) {
 // whose queue cap is full gets 429 and the labelled rejection counter.
 func TestClassValidationAndCapRejections(t *testing.T) {
 	ts := newTestServerCfg(t, sched.Config{
-		Workers: 1, MaxFanout: 1,
+		Workers:        1,
 		ClassQueueCaps: map[sched.Class]int{sched.ClassBackground: 1},
 	})
 	id := ts.uploadCycle(t, 8)

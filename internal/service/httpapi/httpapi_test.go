@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -431,48 +432,60 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
-// TestBatchBoostSharesRunsAcrossOverlappingRanges: a boosted batch item
-// fans out into per-run sub-jobs; a later batch asking for one of those
-// derived seeds directly must be served from the shared run cache.
-func TestBatchBoostSharesRunsAcrossOverlappingRanges(t *testing.T) {
+// TestBoostMatchesLibrary: a boosted solve over HTTP, as a single request
+// and as a mincut:batch item, returns the Value, TreesScanned and
+// partition that parcut.MinCut returns for the same Seed, Boost and
+// Engine on the uploaded (canonical) graph.
+func TestBoostMatchesLibrary(t *testing.T) {
 	ts := newTestServer(t, 2)
-	id := ts.uploadCycle(t, 8)
-	var out batchBody
-	// Boost fan-out is paper-engine machinery; under the default "auto"
-	// this small graph would go to stoerwagner, where boost collapses.
-	code, raw := ts.do(t, "POST", "/v1/graphs/"+id+"/mincut:batch", "application/json",
-		[]byte(`{"items": [{"seed": 5, "boost": 4}], "engine": "geissmann"}`), &out)
-	if code != http.StatusOK || len(out.Results) != 1 {
-		t.Fatalf("boosted batch: %d %s", code, raw)
+	g := parcut.RandomGraph(60, 240, 50, 42).Canonical()
+	var text bytes.Buffer
+	if err := g.Write(&text); err != nil {
+		t.Fatal(err)
 	}
-	if e := out.Results[0]; e.Status != "done" || e.Fanout != 4 || *e.Value != 4 {
-		t.Fatalf("boosted entry: %+v", e)
+	var gr graphResponse
+	if code, raw := ts.do(t, "POST", "/v1/graphs", "", text.Bytes(), &gr); code != http.StatusCreated {
+		t.Fatalf("upload: %d %s", code, raw)
 	}
-	if n := ts.metric(t, "mincutd_boost_subjobs_total"); n != 4 {
-		t.Fatalf("boost sub-jobs = %d, want 4", n)
-	}
-	hitsBefore := ts.metric(t, "mincutd_cache_hits_total")
-	// Runs 1 and 3 of the boost, requested as plain seeds (same engine, or
-	// the keys wouldn't overlap).
-	body := fmt.Sprintf(`{"seeds": [%d, %d], "engine": "geissmann"}`,
-		parcut.BoostSeed(5, 1), parcut.BoostSeed(5, 3))
-	code, raw = ts.do(t, "POST", "/v1/graphs/"+id+"/mincut:batch", "application/json", []byte(body), &out)
-	if code != http.StatusOK {
-		t.Fatalf("overlap batch: %d %s", code, raw)
-	}
-	for i, e := range out.Results {
-		if e.Status != "done" || !e.Cached {
-			t.Fatalf("overlap entry %d not served from shared runs: %+v", i, e)
+	for _, eng := range []string{"geissmann", "andersonblelloch"} {
+		want, err := parcut.MinCut(g, parcut.Options{Seed: 5, Boost: 8, WantPartition: true, Engine: eng})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if hits := ts.metric(t, "mincutd_cache_hits_total"); hits != hitsBefore+2 {
-		t.Fatalf("cache hits = %d, want %d", hits, hitsBefore+2)
+		check := func(route string, value *int64, inCut []bool, trees int) {
+			t.Helper()
+			if value == nil || *value != want.Value || trees != want.TreesScanned || !slices.Equal(inCut, want.InCut) {
+				t.Fatalf("%s %s: value %v, %d trees; library %d, %d trees (or partitions differ)",
+					eng, route, value, trees, want.Value, want.TreesScanned)
+			}
+		}
+		var jr jobResponse
+		code, raw := ts.do(t, "POST", "/v1/graphs/"+gr.ID+"/mincut", "application/json",
+			[]byte(fmt.Sprintf(`{"seed": 5, "boost": 8, "want_partition": true, "engine": %q}`, eng)), &jr)
+		if code != http.StatusOK {
+			t.Fatalf("%s mincut: %d %s", eng, code, raw)
+		}
+		check("mincut", jr.Value, jr.InCut, jr.TreesScanned)
+		// A different seed in the batch, so the item is a fresh solve and
+		// not the cached single request.
+		want, err = parcut.MinCut(g, parcut.Options{Seed: 6, Boost: 8, WantPartition: true, Engine: eng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out batchBody
+		code, raw = ts.do(t, "POST", "/v1/graphs/"+gr.ID+"/mincut:batch", "application/json",
+			[]byte(fmt.Sprintf(`{"items": [{"seed": 6, "boost": 8}], "want_partition": true, "engine": %q}`, eng)), &out)
+		if code != http.StatusOK || len(out.Results) != 1 || out.Results[0].Status != "done" || out.Results[0].Cached {
+			t.Fatalf("%s batch: %d %s", eng, code, raw)
+		}
+		e := out.Results[0]
+		check("mincut:batch", e.Value, e.InCut, e.TreesScanned)
 	}
 }
 
 // TestBatchClientDisconnectCancelsJobs: dropping a batch request
-// mid-flight must unwind its jobs — the running sub-job aborts and the
-// queued ones leave the scheduler instead of burning workers.
+// mid-flight must unwind its job — the running boost aborts between runs
+// instead of burning the worker.
 func TestBatchClientDisconnectCancelsJobs(t *testing.T) {
 	ts := newTestServer(t, 1)
 	id := ts.uploadCycle(t, 8)
@@ -495,42 +508,39 @@ func TestBatchClientDisconnectCancelsJobs(t *testing.T) {
 	ts.waitMetric(t, "mincutd_jobs_running", 1)
 	cancel()
 	<-done
-	// The parent and every sub-job must reach a terminal state and the
-	// queue must empty without the worker grinding through doomed chunks.
-	ts.waitMetricAtLeast(t, "mincutd_jobs_canceled_total", 2)
+	// The job must reach a terminal state without finishing its runs.
+	ts.waitMetric(t, "mincutd_jobs_canceled_total", 1)
 	ts.waitMetric(t, "mincutd_queue_depth", 0)
 	ts.waitMetric(t, "mincutd_jobs_running", 0)
 	if solves := ts.metric(t, "mincutd_solve_seconds_count"); solves != 0 {
-		t.Fatalf("solver runs = %d, want 0 (no chunk ran to completion)", solves)
+		t.Fatalf("solver runs = %d, want 0 (the boost never completed)", solves)
 	}
 }
 
-// TestMetricsExposeFanoutAndRejections: the new counters must appear in
-// the Prometheus exposition with sane values.
-func TestMetricsExposeFanoutAndRejections(t *testing.T) {
+// TestMetricsCountBoostAsOneJob: a boosted solve is one submission, one
+// dispatch, one completed job and one solver run in the Prometheus
+// exposition, with no rejections.
+func TestMetricsCountBoostAsOneJob(t *testing.T) {
 	ts := newTestServer(t, 2)
 	id := ts.uploadCycle(t, 8)
-	var jr jobResponse
 	code, raw := ts.do(t, "POST", "/v1/graphs/"+id+"/mincut", "application/json",
-		[]byte(`{"seed": 1, "boost": 3, "engine": "geissmann"}`), &jr)
-	if code != http.StatusOK || jr.Fanout != 3 {
-		t.Fatalf("boosted solve: %d %s (want fanout 3)", code, raw)
+		[]byte(`{"seed": 1, "boost": 3, "engine": "geissmann"}`), nil)
+	if code != http.StatusOK {
+		t.Fatalf("boosted solve: %d %s", code, raw)
 	}
-	if n := ts.metric(t, "mincutd_boost_fanouts_total"); n != 1 {
-		t.Fatalf("fanouts = %d, want 1", n)
-	}
-	if n := ts.metric(t, "mincutd_boost_subjobs_total"); n != 3 {
-		t.Fatalf("sub-jobs = %d, want 3", n)
+	for _, name := range []string{
+		"mincutd_jobs_submitted_total",
+		"mincutd_jobs_dispatched_total",
+		"mincutd_jobs_completed_total",
+		"mincutd_solve_seconds_count",
+		"mincutd_jobs_running_peak",
+	} {
+		if n := ts.metric(t, name); n != 1 {
+			t.Fatalf("%s = %d, want 1", name, n)
+		}
 	}
 	if n := ts.metric(t, "mincutd_jobs_rejected_total"); n != 0 {
 		t.Fatalf("rejected = %d, want 0", n)
-	}
-	if n := ts.metric(t, "mincutd_jobs_running_peak"); n < 1 {
-		t.Fatalf("running peak = %d, want >= 1", n)
-	}
-	// Submissions: 1 external solve; fan-out children are not submissions.
-	if n := ts.metric(t, "mincutd_jobs_submitted_total"); n != 1 {
-		t.Fatalf("submitted = %d, want 1", n)
 	}
 }
 

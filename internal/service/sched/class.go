@@ -144,19 +144,11 @@ func (s *Scheduler) unqueueLocked(j *Job) {
 }
 
 // escalateLocked raises j to class c when c is stronger than j's current
-// class, requeueing a still-queued job onto the stronger queue. Fan-out
-// parents escalate their children, so a batch boost joined by an
-// interactive caller stops queueing behind other batch work. Coalescing
-// calls this: the job serves its strongest waiter. Caller holds s.mu.
+// class, requeueing a still-queued job onto the stronger queue.
+// Coalescing calls this: the job serves its strongest waiter. Caller
+// holds s.mu.
 func (s *Scheduler) escalateLocked(j *Job, c Class) {
 	if classRank(c) >= classRank(j.class) {
-		return
-	}
-	if j.group != nil {
-		for _, child := range j.group.children {
-			s.escalateLocked(child, c)
-		}
-		j.class = c
 		return
 	}
 	if j.state == StateQueued && j.heapIdx >= 0 {

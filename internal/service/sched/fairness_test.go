@@ -72,7 +72,7 @@ func TestBackgroundSaturationDoesNotStarveInteractive(t *testing.T) {
 func TestWeightsShiftDispatchShares(t *testing.T) {
 	share := func(weights map[Class]int) (batch, background int) {
 		t.Helper()
-		s := New(Config{Workers: 1, MaxFanout: 1, ClassWeights: weights})
+		s := New(Config{Workers: 1, ClassWeights: weights})
 		defer shutdown(t, s)
 		unblock := block(t, s)
 		defer unblock()
@@ -125,7 +125,7 @@ func TestWeightsShiftDispatchShares(t *testing.T) {
 // submitting class away with ErrClassQueueFull while other classes (and
 // joins of existing jobs) still get in.
 func TestClassQueueCapRejects(t *testing.T) {
-	s := New(Config{Workers: 1, MaxFanout: 1, ClassQueueCaps: map[Class]int{ClassBackground: 2}})
+	s := New(Config{Workers: 1, ClassQueueCaps: map[Class]int{ClassBackground: 2}})
 	defer shutdown(t, s)
 	unblock := block(t, s)
 	defer unblock()
@@ -160,7 +160,7 @@ func TestClassQueueCapRejects(t *testing.T) {
 // TestGlobalQueueCapRejects: the cross-class bound rejects with
 // ErrQueueFull once the total queue is full.
 func TestGlobalQueueCapRejects(t *testing.T) {
-	s := New(Config{Workers: 1, MaxFanout: 1, MaxQueue: 2})
+	s := New(Config{Workers: 1, MaxQueue: 2})
 	defer shutdown(t, s)
 	unblock := block(t, s)
 	defer unblock()
@@ -180,31 +180,22 @@ func TestGlobalQueueCapRejects(t *testing.T) {
 	}
 }
 
-// TestSubJobsInheritParentClass is the fan-out priority bugfix: a
-// background boost's sub-jobs queue as background, so a later interactive
-// job overtakes all of them.
-func TestSubJobsInheritParentClass(t *testing.T) {
-	s := New(Config{Workers: 1, MaxFanout: 4})
+// TestBoostedJobQueuesAsOneJob: a queued background Boost=4 request takes
+// one slot of its class's queue, an interactive job submitted after it
+// still dispatches first, and all four runs happen inside that one job.
+func TestBoostedJobQueuesAsOneJob(t *testing.T) {
+	s := New(Config{Workers: 1})
 	defer shutdown(t, s)
-	// A single-run blocker (Boost 1 never fans out) so the only queued
-	// jobs below are the ones this test submits.
-	blocker, _, err := s.Submit(Key{GraphID: "blocker", Opt: SolveOptions{Seed: 7}}, slow(), SubmitOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bctx, bcancel := context.WithCancel(context.Background())
-	go s.Wait(bctx, blocker)
-	defer bcancel()
-	waitUntil(t, "blocker running", func() bool { return s.Metrics().Running >= 1 })
-	unblock := bcancel
+	unblock := block(t, s)
+	defer unblock()
 
-	parent, _, err := s.Submit(Key{GraphID: "boost", Opt: SolveOptions{Seed: 3, Boost: 4}},
+	boosted, _, err := s.Submit(Key{GraphID: "boost", Opt: SolveOptions{Seed: 3, Boost: 4}},
 		cycle(t, 16), SubmitOpts{Class: ClassBackground, Detached: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := classMetrics(s.Metrics(), ClassBackground).QueueDepth; d != 4 {
-		t.Fatalf("background queue depth = %d after background fanout, want 4 (children must inherit the class)", d)
+	if d := classMetrics(s.Metrics(), ClassBackground).QueueDepth; d != 1 {
+		t.Fatalf("background queue depth = %d after a Boost=4 submit, want 1", d)
 	}
 	vip, _, err := s.Submit(Key{GraphID: "vip", Opt: SolveOptions{Seed: 1}}, cycle(t, 64), SubmitOpts{})
 	if err != nil {
@@ -214,36 +205,15 @@ func TestSubJobsInheritParentClass(t *testing.T) {
 	if _, err := s.Wait(context.Background(), vip); err != nil {
 		t.Fatal(err)
 	}
-	<-parent.Done()
-	st, _ := s.Job(vip.ID())
-	// Blocker was dispatch 1; the interactive job must beat every one of
-	// the four earlier-submitted background children (its graph is even
-	// bigger, so smallest-graph-first cannot explain the win).
-	if st.DispatchSeq != 2 {
-		t.Fatalf("interactive DispatchSeq = %d, want 2 (background children jumped ahead)", st.DispatchSeq)
+	<-boosted.Done()
+	// The blocker was dispatch 1; the interactive job must come next (its
+	// graph is bigger, so smallest-graph-first cannot explain the win).
+	if st, _ := s.Job(vip.ID()); st.DispatchSeq != 2 {
+		t.Fatalf("interactive DispatchSeq = %d, want 2 (the background boost jumped ahead)", st.DispatchSeq)
 	}
-	pst, _ := s.Job(parent.ID())
-	if pst.Class != ClassBackground || pst.State != StateDone {
-		t.Fatalf("parent status = %+v, want done background", pst)
-	}
-	// The fan-out parent's own event stream must show life between
-	// "running" and the terminal result: a phase event at decomposition
-	// and a progress milestone per finished chunk.
-	pevs, _, ended := parent.Events(0)
-	if !ended {
-		t.Fatal("fan-out parent event log not ended")
-	}
-	var phases, progresses int
-	for _, ev := range pevs {
-		switch ev.Type {
-		case "phase":
-			phases++
-		case "progress":
-			progresses++
-		}
-	}
-	if phases == 0 || progresses < 4 {
-		t.Fatalf("parent events: %d phase, %d progress (want >=1 and >=4 for 4 chunks): %+v", phases, progresses, pevs)
+	st, _ := s.Job(boosted.ID())
+	if st.Class != ClassBackground || st.State != StateDone || st.DispatchSeq != 3 || st.Progress.RunsDone != 4 {
+		t.Fatalf("boosted status = %+v, want done background dispatch 3 with 4 runs", st)
 	}
 }
 
@@ -251,7 +221,7 @@ func TestSubJobsInheritParentClass(t *testing.T) {
 // background job pulls the job into the interactive queue, so the shared
 // solve is dispatched at the stronger waiter's priority.
 func TestCoalesceEscalatesQueuedJob(t *testing.T) {
-	s := New(Config{Workers: 1, MaxFanout: 1})
+	s := New(Config{Workers: 1})
 	defer shutdown(t, s)
 	unblock := block(t, s)
 	defer unblock()

@@ -106,10 +106,6 @@ type counters struct {
 	// higher-class request coalesced onto them.
 	escalated atomic.Int64
 
-	fanouts       atomic.Int64
-	subJobs       atomic.Int64
-	subJobsShared atomic.Int64
-
 	solveCount atomic.Int64
 	solveNanos atomic.Int64
 	buckets    [len(latencyBuckets)]atomic.Int64 // cumulative, le semantics
@@ -234,16 +230,11 @@ type Metrics struct {
 	// either a finished cached result or joining an in-flight job.
 	// Coalesced is the in-flight-join subset.
 	CacheHits, Coalesced int64
-	// Fanouts counts boosted solves decomposed into sub-jobs; SubJobs the
-	// sub-jobs requested by those fan-outs; SubJobsShared the subset
-	// served by an existing or cached run instead of a fresh one.
-	Fanouts, SubJobs, SubJobsShared int64
 	// SolveCount and SolveNanos accumulate completed solver runs and
 	// their total wall time; LatencyBuckets is the cumulative histogram.
 	SolveCount, SolveNanos int64
 	LatencyBuckets         []LatencyBucket
-	// QueueDepth and Running are current gauges (fan-out parents, which
-	// never occupy a worker, count in neither); PeakRunning is Running's
+	// QueueDepth and Running are current gauges; PeakRunning is Running's
 	// high-water mark; Workers is the pool size; PoolWidth is the
 	// executor width each worker owns (Workers × PoolWidth caps the
 	// solver's total parallelism).
@@ -268,9 +259,6 @@ func (c *counters) snapshot() Metrics {
 		Escalated:         c.escalated.Load(),
 		CacheHits:         c.cacheHits.Load(),
 		Coalesced:         c.coalesced.Load(),
-		Fanouts:           c.fanouts.Load(),
-		SubJobs:           c.subJobs.Load(),
-		SubJobsShared:     c.subJobsShared.Load(),
 		SolveCount:        c.solveCount.Load(),
 		SolveNanos:        c.solveNanos.Load(),
 	}

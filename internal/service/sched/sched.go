@@ -24,15 +24,9 @@
 // scheduler uses exactly Workers × SolveParallelism lanes instead of
 // oversubscribing the box. Executor width never affects results.
 //
-// Boosted solves fan out: a Boost=k request is decomposed into up to
-// MaxFanout sub-jobs covering disjoint run ranges (parcut.BoostSeed makes
-// the chunking exact), scheduled across the pool like any other job and
-// merged by a deterministic reduction — smallest Value, ties to the lowest
-// run index — so the merged result is bit-for-bit the sequential Boost
-// loop's. Sub-jobs are keyed like ordinary requests, so overlapping boost
-// requests and plain single-seed requests share runs through the same
-// singleflight cache, and canceling the parent cancels sub-jobs nobody
-// else is waiting on.
+// A boosted request (Boost=k) is one job like any other: its worker runs
+// parcut's boost loop on its own executor, so the result is exactly the
+// library's for the same options.
 package sched
 
 import (
@@ -73,10 +67,9 @@ var ErrUnknownEngine = errors.New("sched: unknown engine")
 // SolveOptions is the comparable subset of parcut.Options that, together
 // with the graph ID, keys the result cache. Submit normalizes it so
 // equivalent requests share one key: Boost 0 and 1 both mean a single
-// run, the empty Engine means the default, and options the chosen engine
-// cannot use are zeroed — a non-boost-decomposable engine runs once
-// whatever Boost says, and a seed-insensitive (exact) engine returns the
-// same result for every seed, so all seeds map to one cache entry.
+// run, the empty Engine means the default, and an exact engine drops Seed
+// and Boost — it runs once and returns the same result for every seed, so
+// all its requests for a graph map to one cache entry.
 // Without Engine in the key, two engines' results for the same graph and
 // seed would collide in the cache.
 type SolveOptions struct {
@@ -95,14 +88,9 @@ func (o SolveOptions) normalized() SolveOptions {
 	if o.Engine == "" {
 		o.Engine = engine.Default
 	}
-	if eng, ok := engine.Lookup(o.Engine); ok {
-		caps := eng.Caps()
-		if !caps.BoostDecomposable {
-			o.Boost = 1
-		}
-		if !caps.Seeded {
-			o.Seed = 0
-		}
+	if eng, ok := engine.Lookup(o.Engine); ok && eng.Caps().Exact {
+		o.Boost = 1
+		o.Seed = 0
 	}
 	return o
 }
@@ -133,17 +121,9 @@ const (
 	StateCanceled State = "canceled"
 )
 
-// fanout is the bookkeeping of a decomposed boost solve: the parent job
-// waits (off-worker) for its children and merges their results. children
-// is immutable after construction.
-type fanout struct {
-	children []*Job
-}
-
-// Job is one scheduled (possibly shared) solver run, or the parent of a
-// boost fan-out. All mutable fields are guarded by the owning scheduler's
-// mutex; Done is closed exactly once when the job reaches a terminal
-// state.
+// Job is one scheduled (possibly shared) solve. All mutable fields are
+// guarded by the owning scheduler's mutex; Done is closed exactly once
+// when the job reaches a terminal state.
 type Job struct {
 	id  string
 	key Key
@@ -159,8 +139,7 @@ type Job struct {
 	cancel context.CancelCauseFunc
 
 	waiters  int
-	detached bool    // submitted without a waiter; never auto-canceled
-	group    *fanout // non-nil for boost fan-out parents
+	detached bool // submitted without a waiter; never auto-canceled
 
 	// prog is the live progress sink threaded into the solver; its hook
 	// feeds the event log and the phase-seconds metrics.
@@ -219,37 +198,6 @@ func (j *Job) ID() string { return j.id }
 // Done is closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// Progress returns a live snapshot of the job's solver counters. For a
-// fan-out parent it aggregates the children's sinks (phase "fanout").
-// Safe to call at any time; purely atomic reads.
-func (j *Job) Progress() parcut.ProgressSnapshot {
-	if j.group == nil {
-		return j.prog.Snapshot()
-	}
-	agg := parcut.ProgressSnapshot{Phase: "fanout", RunsTotal: int64(j.key.Opt.Boost)}
-	for _, c := range j.group.children {
-		ps := c.prog.Snapshot()
-		agg.RunsDone += ps.RunsDone
-		agg.PackRoundsDone += ps.PackRoundsDone
-		agg.PackRoundsTotal += ps.PackRoundsTotal
-		agg.TreesScanned += ps.TreesScanned
-		agg.TreesTotal += ps.TreesTotal
-		agg.BoughPhasesDone += ps.BoughPhasesDone
-		agg.BoughsProcessed += ps.BoughsProcessed
-	}
-	return agg
-}
-
-// Fanout returns the number of sub-jobs a boosted solve was decomposed
-// into, 0 for ordinary jobs. It is fixed at Submit time, so reading it
-// never contends with the scheduler.
-func (j *Job) Fanout() int {
-	if j.group == nil {
-		return 0
-	}
-	return len(j.group.children)
-}
-
 // Status is a snapshot of a job visible to API clients.
 type Status struct {
 	ID      string
@@ -263,18 +211,13 @@ type Status struct {
 	Value        int64
 	InCut        []bool
 	TreesScanned int
-	// Fanout is the number of sub-jobs a boosted solve was decomposed
-	// into; 0 for ordinary jobs.
-	Fanout int
-	// Progress is the live solver snapshot (aggregated over sub-jobs for
-	// fan-out parents); Fraction is its display-oriented completion
-	// estimate, forced to 1 for done jobs.
+	// Progress is the live solver snapshot; Fraction is its
+	// display-oriented completion estimate, forced to 1 for done jobs.
 	Progress parcut.ProgressSnapshot
 	Fraction float64
 	Err      string
 	Created  time.Time
-	// Dispatched is when a worker picked the job up (zero while queued
-	// and for fan-out parents, which never occupy a worker);
+	// Dispatched is when a worker picked the job up (zero while queued);
 	// DispatchSeq is the job's position in the scheduler's global
 	// dispatch order (1-based; 0 = never dispatched) — fairness tests
 	// and audits read the weighted-fair interleaving from it.
@@ -296,11 +239,6 @@ type Config struct {
 	// let 1024 partitions of huge graphs (or 1024 full event logs) dwarf
 	// the registry budget. 0 means 256 MiB.
 	HistoryBytes int64
-	// MaxFanout caps how many sub-jobs a boosted solve is decomposed
-	// into (larger boosts get chunked run ranges). 0 means
-	// max(2*Workers, 8); 1 disables fan-out, running the boost loop
-	// sequentially inside one worker.
-	MaxFanout int
 	// SolveParallelism is the executor width each solver worker owns:
 	// the machine's cores are partitioned across the pool instead of
 	// oversubscribed (the pre-pool behavior was Workers × GOMAXPROCS
@@ -315,10 +253,7 @@ type Config struct {
 	ClassWeights map[Class]int
 	// ClassQueueCaps bounds each class's queued jobs; a Submit that would
 	// queue past the cap returns ErrClassQueueFull. 0 or missing means
-	// unbounded. Boost fan-out children are admitted with their parent
-	// but occupy real queue slots of the parent's class, so they count
-	// against the cap for later submissions — one huge boost exerts the
-	// same backpressure as the equivalent number of plain jobs.
+	// unbounded. A boosted job takes one slot, like any other job.
 	ClassQueueCaps map[Class]int
 	// MaxQueue bounds the total queued jobs across classes; Submit
 	// returns ErrQueueFull past it. 0 means unbounded.
@@ -350,7 +285,6 @@ type Scheduler struct {
 	workers      int
 	history      int
 	historyBytes int64
-	maxFanout    int
 	solveWidth   int // executor width per solver worker
 	maxQueue     int
 	weights      [numClasses]int
@@ -378,7 +312,7 @@ type Scheduler struct {
 	nextSeq     uint64
 	dispatchSeq uint64
 	draining    bool
-	running     int // jobs currently on a worker (fan-out parents excluded)
+	running     int // jobs currently on a worker
 	peakRun     int // high-water mark of running
 
 	execMu sync.Mutex
@@ -399,12 +333,6 @@ func New(cfg Config) *Scheduler {
 	if cfg.HistoryBytes < 1 {
 		cfg.HistoryBytes = 256 << 20
 	}
-	if cfg.MaxFanout < 1 {
-		cfg.MaxFanout = 2 * cfg.Workers
-		if cfg.MaxFanout < 8 {
-			cfg.MaxFanout = 8
-		}
-	}
 	if cfg.SolveParallelism < 1 {
 		p := runtime.GOMAXPROCS(0)
 		cfg.SolveParallelism = (p + cfg.Workers - 1) / cfg.Workers
@@ -417,7 +345,6 @@ func New(cfg Config) *Scheduler {
 		workers:      cfg.Workers,
 		history:      cfg.History,
 		historyBytes: cfg.HistoryBytes,
-		maxFanout:    cfg.MaxFanout,
 		solveWidth:   cfg.SolveParallelism,
 		maxQueue:     cfg.MaxQueue,
 		traces:       cfg.Traces,
@@ -465,10 +392,6 @@ type SubmitOpts struct {
 // whether the request was a cache hit (no new solver run). Joining a job
 // escalates it to the stronger of its and the new request's class, so a
 // coalesced job always serves its most latency-sensitive waiter.
-//
-// A Boost > 1 request becomes a fan-out parent: its sub-jobs occupy
-// workers (inheriting the parent's class), the parent itself never does.
-// The parent reports StateRunning while its sub-jobs are in flight.
 //
 // Admission control applies to genuinely new work only (joins add no
 // queue entries): past Config.MaxQueue total queued jobs Submit returns
@@ -525,9 +448,6 @@ func (s *Scheduler) Submit(key Key, g *parcut.Graph, opts SubmitOpts) (*Job, boo
 	}
 	s.m.submitted.Add(1)
 	s.m.submittedBy[class.rank()].Add(1)
-	if key.Opt.Boost > 1 && s.maxFanout > 1 {
-		return s.newFanoutLocked(key, g, class, opts.Detached), false, nil
-	}
 	j := s.newJobLocked(key, g, class, opts.Detached)
 	s.pushLocked(j)
 	s.cond.Signal()
@@ -540,8 +460,8 @@ func doomed(j *Job) bool {
 	return j.ctx.Err() != nil && (j.state == StateQueued || j.state == StateRunning)
 }
 
-// newJobLocked allocates and registers a queued job (without pushing it to
-// its class queue — fan-out parents are never queued).
+// newJobLocked allocates and registers a queued job; the caller pushes it
+// to its class queue.
 func (s *Scheduler) newJobLocked(key Key, g *parcut.Graph, class Class, detached bool) *Job {
 	s.nextSeq++
 	jctx, jcancel := context.WithCancelCause(s.baseCtx)
@@ -584,161 +504,6 @@ func (s *Scheduler) newJobLocked(key Key, g *parcut.Graph, class Class, detached
 // disabled). HTTP handlers hang request spans off it; they must take a
 // Hold on its Recorder first and Release when done.
 func (j *Job) TraceSpan() trace.SpanRef { return j.rootSp }
-
-// newFanoutLocked decomposes a Boost=k solve into up to maxFanout
-// sub-jobs covering disjoint run ranges and registers the parent that
-// merges them. Sub-jobs inherit the parent's class — they are the
-// parent's work wearing smaller coats, so a background boost must not
-// have its pieces compete as if they were fresh interactive arrivals —
-// and go through the same singleflight keying as external requests, so
-// overlapping boost requests share runs. The merge goroutine is
-// registered on the scheduler's WaitGroup so Shutdown waits for parents,
-// not just workers.
-func (s *Scheduler) newFanoutLocked(key Key, g *parcut.Graph, class Class, detached bool) *Job {
-	parent := s.newJobLocked(key, g, class, detached)
-	parent.state = StateRunning // its sub-jobs are in flight from the start
-	parent.group = &fanout{}
-	s.m.fanouts.Add(1)
-
-	k := key.Opt.Boost
-	chunks := s.maxFanout
-	if k < chunks {
-		chunks = k
-	}
-	base, rem := k/chunks, k%chunks
-	start := 0
-	for i := 0; i < chunks; i++ {
-		size := base
-		if i < rem {
-			size++
-		}
-		// Children carry the parent's engine: without it two engines'
-		// sub-runs for the same seed range would collide in the cache.
-		childKey := Key{GraphID: key.GraphID, Opt: SolveOptions{
-			Seed:          parcut.BoostSeed(key.Opt.Seed, start),
-			WantPartition: key.Opt.WantPartition,
-			Boost:         size,
-			Engine:        key.Opt.Engine,
-		}}
-		child, fresh := s.submitChildLocked(childKey, g, class)
-		parent.group.children = append(parent.group.children, child)
-		// Link the traces both ways: the parent's trace names each child
-		// trace, and each child (when this parent created it) names the
-		// parent. A shared child keeps its original parent_trace link.
-		parent.rootSp.Attr("child_trace", child.id)
-		if fresh {
-			child.rootSp.Attr("parent_trace", parent.id)
-		}
-		start += size
-	}
-	// A fan-out parent never queues — its sub-jobs do — so its queue-wait
-	// span closes immediately.
-	parent.queueSp.End()
-	// The parent never solves; drop its graph reference now so only the
-	// children (and the registry) pin it.
-	parent.g = nil
-	parent.recordEvent(Event{Type: "state", State: StateRunning}, false)
-	ps := parent.Progress()
-	parent.recordEvent(Event{Type: "phase", Phase: ps.Phase, Progress: &ps, Fraction: fptr(ps.Fraction())}, true)
-	s.cond.Broadcast()
-	s.wg.Add(1)
-	go s.merge(parent)
-	return parent
-}
-
-// submitChildLocked is Submit's internal sibling for fan-out sub-jobs: the
-// parent counts as one waiter, the child inherits the parent's class, and
-// the sub-job counters move instead of the external submission counters.
-// A shared child is escalated if this parent's class is stronger. fresh
-// reports whether the child was created here (false: joined an existing
-// or cached job).
-func (s *Scheduler) submitChildLocked(key Key, g *parcut.Graph, class Class) (j *Job, fresh bool) {
-	s.m.subJobs.Add(1)
-	if prev, ok := s.byKey[key]; ok && !doomed(prev) {
-		s.m.subJobsShared.Add(1)
-		prev.waiters++
-		s.escalateLocked(prev, class)
-		return prev, false
-	}
-	j = s.newJobLocked(key, g, class, false)
-	s.pushLocked(j)
-	return j, true
-}
-
-// merge waits for a fan-out parent's children and publishes the reduced
-// result: smallest Value, ties broken by run index (children are held in
-// run order and each child reduces its own chunk the same way), matching
-// the sequential Boost loop exactly. If the parent is canceled, the
-// per-child waits give up, which drops the parent's waiter registration
-// on every child and thereby cancels the sub-jobs nobody else wants.
-func (s *Scheduler) merge(parent *Job) {
-	defer s.wg.Done()
-	children := parent.group.children
-	type sub struct {
-		res parcut.Result
-		err error
-	}
-	results := make([]sub, len(children))
-	mctx, mcancel := context.WithCancelCause(parent.ctx)
-	defer mcancel(nil)
-	var wg sync.WaitGroup
-	for i, c := range children {
-		wg.Add(1)
-		go func(i int, c *Job) {
-			defer wg.Done()
-			res, err := s.Wait(mctx, c)
-			results[i] = sub{res, err}
-			if err != nil {
-				// One failed run fails the whole boost; stop waiting on
-				// (and thereby release) the siblings.
-				mcancel(err)
-				return
-			}
-			// Each finished chunk is a progress milestone on the parent's
-			// own event stream — without this, watchers of a boosted job
-			// would see nothing between "running" and the terminal result
-			// (the children's phase events land on the children's logs).
-			ps := parent.Progress()
-			parent.recordEvent(Event{Type: "progress", Phase: ps.Phase, Progress: &ps, Fraction: fptr(ps.Fraction())}, true)
-		}(i, c)
-	}
-	wg.Wait()
-
-	var out parcut.Result
-	var err error
-	for i, r := range results {
-		if r.err != nil {
-			// Prefer a real solver failure over the sibling cancellations
-			// it triggered.
-			if err == nil || (isCancellation(err) && !isCancellation(r.err)) {
-				err = r.err
-			}
-			continue
-		}
-		if err != nil {
-			continue
-		}
-		if i == 0 || r.res.Value < out.Value {
-			out = parcut.Result{Value: r.res.Value, InCut: r.res.InCut, TreesScanned: out.TreesScanned + r.res.TreesScanned}
-		} else {
-			out.TreesScanned += r.res.TreesScanned
-		}
-	}
-	if err != nil {
-		out = parcut.Result{}
-		// Wait's errors carry the cancellation *cause* (a plain message),
-		// not context.Canceled itself; re-wrap so the parent classifies as
-		// canceled exactly when its own context was ended.
-		if ctxErr := parent.ctx.Err(); ctxErr != nil && !isCancellation(err) {
-			err = fmt.Errorf("sched: boost fan-out canceled (%v): %w", context.Cause(parent.ctx), ctxErr)
-		}
-	}
-	s.publish(parent, out, err)
-}
-
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
 
 // Wait blocks until j finishes or ctx is done, whichever is first. When
 // the last waiter of a still-unfinished, non-detached job gives up, the
@@ -802,9 +567,8 @@ func (s *Scheduler) releaseTraceLocked(j *Job) bool {
 }
 
 // Cancel aborts the job with the given ID. It reports whether the job
-// exists and had not already finished. A running job (or fan-out parent)
-// transitions through its worker or merge goroutine as before; a job
-// still in the queue is removed and published immediately, so queue depth
+// exists and had not already finished. A running job transitions through
+// its worker as before; a job still in the queue is removed and published immediately, so queue depth
 // and worker time are not spent on doomed work.
 func (s *Scheduler) Cancel(id string) bool {
 	s.mu.Lock()
@@ -878,12 +642,9 @@ func (s *Scheduler) statusLocked(j *Job) Status {
 		Dispatched:  j.dispatched,
 		DispatchSeq: j.dispatchSeq,
 		Finished:    j.finished,
-		Progress:    j.Progress(),
+		Progress:    j.prog.Snapshot(),
 	}
 	st.Fraction = st.Progress.Fraction()
-	if j.group != nil {
-		st.Fanout = len(j.group.children)
-	}
 	if j.state == StateDone {
 		st.Value = j.res.Value
 		st.InCut = j.res.InCut
@@ -942,7 +703,7 @@ func (s *Scheduler) Metrics() Metrics {
 }
 
 // Shutdown stops accepting new jobs and waits for queued and running work
-// (including fan-out merges) to finish. If ctx expires first, every
+// to finish. If ctx expires first, every
 // outstanding job is canceled and Shutdown waits (briefly, since the
 // solver aborts between phases) for the workers to exit, then returns
 // ctx's error.
@@ -1058,7 +819,7 @@ func (s *Scheduler) publish(j *Job, res parcut.Result, err error) {
 // waiters, and releases the job's context resources.
 func (s *Scheduler) finishPublish(j *Job) {
 	s.closePhaseTimer(j)
-	ev := Event{Type: "result", State: j.state, Terminal: true, Fraction: fptr(j.Progress().Fraction())}
+	ev := Event{Type: "result", State: j.state, Terminal: true, Fraction: fptr(j.prog.Snapshot().Fraction())}
 	if j.state == StateDone {
 		v := j.res.Value
 		ev.Value = &v
@@ -1096,8 +857,7 @@ func (s *Scheduler) finishPublish(j *Job) {
 				"packing", time.Duration(phase[0]),
 				"scan", time.Duration(phase[1]),
 				"contract", time.Duration(phase[2]),
-				"trees", j.res.TreesScanned,
-				"fanout", j.Fanout())
+				"trees", j.res.TreesScanned)
 		}
 	}
 	close(j.done)
@@ -1109,7 +869,7 @@ func (s *Scheduler) finishPublish(j *Job) {
 // finishPublish(j) after unlocking (done is closed outside the lock so
 // waiters that race with the publish never contend on it).
 func (s *Scheduler) publishLocked(j *Job, res parcut.Result, err error) {
-	if j.state == StateRunning && j.group == nil {
+	if j.state == StateRunning {
 		s.running--
 	}
 	j.res, j.err = res, err
@@ -1120,7 +880,7 @@ func (s *Scheduler) publishLocked(j *Job, res parcut.Result, err error) {
 		s.m.completed.Add(1)
 		s.m.completedBy[j.class.rank()].Add(1)
 		s.m.completedCell(j.class.rank(), j.engineIdx).Add(1)
-	case isCancellation(err):
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		j.state = StateCanceled
 		s.m.canceled.Add(1)
 	default:

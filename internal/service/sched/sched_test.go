@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -292,6 +293,10 @@ func TestMidRunCancellationAborts(t *testing.T) {
 	if st, _ := s.Job(j.ID()); st.Err == "" {
 		t.Fatalf("canceled job has no error: %+v", st)
 	}
+	// The Boost=2^20 job stopped between runs: no solve completed.
+	if m := s.Metrics(); m.SolveCount != 0 {
+		t.Fatalf("SolveCount = %d, want 0", m.SolveCount)
+	}
 }
 
 // TestHistoryBytesBoundsRetainedPartitions: finished jobs pin their InCut
@@ -372,148 +377,61 @@ func TestShutdownDeadlineCancelsStragglers(t *testing.T) {
 	}
 }
 
-// medium builds a graph whose single solve takes long enough (tens of
-// milliseconds — orders of magnitude above a queue pop) that fan-out
-// sub-jobs demonstrably overlap on a multi-worker pool.
-func medium() *parcut.Graph { return parcut.RandomGraph(150, 600, 100, 42) }
-
-// TestBoostFanOutMatchesSequential is the acceptance test for the boost
-// fan-out: a Boost=8 solve on a 4-worker scheduler must decompose into
-// sub-jobs that run concurrently on at least two workers, and the merged
-// result must be bit-for-bit the sequential Boost loop's.
-func TestBoostFanOutMatchesSequential(t *testing.T) {
-	g := medium()
-	opt := parcut.Options{Seed: 5, Boost: 8, WantPartition: true}
-	want, err := parcut.MinCut(g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+// TestBoostMatchesLibrary: a boosted request is one job that runs
+// parcut's boost loop on its worker, so its Value, TreesScanned and
+// partition equal parcut.MinCut's for the same Seed, Boost and Engine, and
+// it costs one dispatch and one solve however many runs it carries.
+func TestBoostMatchesLibrary(t *testing.T) {
+	g := parcut.RandomGraph(60, 240, 50, 42)
 	s := New(Config{Workers: 4})
 	defer shutdown(t, s)
-	j, hit, err := s.Submit(Key{GraphID: "m", Opt: SolveOptions{Seed: 5, Boost: 8, WantPartition: true}}, g, SubmitOpts{})
-	if err != nil || hit {
-		t.Fatalf("Submit: hit=%v err=%v", hit, err)
-	}
-	st, ok := s.Job(j.ID())
-	if !ok || st.Fanout != 8 || st.State != StateRunning {
-		t.Fatalf("parent status = %+v ok=%v, want fanout 8 running", st, ok)
-	}
-	got, err := s.Wait(context.Background(), j)
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	if got.Value != want.Value || got.TreesScanned != want.TreesScanned {
-		t.Fatalf("fan-out result %+v, sequential %+v", got, want)
-	}
-	if len(got.InCut) != len(want.InCut) {
-		t.Fatalf("partition length %d vs %d", len(got.InCut), len(want.InCut))
-	}
-	for v := range got.InCut {
-		if got.InCut[v] != want.InCut[v] {
-			t.Fatalf("partitions differ at vertex %d", v)
+	for i, eng := range []string{"geissmann", "andersonblelloch"} {
+		want, err := parcut.MinCut(g, parcut.Options{Seed: 5, Boost: 8, WantPartition: true, Engine: eng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, hit, err := s.Submit(Key{GraphID: "m", Opt: SolveOptions{Seed: 5, Boost: 8, WantPartition: true, Engine: eng}}, g, SubmitOpts{})
+		if err != nil || hit {
+			t.Fatalf("%s Submit: hit=%v err=%v", eng, hit, err)
+		}
+		got, err := s.Wait(context.Background(), j)
+		if err != nil {
+			t.Fatalf("%s Wait: %v", eng, err)
+		}
+		if got.Value != want.Value || got.TreesScanned != want.TreesScanned || !slices.Equal(got.InCut, want.InCut) {
+			t.Fatalf("%s: scheduled boost %+v, library %+v", eng, got, want)
+		}
+		if st, _ := s.Job(j.ID()); st.Progress.RunsDone != 8 {
+			t.Fatalf("%s: RunsDone = %d, want 8 runs in the one job", eng, st.Progress.RunsDone)
+		}
+		if m := s.Metrics(); m.SolveCount != int64(i+1) || m.PeakRunning != 1 {
+			t.Fatalf("%s: SolveCount = %d, PeakRunning = %d; want %d and 1 (one job per request)",
+				eng, m.SolveCount, m.PeakRunning, i+1)
 		}
 	}
-	m := s.Metrics()
-	if m.Fanouts != 1 || m.SubJobs != 8 || m.SubJobsShared != 0 {
-		t.Fatalf("fan-out metrics = %+v, want 1 fanout, 8 fresh sub-jobs", m)
-	}
-	if m.SolveCount != 8 {
-		t.Fatalf("SolveCount = %d, want 8 single-run solves", m.SolveCount)
-	}
-	if m.PeakRunning < 2 {
-		t.Fatalf("PeakRunning = %d, want >= 2 (sub-jobs never overlapped)", m.PeakRunning)
-	}
 }
 
-// TestBoostChunkingComposes: when Boost exceeds MaxFanout, run ranges are
-// chunked; BoostSeed's additivity must keep the merged result identical
-// to the sequential loop.
-func TestBoostChunkingComposes(t *testing.T) {
-	g := cycle(t, 16)
-	opt := parcut.Options{Seed: 9, Boost: 8, WantPartition: true}
-	want, err := parcut.MinCut(g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(Config{Workers: 2, MaxFanout: 3}) // chunks of 3, 3, 2 runs
-	defer shutdown(t, s)
-	j, _, err := s.Submit(Key{GraphID: "c", Opt: SolveOptions{Seed: 9, Boost: 8, WantPartition: true}}, g, SubmitOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Wait(context.Background(), j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Value != want.Value || got.TreesScanned != want.TreesScanned {
-		t.Fatalf("chunked result %+v, sequential %+v", got, want)
-	}
-	for v := range got.InCut {
-		if got.InCut[v] != want.InCut[v] {
-			t.Fatalf("partitions differ at vertex %d", v)
-		}
-	}
-	if m := s.Metrics(); m.SubJobs != 3 {
-		t.Fatalf("SubJobs = %d, want 3 chunks", m.SubJobs)
-	}
-}
-
-// TestBoostSubJobsShareRunsWithPlainRequests: a plain request for one of
-// a boost's derived seeds must be served by the same run, and vice versa.
-func TestBoostSubJobsShareRunsWithPlainRequests(t *testing.T) {
-	s := New(Config{Workers: 2})
-	defer shutdown(t, s)
-	g := cycle(t, 8)
-	// Solve run 1's seed as a plain request first.
-	plain, _, err := s.Submit(Key{GraphID: "g", Opt: SolveOptions{Seed: parcut.BoostSeed(3, 1)}}, g, SubmitOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Wait(context.Background(), plain); err != nil {
-		t.Fatal(err)
-	}
-	// The Boost=2 solve needs runs 0 and 1; run 1 is already cached.
-	boosted, _, err := s.Submit(Key{GraphID: "g", Opt: SolveOptions{Seed: 3, Boost: 2}}, g, SubmitOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Wait(context.Background(), boosted); err != nil {
-		t.Fatal(err)
-	}
-	m := s.Metrics()
-	if m.SubJobs != 2 || m.SubJobsShared != 1 {
-		t.Fatalf("sub-job metrics = %+v, want 2 requested / 1 shared", m)
-	}
-	if m.SolveCount != 2 { // plain run + boost run 0; run 1 reused
-		t.Fatalf("SolveCount = %d, want 2", m.SolveCount)
-	}
-}
-
-// TestCancelParentCancelsSubJobs: canceling a fan-out parent must unwind
-// its children — the running one aborts, the queued ones leave the heap
-// without ever reaching a worker.
-func TestCancelParentCancelsSubJobs(t *testing.T) {
+// TestCancelBoostedJobStopsRuns: canceling a running Boost=2^20 job by ID
+// ends it between runs, with no solve completed. The last waiter leaving
+// is TestMidRunCancellationAborts.
+func TestCancelBoostedJobStopsRuns(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer shutdown(t, s)
-	parent, _, err := s.Submit(Key{GraphID: "slow", Opt: SolveOptions{Seed: 7, Boost: 4}}, slow(), SubmitOpts{Detached: true})
+	j, _, err := s.Submit(Key{GraphID: "slow", Opt: slowOpts()}, slow(), SubmitOpts{Detached: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "first sub-job running", func() bool { return s.Metrics().Running >= 1 })
-	if !s.Cancel(parent.ID()) {
-		t.Fatal("Cancel(parent) = false")
+	waitUntil(t, "job running", func() bool { return s.Metrics().Running == 1 })
+	if !s.Cancel(j.ID()) {
+		t.Fatal("Cancel = false for a running job")
 	}
-	waitUntil(t, "parent canceled", func() bool {
-		st, _ := s.Job(parent.ID())
-		return st.State == StateCanceled
-	})
-	m := s.Metrics()
-	if m.QueueDepth != 0 {
-		t.Fatalf("QueueDepth = %d after parent cancel, want 0", m.QueueDepth)
+	<-j.Done()
+	if st, _ := s.Job(j.ID()); st.State != StateCanceled {
+		t.Fatalf("state = %s, want canceled", st.State)
 	}
-	if m.SolveCount != 0 {
-		t.Fatalf("SolveCount = %d, want 0 (no sub-job ran to completion)", m.SolveCount)
+	if m := s.Metrics(); m.SolveCount != 0 || m.Running != 0 || m.QueueDepth != 0 {
+		t.Fatalf("SolveCount %d, Running %d, QueueDepth %d after cancel; want all 0",
+			m.SolveCount, m.Running, m.QueueDepth)
 	}
 }
 
@@ -526,23 +444,20 @@ func TestCancelQueuedJobLeavesHeapEagerly(t *testing.T) {
 	unblock := block(t, s)
 	defer unblock()
 
-	// The blocker's own queued sub-jobs contribute to the depth; only the
-	// victim's contribution matters here.
-	before := s.Metrics().QueueDepth
 	j, _, err := s.Submit(Key{GraphID: "victim", Opt: SolveOptions{Seed: 1}}, cycle(t, 8), SubmitOpts{Detached: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := s.Metrics().QueueDepth; d != before+1 {
-		t.Fatalf("QueueDepth = %d before cancel, want %d (the victim queued)", d, before+1)
+	if d := s.Metrics().QueueDepth; d != 1 {
+		t.Fatalf("QueueDepth = %d before cancel, want 1 (the victim queued)", d)
 	}
 	if !s.Cancel(j.ID()) {
 		t.Fatal("Cancel = false for a queued job")
 	}
 	// Eager: no worker has freed up, yet the depth already dropped and the
 	// job is terminal.
-	if d := s.Metrics().QueueDepth; d != before {
-		t.Fatalf("QueueDepth = %d after cancel, want %d", d, before)
+	if d := s.Metrics().QueueDepth; d != 0 {
+		t.Fatalf("QueueDepth = %d after cancel, want 0", d)
 	}
 	st, ok := s.Job(j.ID())
 	if !ok || st.State != StateCanceled || st.Err == "" {
@@ -648,12 +563,11 @@ func TestInvalidateGraphDropsCachedResults(t *testing.T) {
 }
 
 // TestInvalidateGraphWithInFlightJob: invalidating while a job runs lets
-// the job finish for its waiters but prevents later joins. MaxFanout 1
-// keeps the boosted blocker a single job (single cache key), and every
+// the job finish for its waiters but prevents later joins. Every
 // cancellation happens before the assertions so a failed expectation
 // cannot strand the drain.
 func TestInvalidateGraphWithInFlightJob(t *testing.T) {
-	s := New(Config{Workers: 1, MaxFanout: 1})
+	s := New(Config{Workers: 1})
 	defer shutdown(t, s)
 	key := Key{GraphID: "gf", Opt: slowOpts()}
 	j, _, err := s.Submit(key, slow(), SubmitOpts{})

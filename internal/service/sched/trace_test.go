@@ -91,47 +91,6 @@ func TestTraceHeldUntilLastWaiter(t *testing.T) {
 	}
 }
 
-// TestFanoutTraceLinks: a boosted solve's parent trace names its child
-// traces, fresh children point back, and every trace publishes.
-func TestFanoutTraceLinks(t *testing.T) {
-	ring := trace.NewRing(16)
-	s := New(Config{Workers: 2, MaxFanout: 3, Traces: ring})
-	defer shutdown(t, s)
-
-	j, _, err := s.Submit(Key{GraphID: "g1", Opt: SolveOptions{Seed: 3, Boost: 3}}, cycle(t, 24), SubmitOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Fanout() != 3 {
-		t.Fatalf("fanout = %d, want 3", j.Fanout())
-	}
-	if _, err := s.Wait(context.Background(), j); err != nil {
-		t.Fatal(err)
-	}
-	parent, ok := ring.Get(j.ID())
-	if !ok {
-		t.Fatal("parent trace missing")
-	}
-	var children []string
-	for _, a := range parent.Spans[0].Attrs {
-		if a.Key == "child_trace" {
-			children = append(children, a.Value)
-		}
-	}
-	if len(children) != 3 {
-		t.Fatalf("parent links %d children, want 3 (%+v)", len(children), parent.Spans[0].Attrs)
-	}
-	for _, id := range children {
-		ct, ok := ring.Get(id)
-		if !ok {
-			t.Fatalf("child trace %s missing", id)
-		}
-		if got := ct.RootAttr("parent_trace"); got != j.ID() {
-			t.Fatalf("child %s parent_trace = %q, want %q", id, got, j.ID())
-		}
-	}
-}
-
 // TestUntracedSchedulerHasNoSpans: without a ring, jobs carry no recorder
 // and TraceSpan is inert.
 func TestUntracedSchedulerHasNoSpans(t *testing.T) {

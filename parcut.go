@@ -201,9 +201,8 @@ type Options struct {
 	// "stoerwagner" (exact, deterministic O(n³) baseline), or "auto" (pick
 	// by graph size: small or dense graphs go to the sequential exact
 	// baseline, larger ones to the Anderson–Blelloch scan). Engines()
-	// lists the registered names. Options an engine cannot use are
-	// ignored: Boost runs once on non-boostable engines, Seed is
-	// irrelevant to exact ones.
+	// lists the registered names. An exact engine ignores Seed and runs
+	// once whatever Boost says.
 	Engine string
 	// Seed fixes all randomness; two runs with the same seed and input
 	// return identical results. The zero seed is a valid fixed seed.
@@ -403,7 +402,6 @@ func MinCutContext(ctx context.Context, G *Graph, opt Options) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("parcut: %w", err)
 	}
-	caps := eng.Caps()
 	var m *wd.Meter
 	if opt.CollectStats {
 		m = new(wd.Meter)
@@ -416,7 +414,7 @@ func MinCutContext(ctx context.Context, G *Graph, opt Options) (Result, error) {
 	if runs < 1 {
 		runs = 1
 	}
-	if !caps.BoostDecomposable {
+	if eng.Caps().Exact {
 		// Extra seeded runs cannot change this engine's answer; one run is
 		// the whole solve.
 		runs = 1

@@ -9,8 +9,8 @@ import (
 // TestBoostSeedDecomposition: run i of a Boost=k solve must equal run 0
 // of a single solve seeded with BoostSeed(seed, i), and the boosted
 // result must equal the deterministic reduction over those runs
-// (smallest Value, ties to the lowest run index) — the contract the
-// scheduler's parallel fan-out is built on.
+// (smallest Value, ties to the lowest run index) — the contract
+// BoostSeed documents for callers that split a boost themselves.
 func TestBoostSeedDecomposition(t *testing.T) {
 	g := parcut.RandomGraph(80, 320, 50, 11)
 	const seed, k = 21, 5
@@ -41,7 +41,7 @@ func TestBoostSeedDecomposition(t *testing.T) {
 	}
 }
 
-// TestBoostSeedAdditive: chunked decompositions rely on
+// TestBoostSeedAdditive: splitting a boost into chunks relies on
 // BoostSeed(BoostSeed(s, a), b) == BoostSeed(s, a+b).
 func TestBoostSeedAdditive(t *testing.T) {
 	for _, s := range []int64{0, 1, -7, 1 << 40} {

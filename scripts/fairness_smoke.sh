@@ -69,10 +69,13 @@ echo "== uploading graph"
 ID=$(graph 600 | curl -fsS -X POST --data-binary @- "${BASE}/v1/graphs" | json_field id)
 [[ "$ID" == sha256:* ]] || fail "bad upload id: ${ID}"
 
+# The flood pins geissmann: on this graph "auto" picks andersonblelloch,
+# whose solves end faster than the curls below can queue new ones, so no
+# backlog would form.
 echo "== flooding with 40 background solves"
 for i in $(seq 1 40); do
   curl -fsS -X POST -H 'Content-Type: application/json' \
-    -d "{\"seed\": ${i}, \"class\": \"background\", \"async\": true}" \
+    -d "{\"seed\": ${i}, \"class\": \"background\", \"async\": true, \"engine\": \"geissmann\"}" \
     "${BASE}/v1/graphs/${ID}/mincut" >/dev/null
 done
 
