@@ -69,7 +69,6 @@ func main() {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "solver worker pool size")
 	cacheBytes := flag.Int64("graph-cache-bytes", 1<<30, "graph registry budget in edge bytes (0 = unbounded)")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "how long shutdown waits for in-flight jobs")
-	solvePar := flag.Int("solve-parallelism", 0, "executor width per solver worker (0 = ceil(GOMAXPROCS/workers), partitioning the machine across workers)")
 	dataDir := flag.String("data-dir", "", "directory for the persistent graph store (empty = memory-only, graphs lost on restart)")
 	maxDiskBytes := flag.Int64("max-disk-bytes", 0, "disk budget for the graph store; uploads are rejected past it (0 = unbounded)")
 	classWeights := flag.String("class-weights", "", `per-class dispatch weights, e.g. "interactive=8,batch=4,background=1" (unlisted classes keep their defaults)`)
@@ -114,7 +113,6 @@ func main() {
 		workers:      *workers,
 		cacheBytes:   *cacheBytes,
 		drainTimeout: *drainTimeout,
-		solvePar:     *solvePar,
 		dataDir:      *dataDir,
 		maxDiskBytes: *maxDiskBytes,
 		classWeights: weights,
@@ -178,7 +176,6 @@ type config struct {
 	workers      int
 	cacheBytes   int64
 	drainTimeout time.Duration
-	solvePar     int
 	dataDir      string
 	maxDiskBytes int64
 	classWeights map[sched.Class]int
@@ -269,15 +266,14 @@ func run(cfg config, ready chan<- string) error {
 	}
 	reg := registry.New(cfg.cacheBytes, backend)
 	sch := sched.New(sched.Config{
-		Workers:          cfg.workers,
-		SolveParallelism: cfg.solvePar,
-		ClassWeights:     cfg.classWeights,
-		ClassQueueCaps:   cfg.classCaps,
-		MaxQueue:         cfg.maxQueue,
-		Traces:           ring,
-		SlowSolve:        cfg.traceSlow,
-		Logger:           logger,
-		IDPrefix:         idPrefix,
+		Workers:        cfg.workers,
+		ClassWeights:   cfg.classWeights,
+		ClassQueueCaps: cfg.classCaps,
+		MaxQueue:       cfg.maxQueue,
+		Traces:         ring,
+		SlowSolve:      cfg.traceSlow,
+		Logger:         logger,
+		IDPrefix:       idPrefix,
 	})
 	apiOpts := httpapi.Options{Traces: ring, Logger: logger, Version: version}
 	if clustered {

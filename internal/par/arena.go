@@ -20,9 +20,10 @@ import (
 // caller must not retain any view of it.
 //
 // Each Pool owns one Arena (see Pool.Arena), so scratch reuse follows
-// executor placement: a scheduler worker's solves recycle through their
-// own executor's free-lists without cross-worker contention beyond
-// sync.Pool's own sharding. The zero Arena is ready to use.
+// executor placement: every solve on a pool — all the scheduler workers'
+// solves, which share one — recycles through that pool's free-lists, with
+// no contention beyond sync.Pool's own per-P sharding. The zero Arena is
+// ready to use.
 type Arena struct {
 	hits   atomic.Int64
 	misses atomic.Int64

@@ -31,9 +31,9 @@ import (
 //
 // A nil *Pool is valid everywhere a pool is accepted and means the shared
 // process-wide default pool (width GOMAXPROCS). Pools are safe for concurrent
-// use by multiple goroutines; each concurrent caller adds one lane, so
-// give logically independent solvers independent pools to keep their
-// combined footprint explicit.
+// use by multiple goroutines: each concurrent caller adds one lane and
+// helps run queued branches while it joins, so C callers share one pool on
+// at most C + width − 1 goroutines, and a lone caller gets every lane.
 type Pool struct {
 	width     int
 	isDefault bool // the shared default pool; Close is a no-op on it

@@ -393,14 +393,16 @@ type jobResponse struct {
 
 // submitErr maps a Submit failure to its HTTP response. Queue-pressure
 // rejections are 429s (the client should back off and retry), draining is
-// 503, an unknown class is the client's 400.
+// 503, an unknown class or engine, or a graph too large for the engine, is
+// the client's 400.
 func submitErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, sched.ErrDraining):
 		writeErr(w, http.StatusServiceUnavailable, "draining")
 	case errors.Is(err, sched.ErrQueueFull), errors.Is(err, sched.ErrClassQueueFull):
 		writeErr(w, http.StatusTooManyRequests, "%v", err)
-	case errors.Is(err, sched.ErrUnknownClass), errors.Is(err, sched.ErrUnknownEngine):
+	case errors.Is(err, sched.ErrUnknownClass), errors.Is(err, sched.ErrUnknownEngine),
+		errors.Is(err, sched.ErrGraphTooLarge):
 		writeErr(w, http.StatusBadRequest, "%v", err)
 	default:
 		writeErr(w, http.StatusInternalServerError, "%v", err)
@@ -907,8 +909,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("mincutd_jobs_running", "Jobs currently on a worker.", int64(m.Running))
 	gauge("mincutd_jobs_running_peak", "High-water mark of jobs concurrently on workers.", int64(m.PeakRunning))
 	gauge("mincutd_workers", "Worker pool size.", int64(m.Workers))
-	gauge("mincutd_solve_pool_width", "Executor width each solver worker owns (workers x width caps total solver parallelism).", int64(m.PoolWidth))
-	counter("mincutd_pool_steals_total", "Tasks taken from another lane's deque by an idle worker, summed over worker executors.", m.Pool.Steals)
+	gauge("mincutd_solve_pool_width", "Width of the executor every solver worker shares (GOMAXPROCS at startup).", int64(m.PoolWidth))
+	counter("mincutd_pool_steals_total", "Tasks taken from another lane's deque by an idle lane of the solve executor.", m.Pool.Steals)
 	counter("mincutd_pool_local_pushes_total", "Forks pushed onto the forking lane's own deque (fast path).", m.Pool.LocalPushes)
 	counter("mincutd_pool_shared_pushes_total", "Forks from outside the pool distributed round-robin to lane deques.", m.Pool.SharedPushes)
 	counter("mincutd_pool_overflow_pushes_total", "Forks spilled to the unbounded overflow queue because a deque was full.", m.Pool.OverflowPushes)

@@ -432,6 +432,35 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
+// TestOversizedStoerWagnerRejected: an explicit stoerwagner solve of a
+// graph too large for its n×n matrix is a 400 on the single route and a
+// "rejected" entry in a batch. The only worker is blocked, so a solve
+// that is wrongly accepted queues and is canceled instead of running.
+func TestOversizedStoerWagnerRejected(t *testing.T) {
+	ts := newTestServer(t, 1)
+	blocker := ts.startBlocker(t, ts.uploadCycle(t, 8))
+	defer ts.cancelJob(t, blocker)
+	var gr graphResponse
+	if code, raw := ts.do(t, "POST", "/v1/graphs", "application/json", []byte(`{"n": 8193, "edges": []}`), &gr); code != http.StatusCreated {
+		t.Fatalf("upload: %d %s", code, raw)
+	}
+	var jr jobResponse
+	code, raw := ts.do(t, "POST", "/v1/graphs/"+gr.ID+"/mincut", "application/json",
+		[]byte(`{"engine": "stoerwagner", "async": true}`), &jr)
+	if code == http.StatusAccepted {
+		ts.cancelJob(t, jr.JobID)
+	}
+	if code != http.StatusBadRequest {
+		t.Fatalf("stoerwagner solve of n=8193: %d %s, want 400", code, raw)
+	}
+	var out batchBody
+	code, raw = ts.do(t, "POST", "/v1/graphs/"+gr.ID+"/mincut:batch", "application/json",
+		[]byte(`{"seeds": [1], "engine": "stoerwagner", "timeout_ms": 1}`), &out)
+	if code != http.StatusOK || len(out.Results) != 1 || out.Results[0].Status != "rejected" {
+		t.Fatalf("stoerwagner batch of n=8193: %d %s, want one rejected entry", code, raw)
+	}
+}
+
 // TestBoostMatchesLibrary: a boosted solve over HTTP, as a single request
 // and as a mincut:batch item, returns the Value, TreesScanned and
 // partition that parcut.MinCut returns for the same Seed, Boost and

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	parcut "repro"
 	"repro/internal/engine"
 )
 
@@ -110,5 +111,34 @@ func TestSubmitRejectsUnresolvedEngine(t *testing.T) {
 		if !errors.Is(err, ErrUnknownEngine) {
 			t.Fatalf("Submit(engine=%q) err = %v, want ErrUnknownEngine", name, err)
 		}
+	}
+}
+
+// TestSubmitRefusesOversizedStoerWagner: a stoerwagner job on more
+// vertices than its n×n matrix allows is refused at Submit with
+// ErrGraphTooLarge, while the same graph on another engine, and a
+// stoerwagner graph at the bound, are accepted. The only worker is kept
+// busy so no accepted job starts: each is canceled while still queued.
+func TestSubmitRefusesOversizedStoerWagner(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer shutdown(t, s)
+	unblock := block(t, s)
+	defer unblock()
+	accept := func(n int, eng string) error {
+		j, _, err := s.Submit(Key{GraphID: eng, Opt: SolveOptions{Engine: eng}}, parcut.NewGraph(n), SubmitOpts{})
+		if err == nil {
+			s.Cancel(j.ID())
+			s.Wait(context.Background(), j)
+		}
+		return err
+	}
+	if err := accept(maxStoerWagnerN+1, "stoerwagner"); !errors.Is(err, ErrGraphTooLarge) {
+		t.Fatalf("stoerwagner on %d vertices: err = %v, want ErrGraphTooLarge", maxStoerWagnerN+1, err)
+	}
+	if err := accept(maxStoerWagnerN, "stoerwagner"); err != nil {
+		t.Fatalf("stoerwagner at the bound: %v", err)
+	}
+	if err := accept(maxStoerWagnerN+1, "andersonblelloch"); err != nil {
+		t.Fatalf("andersonblelloch on %d vertices: %v", maxStoerWagnerN+1, err)
 	}
 }

@@ -235,14 +235,13 @@ type Metrics struct {
 	SolveCount, SolveNanos int64
 	LatencyBuckets         []LatencyBucket
 	// QueueDepth and Running are current gauges; PeakRunning is Running's
-	// high-water mark; Workers is the pool size; PoolWidth is the
-	// executor width each worker owns (Workers × PoolWidth caps the
-	// solver's total parallelism).
+	// high-water mark; Workers is the pool size; PoolWidth is the width of
+	// the executor every worker solves on (GOMAXPROCS at New).
 	QueueDepth, Running, PeakRunning, Workers, PoolWidth int
-	// Pool aggregates the work-stealing and arena counters across every
-	// worker's executor: steal traffic, fork placement (local deque /
-	// another lane's deque / overflow spill), inline degradations (always
-	// 0 while the executors are open), and solve-arena hit rates.
+	// Pool holds the shared executor's work-stealing and arena counters:
+	// steal traffic, fork placement (local deque / another lane's deque /
+	// overflow spill), inline degradations (always 0 while the executor is
+	// open), and solve-arena hit rates.
 	Pool parcut.PoolStats
 }
 

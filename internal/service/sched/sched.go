@@ -18,15 +18,15 @@
 // changes, and throttled counter updates, streamed to clients as NDJSON
 // and aggregated into the solve-phase-seconds metrics.
 //
-// The machine's cores are partitioned across the pool: each worker owns a
-// long-lived parcut.Executor of width Config.SolveParallelism (default
-// ⌈GOMAXPROCS/Workers⌉) that all its solves run on, so a saturated
-// scheduler uses exactly Workers × SolveParallelism lanes instead of
-// oversubscribing the box. Executor width never affects results.
+// Every worker solves on one shared parcut.Executor of width GOMAXPROCS,
+// created by New and closed by Shutdown. Each busy worker is one more
+// lane of that executor (a joining caller helps run queued branches), so
+// a lone solve spreads over every core, and W busy workers run on at most
+// W + GOMAXPROCS − 1 goroutines. Executor width never affects results.
 //
 // A boosted request (Boost=k) is one job like any other: its worker runs
-// parcut's boost loop on its own executor, so the result is exactly the
-// library's for the same options.
+// parcut's boost loop on the shared executor, so the result is exactly
+// the library's for the same options.
 package sched
 
 import (
@@ -63,6 +63,15 @@ var ErrClassQueueFull = errors.New("sched: class queue cap reached")
 // engine and an auto request shares its cache entry with the equivalent
 // explicit one).
 var ErrUnknownEngine = errors.New("sched: unknown engine")
+
+// ErrGraphTooLarge is returned by Submit for a stoerwagner job on more
+// than maxStoerWagnerN vertices, whose n×n weight matrix would not fit.
+var ErrGraphTooLarge = errors.New("sched: graph too large for engine")
+
+// maxStoerWagnerN bounds the vertex count of a stoerwagner job. Its
+// matrix is 8n² bytes, 512 MiB here, and the bound is 8× the largest n
+// that engine.Resolve's auto rule sends to stoerwagner.
+const maxStoerWagnerN = 8192
 
 // SolveOptions is the comparable subset of parcut.Options that, together
 // with the graph ID, keys the result cache. Submit normalizes it so
@@ -239,13 +248,6 @@ type Config struct {
 	// let 1024 partitions of huge graphs (or 1024 full event logs) dwarf
 	// the registry budget. 0 means 256 MiB.
 	HistoryBytes int64
-	// SolveParallelism is the executor width each solver worker owns:
-	// the machine's cores are partitioned across the pool instead of
-	// oversubscribed (the pre-pool behavior was Workers × GOMAXPROCS
-	// goroutines at full load). 0 means ⌈GOMAXPROCS/Workers⌉, so the
-	// whole machine is saturated — never exceeded — when every worker is
-	// busy. Solver results are identical at every width.
-	SolveParallelism int
 	// ClassWeights sets each class's dispatch share under contention
 	// (deficit-round-robin quantum, unit cost per job). Missing or
 	// non-positive entries take the defaults (interactive 8, batch 4,
@@ -285,7 +287,7 @@ type Scheduler struct {
 	workers      int
 	history      int
 	historyBytes int64
-	solveWidth   int // executor width per solver worker
+	exec         *parcut.Executor // shared by every worker; closed by Shutdown
 	maxQueue     int
 	weights      [numClasses]int
 	caps         [numClasses]int
@@ -315,9 +317,6 @@ type Scheduler struct {
 	running     int // jobs currently on a worker
 	peakRun     int // high-water mark of running
 
-	execMu sync.Mutex
-	execs  []*parcut.Executor // live worker executors, for Metrics aggregation
-
 	wg sync.WaitGroup
 	m  counters
 }
@@ -333,10 +332,6 @@ func New(cfg Config) *Scheduler {
 	if cfg.HistoryBytes < 1 {
 		cfg.HistoryBytes = 256 << 20
 	}
-	if cfg.SolveParallelism < 1 {
-		p := runtime.GOMAXPROCS(0)
-		cfg.SolveParallelism = (p + cfg.Workers - 1) / cfg.Workers
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
@@ -345,7 +340,7 @@ func New(cfg Config) *Scheduler {
 		workers:      cfg.Workers,
 		history:      cfg.History,
 		historyBytes: cfg.HistoryBytes,
-		solveWidth:   cfg.SolveParallelism,
+		exec:         parcut.NewExecutor(runtime.GOMAXPROCS(0)),
 		maxQueue:     cfg.MaxQueue,
 		traces:       cfg.Traces,
 		slowSolve:    cfg.SlowSolve,
@@ -396,11 +391,16 @@ type SubmitOpts struct {
 // Admission control applies to genuinely new work only (joins add no
 // queue entries): past Config.MaxQueue total queued jobs Submit returns
 // ErrQueueFull, and past the class's Config.ClassQueueCaps entry it
-// returns ErrClassQueueFull.
+// returns ErrClassQueueFull. A stoerwagner job on a graph too large for
+// its matrix returns ErrGraphTooLarge.
 func (s *Scheduler) Submit(key Key, g *parcut.Graph, opts SubmitOpts) (*Job, bool, error) {
 	key.Opt = key.Opt.normalized()
 	if _, ok := engine.Lookup(key.Opt.Engine); !ok {
 		return nil, false, fmt.Errorf("%w %q", ErrUnknownEngine, key.Opt.Engine)
+	}
+	if key.Opt.Engine == "stoerwagner" && g.N() > maxStoerWagnerN {
+		return nil, false, fmt.Errorf("%w: stoerwagner takes at most %d vertices, graph has %d",
+			ErrGraphTooLarge, maxStoerWagnerN, g.N())
 	}
 	class, err := ParseClass(string(opts.Class))
 	if err != nil {
@@ -686,19 +686,8 @@ func (s *Scheduler) Metrics() Metrics {
 		m.Classes[i].QueueCap = s.caps[i]
 	}
 	m.Workers = s.workers
-	m.PoolWidth = s.solveWidth
-	s.execMu.Lock()
-	for _, e := range s.execs {
-		st := e.Stats()
-		m.Pool.Steals += st.Steals
-		m.Pool.LocalPushes += st.LocalPushes
-		m.Pool.SharedPushes += st.SharedPushes
-		m.Pool.OverflowPushes += st.OverflowPushes
-		m.Pool.InlineRuns += st.InlineRuns
-		m.Pool.ArenaHits += st.ArenaHits
-		m.Pool.ArenaMisses += st.ArenaMisses
-	}
-	s.execMu.Unlock()
+	m.PoolWidth = s.exec.Width()
+	m.Pool = s.exec.Stats()
 	return m
 }
 
@@ -706,7 +695,8 @@ func (s *Scheduler) Metrics() Metrics {
 // to finish. If ctx expires first, every
 // outstanding job is canceled and Shutdown waits (briefly, since the
 // solver aborts between phases) for the workers to exit, then returns
-// ctx's error.
+// ctx's error. Either way the shared executor is closed once the last
+// worker has exited.
 func (s *Scheduler) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
@@ -716,6 +706,7 @@ func (s *Scheduler) Shutdown(ctx context.Context) error {
 	drained := make(chan struct{})
 	go func() {
 		s.wg.Wait()
+		s.exec.Close()
 		close(drained)
 	}()
 	select {
@@ -729,29 +720,13 @@ func (s *Scheduler) Shutdown(ctx context.Context) error {
 }
 
 // worker pops jobs by weighted-fair class order until the scheduler
-// drains. Each worker owns a solveWidth-wide executor for the whole of
-// its life, so the workers together hold a fixed partition of the
-// machine's cores: no per-solve goroutine churn, and at full load exactly
-// workers × solveWidth lanes are live instead of the unbounded
-// workers × GOMAXPROCS oversubscription of per-call spawning.
+// drains, and runs each on the scheduler's shared executor. The worker's
+// goroutine is one lane of that executor while it solves: its forks go to
+// the executor's GOMAXPROCS − 1 persistent lanes, and it helps run queued
+// branches while it joins, so a lone solve uses every core and a
+// saturated scheduler adds no goroutines beyond the workers themselves.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
-	exec := parcut.NewExecutor(s.solveWidth)
-	defer exec.Close()
-	s.execMu.Lock()
-	s.execs = append(s.execs, exec)
-	s.execMu.Unlock()
-	defer func() {
-		s.execMu.Lock()
-		for i, e := range s.execs {
-			if e == exec {
-				s.execs[i] = s.execs[len(s.execs)-1]
-				s.execs = s.execs[:len(s.execs)-1]
-				break
-			}
-		}
-		s.execMu.Unlock()
-	}()
 	for {
 		s.mu.Lock()
 		for s.queuedTotal == 0 && !s.draining {
@@ -779,22 +754,22 @@ func (s *Scheduler) worker() {
 		s.m.queueWaitNanosBy[c].Add(int64(wait))
 		s.m.queueWaitHist[c].observe(wait)
 		j.recordEvent(Event{Type: "state", State: StateRunning}, false)
-		s.run(j, exec)
+		s.run(j)
 	}
 }
 
-// run executes one job on the worker's executor and publishes its terminal
+// run executes one job on the shared executor and publishes its terminal
 // state.
-func (s *Scheduler) run(j *Job, exec *parcut.Executor) {
+func (s *Scheduler) run(j *Job) {
 	var (
 		res parcut.Result
 		err error
 	)
 	if err = j.ctx.Err(); err == nil {
 		opt := j.key.Opt.parcut()
-		opt.Executor = exec
+		opt.Executor = s.exec
 		opt.Progress = j.prog
-		opt.Trace = j.rootSp.Child("run").Attr("engine", j.key.Opt.Engine).AttrInt("width", int64(s.solveWidth))
+		opt.Trace = j.rootSp.Child("run").Attr("engine", j.key.Opt.Engine).AttrInt("width", int64(s.exec.Width()))
 		start := time.Now()
 		res, err = parcut.MinCutContext(j.ctx, j.g, opt)
 		opt.Trace.End()

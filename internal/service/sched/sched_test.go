@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -603,12 +604,14 @@ func TestInvalidateGraphWithInFlightJob(t *testing.T) {
 }
 
 // TestMetricsAggregateExecutorPoolCounters: the scheduler's Metrics must
-// surface the work-stealing executors' counters. Every solve borrows its
-// working arrays from the worker executor's arena, so after one solve the
-// arena counters are non-zero, and after a second solve of the same shape
-// the free-lists are warm and hits appear.
+// surface the shared work-stealing executor's counters. Every solve
+// borrows its working arrays from the executor's arena, so after one
+// solve the arena counters are non-zero, and after a second solve of the
+// same shape the free-lists are warm and hits appear. GOMAXPROCS is
+// raised to 2 while the scheduler is built, so the executor can fork.
 func TestMetricsAggregateExecutorPoolCounters(t *testing.T) {
-	s := New(Config{Workers: 1, SolveParallelism: 2})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	s := New(Config{Workers: 1})
 	defer shutdown(t, s)
 	g := cycle(t, 64)
 	for seed := int64(1); seed <= 2; seed++ {

@@ -130,7 +130,9 @@ func (r *Recorder) Hold() bool {
 
 // Release drops one hold. The trace is finished and handed to onFinish
 // when the last hold is released: open spans are closed at the finish
-// instant and the trace duration is the root span's. Safe on nil.
+// instant and the trace duration is the root span's. The published Trace
+// takes over the spans, so the recorder keeps none once it is finished.
+// Safe on nil.
 func (r *Recorder) Release() {
 	if r == nil {
 		return
@@ -149,6 +151,7 @@ func (r *Recorder) Release() {
 		}
 	}
 	t := &Trace{ID: r.id, Start: r.start, Spans: r.spans, Dropped: r.dropped}
+	r.spans = nil
 	if len(t.Spans) > 0 {
 		t.Duration = t.Spans[0].Duration
 	}
@@ -171,6 +174,11 @@ func (r *Recorder) startSpan(parent int32, name string) SpanRef {
 	now := time.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	// finished is checked again under mu: a Release that won the race
+	// since the check above has published the spans already.
+	if r.finished.Load() {
+		return SpanRef{}
+	}
 	if len(r.spans) >= r.maxSpans {
 		r.dropped++
 		return SpanRef{}
@@ -218,11 +226,14 @@ func (s SpanRef) End() {
 	}
 	now := time.Now()
 	s.r.mu.Lock()
+	defer s.r.mu.Unlock()
+	if s.r.finished.Load() {
+		return // published meanwhile; Release closed the span
+	}
 	sp := &s.r.spans[s.idx]
 	if sp.Duration < 0 {
 		sp.Duration = now.Sub(sp.Start).Nanoseconds()
 	}
-	s.r.mu.Unlock()
 }
 
 // Attr annotates the span. It returns s so annotations chain.
@@ -231,9 +242,12 @@ func (s SpanRef) Attr(key, value string) SpanRef {
 		return s
 	}
 	s.r.mu.Lock()
+	defer s.r.mu.Unlock()
+	if s.r.finished.Load() {
+		return s // published meanwhile
+	}
 	sp := &s.r.spans[s.idx]
 	sp.Attrs = append(sp.Attrs, Attr{Key: key, Value: value})
-	s.r.mu.Unlock()
 	return s
 }
 

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -99,6 +100,78 @@ func TestRecorderHoldsGatePublish(t *testing.T) {
 	sp.End()
 	if finished != 1 {
 		t.Fatalf("late span ops re-published: %d", finished)
+	}
+}
+
+// cloneTrace deep-copies tr, so a later write into its spans shows as a
+// difference.
+func cloneTrace(tr *Trace) *Trace {
+	c := *tr
+	c.Spans = make([]Span, len(tr.Spans))
+	for i, sp := range tr.Spans {
+		sp.Attrs = append([]Attr(nil), sp.Attrs...)
+		c.Spans[i] = sp
+	}
+	return &c
+}
+
+// TestReleaseHandsSpansToTrace: once the last hold is released the
+// published Trace owns the spans and the recorder keeps none, so a
+// finished job that still references its recorder pins no spans; span
+// operations on old refs leave the published Trace as it was.
+func TestReleaseHandsSpansToTrace(t *testing.T) {
+	var got, snap *Trace
+	r := NewRecorder("t-6", 0, func(tr *Trace) { got, snap = tr, cloneTrace(tr) })
+	root := r.Start("job")
+	run := root.Child("run")
+	run.Attr("engine", "x")
+	r.Release()
+	r.mu.Lock()
+	held := len(r.spans)
+	r.mu.Unlock()
+	if held != 0 {
+		t.Fatalf("recorder holds %d spans after publishing", held)
+	}
+	run.End()
+	run.Attr("late", "v")
+	root.Child("late").End()
+	if !reflect.DeepEqual(got, snap) {
+		t.Fatalf("published trace changed after Release:\n got %+v\nwant %+v", got, snap)
+	}
+}
+
+// TestSpanOpsRacingReleaseLeaveTraceUnchanged: End and Attr calls that
+// lose the race with the last Release must not write into the published
+// Trace. Run with -race.
+func TestSpanOpsRacingReleaseLeaveTraceUnchanged(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		var got, snap *Trace
+		r := NewRecorder("t-7", 0, func(tr *Trace) { got, snap = tr, cloneTrace(tr) })
+		root := r.Start("job")
+		spans := make([]SpanRef, 8)
+		for i := range spans {
+			spans[i] = root.Child("work")
+		}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for _, sp := range spans {
+			wg.Add(1)
+			go func(sp SpanRef) {
+				defer wg.Done()
+				<-start
+				for k := 0; k < 20; k++ {
+					sp.Attr("k", "v")
+					sp.Child("c")
+				}
+				sp.End()
+			}(sp)
+		}
+		close(start)
+		r.Release()
+		wg.Wait()
+		if !reflect.DeepEqual(got, snap) {
+			t.Fatalf("round %d: a span op after Release changed the published trace", round)
+		}
 	}
 }
 

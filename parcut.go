@@ -40,10 +40,10 @@ import (
 
 // Executor is a reusable bounded-width parallel execution context: a set
 // of long-lived worker goroutines that every parallel primitive of a solve
-// runs on. Create one per logically independent solver (for example, one
-// per service worker) to make the process's total parallelism explicit —
-// concurrent solves on separate executors use width₁+width₂ CPUs, never
-// more — and reuse it across solves to avoid per-call worker start-up.
+// runs on. Reuse it across solves to avoid per-call worker start-up.
+// Concurrent solves may share one executor (the service's workers all do):
+// each calling goroutine is one more lane, so C concurrent solves run on
+// at most C + width − 1 goroutines, and a lone solve gets every lane.
 // A nil *Executor is valid and means the shared process-wide default
 // executor (width GOMAXPROCS).
 type Executor struct {
