@@ -67,7 +67,7 @@ var version = "dev"
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "solver worker pool size")
-	cacheBytes := flag.Int64("graph-cache-bytes", 1<<30, "graph registry budget in edge bytes (0 = unbounded)")
+	cacheBytes := flag.Int64("graph-cache-bytes", 1<<30, "graph registry budget in bytes, 8 per vertex plus 16 per edge (0 = unbounded)")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "how long shutdown waits for in-flight jobs")
 	dataDir := flag.String("data-dir", "", "directory for the persistent graph store (empty = memory-only, graphs lost on restart)")
 	maxDiskBytes := flag.Int64("max-disk-bytes", 0, "disk budget for the graph store; uploads are rejected past it (0 = unbounded)")

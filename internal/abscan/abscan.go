@@ -21,10 +21,14 @@
 // A heavy-first DFS makes both every subtree and every heavy path a
 // contiguous range of DFS positions. The contraction structure ("the
 // ladder") is a perfect binary tree over those positions with lazy
-// range-add and leftmost-argmin minimum: leaf p holds
-// c(order[p]) − 2·B(v, order[p]) for the currently fixed edge e_v, so
-// the best partner for e_v is one leaf-to-root query that skips e_v's
-// own position. Fixing the next edge is cheap exactly on heavy paths:
+// range-add and minimum: leaf p holds c(order[p]) − 2·B(v, order[p])
+// for the currently fixed edge e_v, so the best partner for e_v is one
+// leaf-to-root query that skips e_v's own position. The ladder stores
+// minima and lazy sums only. A range add stops walking up at the first
+// ancestor of its split node whose minimum did not change, and the
+// leftmost position attaining a minimum is recovered by one descent,
+// only for a candidate that beats its path's best so far. Fixing the
+// next edge is cheap exactly on heavy paths:
 // walking from a path's head to its leaf re-evaluates only the graph
 // edges incident to the vertex left behind and its light subtrees, which
 // is the classic O(log n)-re-evaluations-per-edge bound, each an
@@ -39,8 +43,8 @@
 // parallel.
 //
 // Determinism: candidates are combined in (heavy path, position) order
-// with strict <, the ladder returns the leftmost argmin, and chunk
-// boundaries depend only on the path count, so the winning cut is
+// with strict <, the ladder's descent returns the leftmost argmin, and
+// chunk boundaries depend only on the path count, so the winning cut is
 // bit-identical at every pool width.
 package abscan
 
@@ -226,17 +230,18 @@ func (d *decomposition) build(parent []int32, childEnd, childList, bfs []int32) 
 }
 
 // ladder is the bounded-depth contraction structure: a perfect binary
-// tree over DFS positions with lazy range-add and leftmost-argmin
-// minimum, depth ⌈log₂ n⌉. lazy[x] sums the adds that covered x's whole
-// range. minv[x] is a leaf's value plus its lazy, and
-// min(minv[2x], minv[2x+1]) + lazy[x] at an internal node, so it
-// includes the adds at and below x but not those pending at x's
-// ancestors. The state is thus a function of the per-node lazy sums
-// alone, whatever order the adds came in.
+// tree over DFS positions with lazy range-add and minimum, depth
+// ⌈log₂ n⌉. lazy[x] sums the adds that covered x's whole range. minv[x]
+// is a leaf's value plus its lazy, and min(minv[2x], minv[2x+1]) +
+// lazy[x] at an internal node, so it includes the adds at and below x
+// but not those pending at x's ancestors. The state is thus a function
+// of the per-node lazy sums alone, whatever the order of the adds and
+// wherever an add's upward walk stopped: a node the walk did not
+// recompute already held the value a recomputation would give. No
+// argmin is stored; leftmost recovers one from minv on demand.
 type ladder struct {
 	base int // leaf count, power of two >= n
 	minv []int64
-	arg  []int32
 	lazy []int64
 }
 
@@ -256,7 +261,6 @@ func (t *ladder) reset(vals []int64) {
 		} else {
 			t.minv[base+p] = maxValue
 		}
-		t.arg[base+p] = int32(p)
 		t.lazy[base+p] = 0
 	}
 	for x := base - 1; x >= 1; x-- {
@@ -265,21 +269,23 @@ func (t *ladder) reset(vals []int64) {
 	}
 }
 
-// pull recomputes internal node x from its children. The left child wins
-// ties, so arg[x] is the leftmost argmin of x's range.
+// pull recomputes internal node x's minimum from its children.
 func (t *ladder) pull(x int) {
-	l, r := 2*x, 2*x+1
-	if t.minv[l] <= t.minv[r] {
-		t.minv[x], t.arg[x] = t.minv[l]+t.lazy[x], t.arg[l]
-	} else {
-		t.minv[x], t.arg[x] = t.minv[r]+t.lazy[x], t.arg[r]
-	}
+	t.minv[x] = min(t.minv[2*x], t.minv[2*x+1]) + t.lazy[x]
 }
 
 // add adds delta to positions [l, r] (inclusive; no-op when l > r). The
-// range's canonical nodes take the add bottom-up. Each one's parent is
-// an ancestor of leaf l or of leaf r, so one merged walk up from those
-// two leaves recomputes every minimum the add changed.
+// range's canonical nodes take the add bottom-up. They all lie in the
+// subtree of the split node, the lowest common ancestor of leaves l and
+// r, and each one's parent is on the walk up from leaf l or from leaf
+// r, so pulling both walks up to the split recomputes every minimum
+// below it. The split node is pulled unconditionally: when [l, r] is
+// exactly its range it took the add itself, so its pull changes nothing
+// although its parent's input did (a leaf split, l = r, has nothing to
+// pull). Strictly above the split no node took the add and only one
+// child of each can have changed, so the walk stops at the first
+// ancestor whose minimum comes out unchanged: every node above it
+// would too.
 func (t *ladder) add(l, r int, delta int64) {
 	if l > r {
 		return
@@ -297,30 +303,52 @@ func (t *ladder) add(l, r int, delta int64) {
 			t.lazy[b] += delta
 		}
 	}
-	for lo, hi = lo>>1, hi>>1; lo >= 1; lo, hi = lo>>1, hi>>1 {
+	for lo != hi {
+		lo, hi = lo>>1, hi>>1
 		t.pull(lo)
 		if hi != lo {
 			t.pull(hi)
 		}
 	}
+	for x := lo >> 1; x >= 1; x >>= 1 {
+		old := t.minv[x]
+		t.pull(x)
+		if t.minv[x] == old {
+			return
+		}
+	}
 }
 
-// minExcept returns the minimum over every position but p and the
-// leftmost position attaining it. It walks from leaf p to the root: each
-// sibling's minimum competes with the best so far once both carry the
-// same pending adds, the left sibling winning ties. Sentinel leaves
-// never take an add, so the value is exactly maxValue when no other
-// position holds a real value.
-func (t *ladder) minExcept(p int) (int64, int32) {
+// minExcept returns the minimum over every position but p and the node
+// holding it: leftmost of that node is the leftmost position attaining
+// the minimum. It walks from leaf p to the root: each sibling's minimum
+// competes with the best so far once both carry the same pending adds,
+// the left sibling winning ties. Sentinel leaves never take an add, so
+// the value is exactly maxValue when no other position holds a real
+// value.
+func (t *ladder) minExcept(p int) (int64, int) {
 	x := t.base + p
-	m, a := t.minv[x^1], t.arg[x^1]
+	a := x ^ 1
+	m := t.minv[a]
 	for x >>= 1; x > 1; x >>= 1 {
 		m += t.lazy[x]
 		if s := x ^ 1; t.minv[s] < m || (s < x && t.minv[s] == m) {
-			m, a = t.minv[s], t.arg[s]
+			m, a = t.minv[s], s
 		}
 	}
 	return m + t.lazy[1], a
+}
+
+// leftmost returns the leftmost position of x's range attaining x's
+// minimum, descending by pull's rule: the left child wins ties.
+func (t *ladder) leftmost(x int) int {
+	for x < t.base {
+		x *= 2
+		if t.minv[x] > t.minv[x+1] {
+			x++
+		}
+	}
+	return x - t.base
 }
 
 // pathOut is one heavy path's best candidate.
@@ -408,9 +436,9 @@ func (s *sweep) runPath(hd int32) pathOut {
 		// Best partner for e_v: min over every other edge position. The
 		// fixed edge's own position must be excluded (its leaf currently
 		// holds c(v) − 2·B(v,v), which is not a pair value).
-		m, a := s.lad.minExcept(int(d.tin[v]))
+		m, x := s.lad.minExcept(int(d.tin[v]))
 		if m < maxValue && s.c[v]+m < out.value {
-			out = pathOut{value: s.c[v] + m, u: v, v: d.order[a]}
+			out = pathOut{value: s.c[v] + m, u: v, v: d.order[s.lad.leftmost(x)]}
 		}
 		u := d.heavy[v]
 		if u < 0 {
@@ -608,8 +636,7 @@ func newSweep(d *decomposition, adj *graph.Adj, c []int64, ar *par.Arena) (*swee
 	}
 	minvP := ar.Int64(2 * base)
 	lazyP := ar.Int64(2 * base)
-	argP := ar.Int32(2 * base)
-	lad := &ladder{minv: *minvP, lazy: *lazyP, arg: *argP}
+	lad := &ladder{minv: *minvP, lazy: *lazyP}
 	// Leaf p carries c(order[p]): ladder positions are DFS positions.
 	valsP := ar.Int64(d.n)
 	vals := *valsP
@@ -622,7 +649,6 @@ func newSweep(d *decomposition, adj *graph.Adj, c []int64, ar *par.Arena) (*swee
 	put := func() {
 		ar.PutInt64(minvP)
 		ar.PutInt64(lazyP)
-		ar.PutInt32(argP)
 	}
 	return sw, put
 }

@@ -2,6 +2,9 @@ package abscan
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -94,12 +97,20 @@ func TestScanMatchesRespect(t *testing.T) {
 	}
 }
 
-// TestScanHandcraftedShapes exercises the decomposition's edge cases:
-// the 2-vertex tree (no 2-respecting pair exists), stars (every heavy
-// path has length 1), paths (one heavy path), and multigraphs with
-// parallel edges and self-loops.
-func TestScanHandcraftedShapes(t *testing.T) {
-	t.Parallel()
+// shape is a handcrafted graph and spanning tree with its known answer.
+type shape struct {
+	name   string
+	g      *graph.Graph
+	parent []int32
+	want   int64
+}
+
+// handcraftedShapes are the decomposition's edge cases: the 2-vertex
+// tree (no 2-respecting pair exists), stars (every heavy path has
+// length 1), paths (one heavy path), and multigraphs with parallel
+// edges and self-loops.
+func handcraftedShapes(t *testing.T) []shape {
+	t.Helper()
 	build := func(n int, edges [][3]int64) *graph.Graph {
 		g := graph.New(n)
 		for _, e := range edges {
@@ -109,12 +120,7 @@ func TestScanHandcraftedShapes(t *testing.T) {
 		}
 		return g
 	}
-	cases := []struct {
-		name   string
-		g      *graph.Graph
-		parent []int32
-		want   int64
-	}{
+	return []shape{
 		{
 			name:   "two vertices",
 			g:      build(2, [][3]int64{{0, 1, 7}}),
@@ -154,7 +160,13 @@ func TestScanHandcraftedShapes(t *testing.T) {
 			want:   3,
 		},
 	}
-	for _, c := range cases {
+}
+
+// TestScanHandcraftedShapes checks the handcrafted shapes against their
+// known answers and against the bough-decomposition scan.
+func TestScanHandcraftedShapes(t *testing.T) {
+	t.Parallel()
+	for _, c := range handcraftedShapes(t) {
 		f := scanTree(t, c.g, c.parent, false, nil)
 		if f.Value != c.want {
 			t.Errorf("%s: value = %d, want %d", c.name, f.Value, c.want)
@@ -166,6 +178,67 @@ func TestScanHandcraftedShapes(t *testing.T) {
 		if f.Value != want.Value {
 			t.Errorf("%s: abscan=%d respect=%d", c.name, f.Value, want.Value)
 		}
+	}
+}
+
+// findingsGolden is the FNV-1a digest TestScanFindingsGolden computes.
+// It moves only if some Finding does: a new value, or a new tie-break
+// among equal values, which picks a different returned partition.
+const findingsGolden = uint64(0xff0fd9d7dd1b28c3)
+
+// TestScanFindingsGolden pins every Finding bit for bit, provenance
+// included: the value tests compare values only, and the mode and width
+// test compares the scan with itself, so a kernel change that broke a
+// tie differently would pass both. The trees come from the generator,
+// not from the packing, so a packing change cannot move the digest:
+// random spanning trees of sparse-workload-shaped graphs (n=520, m=2n,
+// w≤100), a 1024-cycle, the handcrafted shapes, and random multigraphs
+// with self-loops and parallel copies.
+func TestScanFindingsGolden(t *testing.T) {
+	t.Parallel()
+	h := fnv.New64a()
+	trees := 0
+	record := func(g *graph.Graph, parent []int32) {
+		f := scanTree(t, g, parent, false, nil)
+		var b [17]byte
+		binary.LittleEndian.PutUint64(b[0:], uint64(f.Value))
+		b[8] = f.kind
+		binary.LittleEndian.PutUint32(b[9:], uint32(f.u))
+		binary.LittleEndian.PutUint32(b[13:], uint32(f.v))
+		h.Write(b[:])
+		trees++
+	}
+	for i := int64(0); i < 4; i++ {
+		g := gen.RandomConnected(520, 1040, 100, 1+i)
+		for tr := int64(0); tr < 8; tr++ {
+			record(g, gen.SpanningTreeParent(g, 10*i+tr))
+		}
+	}
+	ring, _, err := gen.FromSpec("cycle:n=1024,w=50", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tr := int64(0); tr < 4; tr++ {
+		record(ring, gen.SpanningTreeParent(ring, tr))
+	}
+	for _, c := range handcraftedShapes(t) {
+		record(c.g, c.parent)
+	}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 12; i++ {
+		n := 2 + rng.Intn(60)
+		g := gen.RandomConnected(n, n-1+rng.Intn(3*n), 20, int64(700+i))
+		at := make([]int32, 1+n/4)
+		for j := range at {
+			at[j] = int32(rng.Intn(n))
+		}
+		addLoopsAndCopies(t, g, at, rng)
+		for tr := int64(0); tr < 3; tr++ {
+			record(g, gen.SpanningTreeParent(g, int64(i)*10+tr))
+		}
+	}
+	if got := h.Sum64(); got != findingsGolden {
+		t.Fatalf("digest of %d findings = %#x, want %#x", trees, got, findingsGolden)
 	}
 }
 
@@ -235,16 +308,53 @@ func newLadder(vals []int64) *ladder {
 	for base < len(vals) {
 		base *= 2
 	}
-	lad := &ladder{minv: make([]int64, 2*base), arg: make([]int32, 2*base), lazy: make([]int64, 2*base)}
+	lad := &ladder{minv: make([]int64, 2*base), lazy: make([]int64, 2*base)}
 	lad.reset(vals)
 	return lad
 }
 
+// checkLadder compares the ladder with the plain array it mirrors: for
+// every position p, minExcept(p) must return the minimum over the other
+// real positions [1, len(vals)−1], or maxValue when none is left, and
+// leftmost of the node it returns must be the leftmost position holding
+// that minimum.
+func checkLadder(lad *ladder, vals []int64) error {
+	// best is the leftmost argmin over the real positions and second the
+	// leftmost argmin over the others, so minExcept(best) answers second.
+	best, second := -1, -1
+	for q := 1; q < len(vals); q++ {
+		if best < 0 || vals[q] < vals[best] {
+			best, second = q, best
+		} else if second < 0 || vals[q] < vals[second] {
+			second = q
+		}
+	}
+	for p := range vals {
+		want := best
+		if p == best {
+			want = second
+		}
+		m, x := lad.minExcept(p)
+		if want < 0 {
+			if m != maxValue {
+				return fmt.Errorf("minExcept(%d) = %d, want maxValue", p, m)
+			}
+			continue
+		}
+		if at := lad.leftmost(x); m != vals[want] || at != want {
+			return fmt.Errorf("minExcept(%d) = (%d, node %d leftmost at %d), want (%d, %d)",
+				p, m, x, at, vals[want], want)
+		}
+	}
+	return nil
+}
+
 // TestLadderMatchesNaive drives the ladder kernel against a plain array:
 // random range adds over the real positions [1, n−1], with small deltas
-// of both signs so ties are common. After every add, minExcept(p) for
-// every p must return the array's minimum over the other real positions
-// and its leftmost argmin, or maxValue when no other position is left.
+// of both signs so ties are common, and at n = 1024 also every
+// node-aligned range [k·2^j, (k+1)·2^j − 1] inside [1, n−1], where the
+// add lands on a single node (the split node of its own range). After
+// every add, checkLadder must hold.
 func TestLadderMatchesNaive(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(11))
@@ -254,37 +364,73 @@ func TestLadderMatchesNaive(t *testing.T) {
 			vals[p] = rng.Int63n(4)
 		}
 		lad := newLadder(vals)
-		adds := 200
-		if n > 100 {
-			adds = 30
-		}
-		for i := 0; i < adds; i++ {
-			l := 1 + rng.Intn(n-1)
-			r := l + rng.Intn(n-l)
-			delta := rng.Int63n(7) - 3
+		i := 0
+		add := func(l, r int, delta int64) {
 			lad.add(l, r, delta)
 			for p := l; p <= r; p++ {
 				vals[p] += delta
 			}
-			for p := 0; p < n; p++ {
-				want, wantArg := maxValue, int32(-1)
-				for q := 1; q < n; q++ {
-					if q != p && vals[q] < want {
-						want, wantArg = vals[q], int32(q)
-					}
-				}
-				got, arg := lad.minExcept(p)
-				if got != want || (wantArg >= 0 && arg != wantArg) {
-					t.Fatalf("n=%d after add %d [%d,%d]%+d: minExcept(%d) = (%d, %d), want (%d, %d)",
-						n, i, l, r, delta, p, got, arg, want, wantArg)
-				}
+			if err := checkLadder(lad, vals); err != nil {
+				t.Fatalf("n=%d after add %d [%d,%d]%+d: %v", n, i, l, r, delta, err)
+			}
+			i++
+		}
+		adds := 200
+		if n > 100 {
+			adds = 30
+		}
+		for k := 0; k < adds; k++ {
+			l := 1 + rng.Intn(n-1)
+			r := l + rng.Intn(n-l)
+			add(l, r, rng.Int63n(7)-3)
+		}
+		if n != 1024 {
+			continue
+		}
+		for w := 1; w < n; w *= 2 {
+			for l := w; l+w <= n; l += w {
+				add(l, l+w-1, rng.Int63n(7)-3)
 			}
 		}
 	}
 }
 
+// FuzzLadder drives the ladder with a decoded sequence of range adds and
+// runs checkLadder after every one. The first byte picks n in [2, 64];
+// every following triple of bytes is one add: l in [1, n−1], r in
+// [l, n−1] and δ in [−3, 3], small so that ties are common. Run it
+// beyond its seeds with
+//
+//	go test ./internal/abscan -run '^$' -fuzz '^FuzzLadder$' -fuzztime 30s
+func FuzzLadder(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 6})          // n=2: the one real position, +3
+	f.Add([]byte{3, 1, 1, 1})          // n=5: [2,3]−2, the range of node 5
+	f.Add([]byte{6, 3, 3, 0, 1, 1, 1}) // n=8: [4,7]−3, then [2,3]−2: node ranges
+	f.Add([]byte{62, 9, 40, 2, 0, 62, 5, 31, 0, 3, 17, 1, 6, 44, 3, 2, 2, 1})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 {
+			return
+		}
+		n := 2 + int(in[0])%63
+		vals := make([]int64, n)
+		lad := newLadder(vals)
+		for i := 1; i+3 <= len(in); i += 3 {
+			l := 1 + int(in[i])%(n-1)
+			r := l + int(in[i+1])%(n-l)
+			delta := int64(in[i+2]%7) - 3
+			lad.add(l, r, delta)
+			for p := l; p <= r; p++ {
+				vals[p] += delta
+			}
+			if err := checkLadder(lad, vals); err != nil {
+				t.Fatalf("n=%d after add %d [%d,%d]%+d: %v", n, i/3, l, r, delta, err)
+			}
+		}
+	})
+}
+
 // TestLadderRestoredAfterEveryPath pins the tail-only restore: after
-// each runPath the ladder's minv, arg and lazy equal a freshly reset
+// each runPath the ladder's minv and lazy equal a freshly reset
 // ladder's, entry for entry. Every tree leaf carries a self-loop and a
 // parallel copy of one of its edges, the edges the restore must skip or
 // retire once each.
@@ -330,7 +476,7 @@ func TestLadderRestoredAfterEveryPath(t *testing.T) {
 			// Node 0 is unused and holds whatever the arena left there.
 			got, want := sw.lad, fresh.lad
 			if got.base != want.base || !slices.Equal(got.minv[1:], want.minv[1:]) ||
-				!slices.Equal(got.arg[1:], want.arg[1:]) || !slices.Equal(got.lazy[1:], want.lazy[1:]) {
+				!slices.Equal(got.lazy[1:], want.lazy[1:]) {
 				t.Fatalf("graph %d (n=%d m=%d): ladder not restored after the heavy path at %d", i, n, g.M(), hd)
 			}
 		}

@@ -21,11 +21,12 @@ import (
 //
 //   - POST /v1/graphs with Content-Type application/json answers 200, 201,
 //     400 or 413, never a 5xx or a panic. It answers 2xx exactly when the
-//     body decodes as {"n", "edges"} and every edge is valid: n within
-//     [0, 2^30], endpoints in range, weights positive and summing to at
-//     most graph.MaxTotalWeight. A 2xx reply's n and m match
-//     GET /v1/graphs/{id}, and uploading the body again answers 200 with
-//     "existed".
+//     body decodes as {"n", "edges"}, every edge is valid and the graph
+//     fits the registry's budget: n within [0, 2^30], endpoints in range,
+//     weights positive and summing to at most graph.MaxTotalWeight, and
+//     8 bytes per vertex plus 16 per edge within mincutd's default 1 GiB.
+//     A 2xx reply's n, m and bytes match GET /v1/graphs/{id}, and
+//     uploading the body again answers 200 with "existed".
 //   - POST /v1/graphs:batch answers 200, 400 or 413. A 200 reply has one
 //     entry per item, in order, each "created", "existed" or "failed".
 //
@@ -46,6 +47,7 @@ func FuzzUploadJSON(f *testing.F) {
 		`{"n": 3, "edges": null}`,                                // null edges
 		`{"graphs": [{"text": "p cut 3 2\ne 0 1 5\ne 1 2 7\n"}, {"n": 2, "edges": [[0,1,4]]},
 			{"n": 2, "edges": [[0,1,4]], "text": "p cut 2 1\ne 0 1 4\n"}]}`, // text, JSON, and both
+		`{"n": 1073741824, "edges": []}`, // n = 2^30: 8 GiB of vertices, over the budget
 	} {
 		f.Add([]byte(seed))
 	}
@@ -53,7 +55,7 @@ func FuzzUploadJSON(f *testing.F) {
 	f.Cleanup(func() { _ = sch.Shutdown(context.Background()) })
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		h := New(registry.New(0, nil), sch, nil, Options{Logger: quiet}).Handler()
+		h := New(registry.New(fuzzBudget, nil), sch, nil, Options{Logger: quiet}).Handler()
 		send := func(method, path string, body []byte) (int, []byte) {
 			req := httptest.NewRequest(method, path, bytes.NewReader(body))
 			req.Header.Set("Content-Type", "application/json")
@@ -77,7 +79,7 @@ func FuzzUploadJSON(f *testing.F) {
 				t.Fatalf("upload reply %s: %v", raw, err)
 			}
 			if c, r := send("GET", "/v1/graphs/"+up.ID, nil); c != http.StatusOK || json.Unmarshal(r, &info) != nil ||
-				info.N != up.N || info.M != up.M {
+				info.N != up.N || info.M != up.M || info.Bytes != up.Bytes {
 				t.Fatalf("upload %q answered %s, but GET answers %d %s", body, raw, c, r)
 			}
 			var again graphResponse
@@ -112,14 +114,19 @@ func FuzzUploadJSON(f *testing.F) {
 	})
 }
 
+// fuzzBudget is FuzzUploadJSON's registry budget, mincutd's default.
+const fuzzBudget = 1 << 30
+
 // validJSONGraph reports whether body holds a graph the JSON upload form
-// must accept, checked apart from the server's own validation.
+// must accept into a registry of fuzzBudget bytes, checked apart from the
+// server's own validation.
 func validJSONGraph(body []byte) bool {
 	var jg struct {
 		N     int        `json:"n"`
 		Edges [][3]int64 `json:"edges"`
 	}
-	if json.NewDecoder(bytes.NewReader(body)).Decode(&jg) != nil || jg.N < 0 || jg.N > 1<<30 {
+	if json.NewDecoder(bytes.NewReader(body)).Decode(&jg) != nil || jg.N < 0 || jg.N > 1<<30 ||
+		8*int64(jg.N)+16*int64(len(jg.Edges)) > fuzzBudget {
 		return false
 	}
 	var total int64

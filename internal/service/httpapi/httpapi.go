@@ -926,8 +926,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "mincutd_solve_seconds_count %d\n", m.SolveCount)
 	gauge("mincutd_graphs", "Graphs currently registered (resident or on disk).", int64(rs.Graphs))
 	gauge("mincutd_graphs_resident", "Graphs whose edges are held in memory.", int64(rs.Resident))
-	gauge("mincutd_graph_bytes", "Edge bytes held by the registry.", rs.Bytes)
-	gauge("mincutd_graph_capacity_bytes", "Registry edge-byte budget (0 = unbounded).", rs.Capacity)
+	gauge("mincutd_graph_bytes", "Bytes charged for the registry's resident graphs (8 per vertex plus 16 per edge).", rs.Bytes)
+	gauge("mincutd_graph_capacity_bytes", "Registry byte budget (0 = unbounded).", rs.Capacity)
 	counter("mincutd_graphs_evicted_total", "Graphs evicted by the LRU budget.", rs.Evictions)
 	counter("mincutd_graph_dedup_total", "Uploads deduplicated by content hash.", rs.Dedups)
 	counter("mincutd_graph_lookup_hits_total", "Graph lookups that found their graph.", rs.Hits)

@@ -743,6 +743,32 @@ func TestStoreBackedServerSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestUploadChargesVertices: the registry budget charges 8 bytes per
+// vertex as well as 16 per edge, so an upload of 2^30 vertices and no
+// edges, whose every solve would allocate O(n) arrays, exceeds mincutd's
+// default 1 GiB budget and answers 400, as an oversized edge list does.
+// A small graph's "bytes" counts both.
+func TestUploadChargesVertices(t *testing.T) {
+	sch := sched.New(sched.Config{Workers: 1})
+	t.Cleanup(func() { _ = sch.Shutdown(context.Background()) })
+	h := New(registry.New(1<<30, nil), sch, nil, Options{}).Handler()
+	post := func(body string) (int, []byte) {
+		req := httptest.NewRequest("POST", "/v1/graphs", strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code, rec.Body.Bytes()
+	}
+	if code, raw := post(`{"n": 1073741824, "edges": []}`); code != http.StatusBadRequest {
+		t.Fatalf("upload of 2^30 edgeless vertices: %d %s, want 400", code, raw)
+	}
+	code, raw := post(`{"n": 3, "edges": [[0,1,5],[1,2,7]]}`)
+	var gr graphResponse
+	if code != http.StatusCreated || json.Unmarshal(raw, &gr) != nil || gr.Bytes != 3*8+2*16 {
+		t.Fatalf("upload of a 3-vertex 2-edge graph: %d %s, want 201 with 56 bytes", code, raw)
+	}
+}
+
 // TestUploadErrorCodes: a full disk answers 507 (server-side capacity),
 // never 400 (client fault), on both the single and batch upload paths.
 func TestUploadErrorCodes(t *testing.T) {
@@ -776,7 +802,7 @@ func TestUploadErrorCodes(t *testing.T) {
 // TestGraphInfoDoesNotFaultBytesIn: GET /v1/graphs/{id} on an evicted
 // graph answers from the index without a disk load.
 func TestGraphInfoDoesNotFaultBytesIn(t *testing.T) {
-	ts := newStoreServer(t, t.TempDir(), 32, 0) // one 2-edge graph resident
+	ts := newStoreServer(t, t.TempDir(), 56, 0) // one 3-vertex 2-edge graph resident
 	var first graphResponse
 	code, raw := ts.do(t, "POST", "/v1/graphs", "", []byte("p cut 3 2\ne 0 1 5\ne 1 2 7\n"), &first)
 	if code != http.StatusCreated {

@@ -10,7 +10,7 @@
 // permutation was uploaded first.
 //
 // Memory is bounded: resident graphs are evicted least-recently-used once
-// the total edge bytes held exceed the configured capacity. With a
+// the total bytes they are charged exceed the configured capacity. With a
 // Backend attached (a disk store), the LRU becomes a cache over the
 // durable copy: every upload, single or batched, is one group commit to
 // the backend before the graph becomes visible, eviction drops only the
@@ -32,9 +32,18 @@ import (
 	parcut "repro"
 )
 
-// edgeBytes is the in-memory cost of one stored edge: two int32 endpoints
-// and an int64 weight. The eviction budget is measured in these.
-const edgeBytes = 16
+// The eviction budget charges each graph for its edges and its vertices:
+// edgeBytes for one stored edge (two int32 endpoints and an int64
+// weight), vertexBytes for one vertex (the int64 weighted degree every
+// solve allocates). Without the vertex charge an upload of 2^30 vertices
+// and no edges would cost nothing.
+const (
+	edgeBytes   = 16
+	vertexBytes = 8
+)
+
+// graphBytes is what a graph of n vertices and m edges is charged.
+func graphBytes(n, m int) int64 { return int64(n)*vertexBytes + int64(m)*edgeBytes }
 
 // IDPrefix tags registry identifiers so they are self-describing in URLs
 // and logs.
@@ -72,7 +81,8 @@ type Info struct {
 	ID string
 	// N and M are the vertex and edge counts.
 	N, M int
-	// Bytes is the entry's edge-byte cost counted against the capacity.
+	// Bytes is the entry's cost counted against the capacity: 8 bytes per
+	// vertex plus 16 per edge.
 	Bytes int64
 }
 
@@ -80,10 +90,10 @@ type Info struct {
 type Stats struct {
 	// Graphs counts every known graph, resident or not; Resident the
 	// subset currently holding their edges in memory (without a backend
-	// the two are equal). Bytes is the resident edge-byte total.
+	// the two are equal). Bytes is the resident graphs' total cost.
 	Graphs, Resident int
 	Bytes            int64
-	// Capacity is the configured edge-byte budget.
+	// Capacity is the configured byte budget.
 	Capacity int64
 	// Hits counts Get calls that found their graph (including ones served
 	// by a backend load); Misses the rest.
@@ -126,11 +136,12 @@ type Registry struct {
 	loads, loadErrs                 atomic.Int64
 }
 
-// New returns a registry that holds at most capacity edge bytes (16 bytes
-// per stored edge) in memory. A non-positive capacity means unbounded.
-// A non-nil backend makes the registry a cache over that durable store:
-// its existing graphs are indexed immediately (lazily loaded on first
-// Get), writes go through to it, and eviction keeps the disk copy.
+// New returns a registry that holds at most capacity bytes of graphs (8
+// per vertex plus 16 per edge) in memory. A non-positive capacity means
+// unbounded. A non-nil backend makes the registry a cache over that
+// durable store: its existing graphs are indexed immediately (lazily
+// loaded on first Get), writes go through to it, and eviction keeps the
+// disk copy.
 func New(capacity int64, backend Backend) *Registry {
 	r := &Registry{
 		capacity: capacity,
@@ -140,7 +151,7 @@ func New(capacity int64, backend Backend) *Registry {
 	}
 	if backend != nil {
 		backend.Walk(func(id string, n, m int) {
-			r.entries[id] = &entry{info: Info{ID: id, N: n, M: m, Bytes: int64(m) * edgeBytes}}
+			r.entries[id] = &entry{info: Info{ID: id, N: n, M: m, Bytes: graphBytes(n, m)}}
 		})
 	}
 	return r
@@ -205,9 +216,10 @@ func (r *Registry) hashGraph(g *parcut.Graph) (*parcut.Graph, Info, error) {
 	if err != nil {
 		return nil, Info{}, err
 	}
-	info := Info{ID: id, N: g.N(), M: g.M(), Bytes: int64(g.M()) * edgeBytes}
+	info := Info{ID: id, N: g.N(), M: g.M(), Bytes: graphBytes(g.N(), g.M())}
 	if r.capacity > 0 && info.Bytes > r.capacity {
-		return nil, Info{}, fmt.Errorf("registry: graph needs %d edge bytes, capacity is %d", info.Bytes, r.capacity)
+		return nil, Info{}, fmt.Errorf("registry: graph of %d vertices and %d edges needs %d bytes, capacity is %d",
+			info.N, info.M, info.Bytes, r.capacity)
 	}
 	return g, info, nil
 }

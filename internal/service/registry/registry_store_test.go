@@ -28,7 +28,7 @@ func openStore(t *testing.T, dir string) *store.Store {
 // disk, bit-identical, with no re-upload.
 func TestEvictedGraphReloadsFromStore(t *testing.T) {
 	st := openStore(t, t.TempDir())
-	r := New(64, st) // two 2-edge graphs fit
+	r := New(112, st) // two 3-vertex 2-edge graphs fit, 56 bytes each
 	mk := func(w int64) Info {
 		info, _, err := r.Put(strings.NewReader(text(3, [][3]int64{{0, 1, w}, {1, 2, w}})))
 		if err != nil {
@@ -180,7 +180,7 @@ func TestDeleteRemovesMemoryAndDisk(t *testing.T) {
 // must coalesce into a single backend load.
 func TestConcurrentGetsShareOneLoad(t *testing.T) {
 	st := openStore(t, t.TempDir())
-	r := New(32, st) // one 2-edge graph resident at a time
+	r := New(56, st) // one 3-vertex 2-edge graph resident at a time
 	mk := func(w int64) Info {
 		info, _, err := r.Put(strings.NewReader(text(3, [][3]int64{{0, 1, w}, {1, 2, w}})))
 		if err != nil {
@@ -218,7 +218,7 @@ func TestConcurrentGetsShareOneLoad(t *testing.T) {
 // leaving a disk-only entry.
 func TestDedupAfterEvictionMakesResident(t *testing.T) {
 	st := openStore(t, t.TempDir())
-	r := New(32, st)
+	r := New(56, st)
 	body := text(3, [][3]int64{{0, 1, 5}, {1, 2, 7}})
 	info, _, err := r.Put(strings.NewReader(body))
 	if err != nil {

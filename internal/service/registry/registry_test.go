@@ -32,7 +32,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if !strings.HasPrefix(info.ID, IDPrefix) {
 		t.Fatalf("ID %q lacks prefix %q", info.ID, IDPrefix)
 	}
-	if info.N != 3 || info.M != 2 || info.Bytes != 32 {
+	if info.N != 3 || info.M != 2 || info.Bytes != 3*8+2*16 {
 		t.Fatalf("info = %+v", info)
 	}
 	g, got, err := r.Get(info.ID)
@@ -74,8 +74,9 @@ func TestDistinctGraphsGetDistinctIDs(t *testing.T) {
 }
 
 func TestLRUEvictionByEdgeBytes(t *testing.T) {
-	// Each 2-edge graph costs 32 bytes; capacity 64 holds exactly two.
-	r := New(64, nil)
+	// Each 3-vertex 2-edge graph costs 3·8 + 2·16 = 56 bytes; capacity 112
+	// holds exactly two.
+	r := New(112, nil)
 	mk := func(w int64) Info {
 		info, _, err := r.Put(strings.NewReader(text(3, [][3]int64{{0, 1, w}, {1, 2, w}})))
 		if err != nil {
@@ -98,15 +99,19 @@ func TestLRUEvictionByEdgeBytes(t *testing.T) {
 		}
 	}
 	s := r.Stats()
-	if s.Graphs != 2 || s.Bytes != 64 || s.Evictions != 1 {
+	if s.Graphs != 2 || s.Bytes != 112 || s.Evictions != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
 
 func TestPutRejectsOversizedGraph(t *testing.T) {
-	r := New(16, nil) // one edge fits, two do not
+	r := New(32, nil) // 2 vertices and 1 edge fit exactly
 	if _, _, err := r.Put(strings.NewReader(text(3, [][3]int64{{0, 1, 1}, {1, 2, 1}}))); err == nil {
 		t.Fatal("oversized Put succeeded")
+	}
+	// Vertices are charged too: 5 vertices and no edges need 40 bytes.
+	if _, _, err := r.Put(strings.NewReader(text(5, nil))); err == nil {
+		t.Fatal("Put of 5 edgeless vertices succeeded")
 	}
 	if _, _, err := r.Put(strings.NewReader(text(2, [][3]int64{{0, 1, 1}}))); err != nil {
 		t.Fatalf("exact-fit Put failed: %v", err)
