@@ -82,9 +82,9 @@ func BenchmarkTable1KargerStein(b *testing.B) {
 }
 
 func BenchmarkTable1StoerWagner(b *testing.B) {
-	for _, n := range []int{256, 512, 1024} {
-		g := gen.RandomConnected(n, 4*n, 100, 42)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+	run := func(name string, n, m int) {
+		g := gen.RandomConnected(n, m, 100, 42)
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := baseline.StoerWagner(g); err != nil {
@@ -93,6 +93,12 @@ func BenchmarkTable1StoerWagner(b *testing.B) {
 			}
 		})
 	}
+	for _, n := range []int{256, 512, 1024} {
+		run(fmt.Sprintf("n=%d", n), n, 4*n)
+	}
+	// The cutbench dense workload's shape (m = n²/8), which auto sends
+	// to stoerwagner.
+	run("dense/n=256", 256, 256*256/8)
 }
 
 // --- E2: self-speedup -----------------------------------------------------

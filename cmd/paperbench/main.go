@@ -88,9 +88,11 @@ func lg(n int) float64 { return math.Log2(float64(n)) }
 
 // expTable1 — E1: the Table 1 work comparison. Ours is measured in model
 // work and wall time; Karger–Stein (one recursion, Θ(n² log n) work) and
-// Stoer–Wagner (Θ(n³)) in wall time. The shape to reproduce: ours scales
-// near-linearly with m, the dense baselines quadratically+ with n, so ours
-// wins on sparse graphs and the advantage shrinks as density grows.
+// Stoer–Wagner in wall time. The Stoer–Wagner column times the Θ(n³)
+// array form, not the O(nm + n² log n) heap form Table 1 cites. The
+// shape to reproduce: ours scales near-linearly with m, the dense
+// baselines quadratically+ with n, so ours wins on sparse graphs and the
+// advantage shrinks as density grows.
 func expTable1() {
 	header("E1 (Table 1): total work, ours vs quadratic-work baselines")
 	type row struct{ n, m int }
@@ -100,8 +102,8 @@ func expTable1() {
 		sparse = sparse[:2]
 		dense = dense[:2]
 	}
-	fmt.Println("| family | n | m | ours ms | ours work | work/(m·lg⁴n) | KS-once ms | SW ms |")
-	fmt.Println("|--------|---|---|---------|-----------|---------------|------------|-------|")
+	fmt.Println("| family | n | m | ours ms | ours work | work/(m·lg⁴n) | KS-once ms | SW O(n³) ms |")
+	fmt.Println("|--------|---|---|---------|-----------|---------------|------------|-------------|")
 	run := func(family string, rows []row) {
 		for _, r := range rows {
 			g := gen.RandomConnected(r.n, r.m, 100, 42)
@@ -591,11 +593,13 @@ func expEngines() {
 	}
 	sparseNs := []int{64, 128, 256, 512, 1024, 2048}
 	denseNs := []int{64, 128, 256, 512}
-	reps := 3
+	// Best of 3 per cell in quick mode too: near a crossover the engines
+	// sit within a few ms of each other, and one timing per cell moves it
+	// from run to run.
+	const reps = 3
 	if *quick {
 		sparseNs = []int{64, 128, 256}
 		denseNs = []int{64, 128}
-		reps = 1
 	}
 	var cells []cell
 	for _, n := range sparseNs {

@@ -6,10 +6,10 @@
 // polylog-depth, quadratic-work" regime the paper improves on), and
 // exhaustive enumeration for tiny instances.
 //
-// Stoer–Wagner also comes in a Context form (cancellation, par.Pool,
-// progress, tracing) so internal/engine can serve it behind the same
-// scheduler seams as the paper solver; Karger–Stein is a sequential
-// oracle and Table 1 comparator only.
+// Stoer–Wagner also comes in a Context form (cancellation, progress,
+// tracing) so internal/engine can serve it behind the same scheduler
+// seams as the paper solver; Karger–Stein is a sequential oracle and
+// Table 1 comparator only.
 package baseline
 
 import (
@@ -22,12 +22,6 @@ import (
 	"repro/internal/trace"
 )
 
-// swGrain keeps the pool off tiny inner loops: the O(n) weight
-// accumulation per maximum-adjacency step only forks once a phase has at
-// least this many active supernodes. Below it, fork overhead dominates
-// the loop body.
-const swGrain = 2048
-
 // StoerWagner computes an exact global minimum cut deterministically in
 // O(n³) time (the simple array implementation of the O(nm + n² log n)
 // algorithm). A disconnected graph yields value 0. Returns the cut value
@@ -38,14 +32,19 @@ func StoerWagner(g *graph.Graph) (int64, []bool, error) {
 
 // StoerWagnerContext is StoerWagner promoted to a serveable engine: ctx
 // is checked between contraction phases (there are n-1 of them, each
-// O(active²) work) so cancellation is prompt; the per-phase weight
-// loops run on pool (nil means the shared default pool) — every parallel
-// loop writes disjoint indices and the phase's vertex selection stays
-// sequential, so the result is bit-identical at every pool width; sink
-// (nil-safe) enters PhaseContract and counts one coarse step per
-// contraction phase on the tree counters, notifying at the same seam
-// where ctx is checked; sp, when active, gains one "contract" child span
-// tagged with the phase count.
+// O(active²) work) so cancellation is prompt; sink (nil-safe) enters
+// PhaseContract and counts one coarse step per contraction phase on the
+// tree counters, notifying at the same seam where ctx is checked; sp,
+// when active, gains one "contract" child span tagged with the phase
+// count.
+//
+// Every loop is sequential, and each maximum-adjacency step is one pass
+// over the supernodes not yet in A: it adds the newest member's matrix
+// row to their weights, drops that member from the list and keeps the
+// first maximum as the next pick. pool is unused: a step is O(active)
+// work, and forking it pays only far above the sizes auto sends here.
+// The parameter stays because the engine and cutbench's traced run pass
+// their executor.
 func StoerWagnerContext(ctx context.Context, g *graph.Graph, pool *par.Pool, sink *progress.Sink, sp trace.SpanRef) (int64, []bool, error) {
 	n := g.N()
 	if n < 2 {
@@ -65,79 +64,80 @@ func StoerWagnerContext(ctx context.Context, g *graph.Graph, pool *par.Pool, sin
 		w[int(e.U)*n+int(e.V)] += e.W
 		w[int(e.V)*n+int(e.U)] += e.W
 	}
-	// groups[v] lists the original vertices merged into supernode v.
-	groups := make([][]int32, n)
-	for v := range groups {
-		groups[v] = []int32{int32(v)}
-	}
+	// The original vertices merged into supernode v form the chain v,
+	// next[v], … , tail[v]. A merge links last's chain after prev's and
+	// changes no link inside either, so the side of the best phase stays
+	// the run from its recorded head to its recorded tail.
+	tail := make([]int32, n)
+	next := make([]int32, n)
 	active := make([]int32, n)
-	for i := range active {
-		active[i] = int32(i)
+	for v := range active {
+		tail[v], next[v], active[v] = int32(v), -1, int32(v)
 	}
+	// rest holds the supernodes not yet in A, in active order, and
+	// restW their connectivity to A, position for position.
+	rest := make([]int32, n)
+	restW := make([]int64, n)
 	bestVal := int64(-1)
-	var bestGroup []int32
-	weight := make([]int64, n) // connectivity to the growing set A
-	inA := make([]bool, n)
+	var bestHead, bestTail int32
 	for len(active) > 1 {
 		if err := ctx.Err(); err != nil {
 			return 0, nil, fmt.Errorf("baseline: canceled: %w", err)
 		}
-		// Maximum adjacency (minimum cut phase) search.
-		for _, v := range active {
-			weight[v] = 0
-			inA[v] = false
-		}
+		// Maximum adjacency (minimum cut phase) search from A = {active[0]}.
+		// Each pass adds the row of last, A's newest member, to the
+		// weights in rest, drops last from rest and picks the first
+		// maximum; the phase ends when rest holds only last.
+		rest = append(rest[:0], active...)
+		restW = restW[:len(active)]
+		clear(restW)
 		var prev, last int32 = -1, active[0]
-		inA[last] = true
-		pool.ForGrain(len(active), swGrain, func(i int) {
-			if u := active[i]; u != last {
-				weight[u] = w[int(last)*n+int(u)]
-			}
-		})
-		for step := 1; step < len(active); step++ {
-			// The selection scans sequentially so ties break by position,
-			// independent of pool width.
-			var pick int32 = -1
-			for _, u := range active {
-				if !inA[u] && (pick < 0 || weight[u] > weight[pick]) {
-					pick = u
+		for len(rest) > 1 {
+			row := w[int(last)*n : int(last)*n+n]
+			// Weights are at least 0, so the first candidate beats -1.
+			k, pick, pickW := 0, 0, int64(-1)
+			for i, u := range rest {
+				if u == last {
+					continue
 				}
+				x := restW[i] + row[u]
+				rest[k], restW[k] = u, x
+				if x > pickW {
+					pick, pickW = k, x
+				}
+				k++
 			}
-			inA[pick] = true
-			prev, last = last, pick
-			if step < len(active)-1 {
-				pool.ForGrain(len(active), swGrain, func(i int) {
-					if u := active[i]; !inA[u] {
-						weight[u] += w[int(pick)*n+int(u)]
-					}
-				})
-			}
+			rest, restW = rest[:k], restW[:k]
+			prev, last = last, rest[pick]
 		}
 		// Cut-of-the-phase: the last vertex alone against the rest.
-		if bestVal < 0 || weight[last] < bestVal {
-			bestVal = weight[last]
-			bestGroup = append([]int32(nil), groups[last]...)
+		if bestVal < 0 || restW[0] < bestVal {
+			bestVal = restW[0]
+			bestHead, bestTail = last, tail[last]
 		}
-		// Merge last into prev.
-		pool.ForGrain(len(active), swGrain, func(i int) {
-			if u := active[i]; u != last && u != prev {
+		// Merge last into prev and drop it from active.
+		out := active[:0]
+		for _, u := range active {
+			if u == last {
+				continue
+			}
+			if u != prev {
 				w[int(prev)*n+int(u)] += w[int(last)*n+int(u)]
 				w[int(u)*n+int(prev)] = w[int(prev)*n+int(u)]
 			}
-		})
-		groups[prev] = append(groups[prev], groups[last]...)
-		out := active[:0]
-		for _, u := range active {
-			if u != last {
-				out = append(out, u)
-			}
+			out = append(out, u)
 		}
 		active = out
+		next[tail[prev]] = last
+		tail[prev] = tail[last]
 		sink.TreeDone()
 	}
 	inCut := make([]bool, n)
-	for _, v := range bestGroup {
+	for v := bestHead; ; v = next[v] {
 		inCut[v] = true
+		if v == bestTail {
+			break
+		}
 	}
 	return bestVal, inCut, nil
 }

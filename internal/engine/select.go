@@ -32,10 +32,13 @@ type Thresholds struct {
 
 // DefaultThresholds hold the shipped calibration, refreshed from the
 // crossover measurements in BENCH_engines.json (paperbench -exp engines).
-// Last measured: on the sparse family (m = 4n) stoerwagner wins through
-// n = 512 (265 ms vs 294 ms) and loses at n = 1024 (2.0 s vs 0.94 s); on
-// the dense family (m = n²/8) it still wins 14× at n = 512 (258 ms vs
-// 3.7 s), so the dense rule extends one doubling past the sparse one.
+// Last measured, best of 3 per cell on a default pool of width 2 (the
+// median of three runs): on the sparse family (m = 4n) stoerwagner wins
+// through n = 256 (13.8 ms vs 16.5 ms) and loses at n = 512 (76 ms vs
+// 51 ms) and n = 1024 (679 ms vs 135 ms), so SmallN sends sparse graphs
+// of 257 to 512 vertices to the slower engine, by up to 1.5×; on the
+// dense family (m = n²/8) it still wins 9.2× at n = 512 (71 ms vs
+// 657 ms), so the dense rule extends past the sparse one.
 var DefaultThresholds = Thresholds{SmallN: 512, DenseN: 1024, DenseFrac: 0.125}
 
 // Select applies the thresholds to a graph with n vertices and m edges.
