@@ -68,23 +68,21 @@ type hotpathReport struct {
 	GoVersion  string          `json:"go_version"`
 	Series     []hotpathSeries `json:"series"`
 	// Pool is the width-4 benchmark pool's counter snapshot after all
-	// series ran: how the work moved (local vs shared vs overflow
-	// pushes, steals) and how the arena behaved. StealRatio is
-	// steals/(local+shared+overflow) — the fraction of queued tasks that
-	// changed lanes. Informational, not gated: the ratio depends on
-	// scheduling, unlike the gated ns/op and allocs/op.
+	// series ran: how the work moved (forks, steals) and how the arena
+	// behaved. StealRatio is steals/forks — the fraction of forked
+	// branches that ran on a goroutine other than their forker.
+	// Informational, not gated: the ratio depends on scheduling, unlike
+	// the gated ns/op and allocs/op.
 	Pool hotpathPoolStats `json:"pool"`
 }
 
 type hotpathPoolStats struct {
-	Steals         int64   `json:"steals"`
-	LocalPushes    int64   `json:"local_pushes"`
-	SharedPushes   int64   `json:"shared_pushes"`
-	OverflowPushes int64   `json:"overflow_pushes"`
-	InlineRuns     int64   `json:"inline_runs"`
-	ArenaHits      int64   `json:"arena_hits"`
-	ArenaMisses    int64   `json:"arena_misses"`
-	StealRatio     float64 `json:"steal_ratio"`
+	Forks       int64   `json:"forks"`
+	Steals      int64   `json:"steals"`
+	InlineRuns  int64   `json:"inline_runs"`
+	ArenaHits   int64   `json:"arena_hits"`
+	ArenaMisses int64   `json:"arena_misses"`
+	StealRatio  float64 `json:"steal_ratio"`
 }
 
 // benchSeries runs one benchmark reps times; independent
@@ -205,8 +203,8 @@ func expHotpath() {
 			}
 		}},
 		{"fork_join_burst", func(b *testing.B) {
-			// 512 leaf tasks per op through the deques: the
-			// saturation shape the stealing rewrite exists for.
+			// 512 leaf tasks per op through the pool's queue: the
+			// saturation shape that must queue, not run inline.
 			var rec func(d int)
 			rec = func(d int) {
 				if d == 0 {
@@ -251,13 +249,12 @@ func expHotpath() {
 	_ = sink
 
 	st := pp.Stats()
-	pushes := st.LocalPushes + st.SharedPushes + st.OverflowPushes
 	ratio := 0.0
-	if pushes > 0 {
-		ratio = float64(st.Steals) / float64(pushes)
+	if st.Forks > 0 {
+		ratio = float64(st.Steals) / float64(st.Forks)
 	}
-	fmt.Printf("\npool: %d pushes (%d local, %d shared, %d overflow), %d steals (ratio %.3f), %d inline, arena %d hits / %d misses\n",
-		pushes, st.LocalPushes, st.SharedPushes, st.OverflowPushes, st.Steals, ratio, st.InlineRuns, st.ArenaHits, st.ArenaMisses)
+	fmt.Printf("\npool: %d forks, %d steals (ratio %.3f), %d inline, arena %d hits / %d misses\n",
+		st.Forks, st.Steals, ratio, st.InlineRuns, st.ArenaHits, st.ArenaMisses)
 
 	if *hotpathOut != "" {
 		blob, err := json.MarshalIndent(hotpathReport{
@@ -267,14 +264,12 @@ func expHotpath() {
 			GoVersion:  runtime.Version(),
 			Series:     results,
 			Pool: hotpathPoolStats{
-				Steals:         st.Steals,
-				LocalPushes:    st.LocalPushes,
-				SharedPushes:   st.SharedPushes,
-				OverflowPushes: st.OverflowPushes,
-				InlineRuns:     st.InlineRuns,
-				ArenaHits:      st.ArenaHits,
-				ArenaMisses:    st.ArenaMisses,
-				StealRatio:     ratio,
+				Forks:       st.Forks,
+				Steals:      st.Steals,
+				InlineRuns:  st.InlineRuns,
+				ArenaHits:   st.ArenaHits,
+				ArenaMisses: st.ArenaMisses,
+				StealRatio:  ratio,
 			},
 		}, "", "  ")
 		if err != nil {

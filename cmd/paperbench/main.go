@@ -500,15 +500,15 @@ func expScaling() {
 		// (warmest) rep: the arena recycling means it should be far
 		// below the first rep's and roughly width-independent.
 		AllocsPerSolve uint64 `json:"allocs_per_solve"`
-		// Steals and SharedPushes are the executor's work-stealing
-		// counters summed over all reps at this width (zero at width 1,
-		// where the pool runs inline).
-		Steals       int64 `json:"steals"`
-		SharedPushes int64 `json:"shared_pushes"`
+		// Forks and Steals are the executor's scheduling counters
+		// summed over all reps at this width (zero at width 1, where the
+		// pool runs inline).
+		Forks  int64 `json:"forks"`
+		Steals int64 `json:"steals"`
 	}
 	rows := make([]widthRow, 0, len(widths))
-	fmt.Println("| width | ms | speedup vs width 1 | packing ms | scan ms | allocs/solve | steals | value |")
-	fmt.Println("|-------|----|--------------------|------------|---------|--------------|--------|-------|")
+	fmt.Println("| width | ms | speedup vs width 1 | packing ms | scan ms | allocs/solve | forks | steals | value |")
+	fmt.Println("|-------|----|--------------------|------------|---------|--------------|-------|--------|-------|")
 	var baseMS float64
 	var refValue int64
 	for i, w := range widths {
@@ -550,9 +550,9 @@ func expScaling() {
 			log.Fatalf("scaling: width %d produced value %d, width 1 produced %d (determinism violated)", w, res.Value, refValue)
 		}
 		rows = append(rows, widthRow{Width: w, Millis: best, Speedup: baseMS / best, Value: res.Value,
-			PackingMs: packMS, ScanMs: scanMS, AllocsPerSolve: allocs, Steals: st.Steals, SharedPushes: st.SharedPushes})
-		fmt.Printf("| %d | %.1f | %.2fx | %.1f | %.1f | %d | %d | %d |\n",
-			w, best, baseMS/best, packMS, scanMS, allocs, st.Steals, res.Value)
+			PackingMs: packMS, ScanMs: scanMS, AllocsPerSolve: allocs, Forks: st.Forks, Steals: st.Steals})
+		fmt.Printf("| %d | %.1f | %.2fx | %.1f | %.1f | %d | %d | %d | %d |\n",
+			w, best, baseMS/best, packMS, scanMS, allocs, st.Forks, st.Steals, res.Value)
 	}
 	if *scalingOut == "" {
 		return

@@ -40,7 +40,6 @@ func TestScanPrimitivesZeroAllocSequential(t *testing.T) {
 	assertZeroAlloc(t, "ExclusiveSum", func() { sink += p.ExclusiveSum(xs, out) })
 	assertZeroAlloc(t, "InclusiveSum", func() { sink += p.InclusiveSum(xs, out) })
 	assertZeroAlloc(t, "SegmentedBroadcast", func() { p.SegmentedBroadcast(present, xs, out, 0) })
-	assertZeroAlloc(t, "SumInt64", func() { sink += p.SumInt64(xs) })
 	assertZeroAlloc(t, "MinInt64", func() { v, _ := p.MinInt64(xs); sink += v })
 	_ = sink
 }

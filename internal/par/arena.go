@@ -31,7 +31,6 @@ type Arena struct {
 	int64s sync.Pool // *[]int64
 	int32s sync.Pool // *[]int32
 	bools  sync.Pool // *[]bool
-	au64s  sync.Pool // *[]atomic.Uint64
 	ai64s  sync.Pool // *[]atomic.Int64
 
 	// typed holds free-lists created on demand for arbitrary element
@@ -114,15 +113,6 @@ func (a *Arena) Bool(n int) *[]bool { return arenaGet[bool](a, &a.bools, n) }
 
 // PutBool returns a slice borrowed with Bool.
 func (a *Arena) PutBool(sp *[]bool) { a.bools.Put(sp) }
-
-// AtomicUint64 borrows a []atomic.Uint64 of length n (contents
-// unspecified).
-func (a *Arena) AtomicUint64(n int) *[]atomic.Uint64 {
-	return arenaGet[atomic.Uint64](a, &a.au64s, n)
-}
-
-// PutAtomicUint64 returns a slice borrowed with AtomicUint64.
-func (a *Arena) PutAtomicUint64(sp *[]atomic.Uint64) { a.au64s.Put(sp) }
 
 // AtomicInt64 borrows a []atomic.Int64 of length n (contents
 // unspecified).

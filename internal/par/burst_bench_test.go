@@ -6,14 +6,13 @@ import (
 	"testing"
 )
 
-// chanRef reproduces the executor this package shipped before the
-// work-stealing rewrite: one shared buffered channel of tasks, workers
-// pulling from it, and forks degrading to inline execution the moment the
-// channel is full. It exists only as the benchmark reference for
-// BenchmarkForkJoinBurst — the bursty nested fork-join shape where the
-// single channel collapses to sequential execution (every fork past the
-// small buffer runs inline on the forking goroutine) while the deque pool
-// keeps the burst distributed.
+// chanRef reproduces the executor this package shipped before Pool: one
+// shared buffered channel of tasks, workers pulling from it, and forks
+// degrading to inline execution the moment the channel is full. It exists
+// only as the benchmark reference for BenchmarkForkJoinBurst — the bursty
+// nested fork-join shape where the single channel collapses to sequential
+// execution (every fork past the small buffer runs inline on the forking
+// goroutine) while Pool's unbounded queue keeps the burst distributed.
 type chanRef struct {
 	tasks chan func()
 	stop  chan struct{}
@@ -85,7 +84,8 @@ func (p *chanRef) do(a, b func()) {
 }
 
 // burstLeaf is enough work that a leaf is not free, but little enough
-// that dispatch overhead dominates — the regime the rewrite targets.
+// that dispatch overhead dominates — the regime where inline collapse
+// shows.
 func burstLeaf(acc *int64) {
 	x := uint64(0x2545f4914f6cdd1d)
 	for i := 0; i < 64; i++ {
@@ -96,13 +96,13 @@ func burstLeaf(acc *int64) {
 	*acc += int64(x)
 }
 
-// BenchmarkForkJoinBurst compares the work-stealing pool against the old
-// single-channel design on a binary fork tree of depth 9 (511 forks, 512
-// leaves per op): the saturation-collapse shape. Run with -count=N and
-// benchstat to compare medians.
+// BenchmarkForkJoinBurst compares Pool against the old single-channel
+// design on a binary fork tree of depth 9 (511 forks, 512 leaves per op):
+// the saturation-collapse shape. Run with -count=N and benchstat to
+// compare medians.
 func BenchmarkForkJoinBurst(b *testing.B) {
 	const width, depth = 4, 9
-	b.Run("steal", func(b *testing.B) {
+	b.Run("pool", func(b *testing.B) {
 		p := NewPool(width)
 		defer p.Close()
 		var acc int64

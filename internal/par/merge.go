@@ -7,18 +7,16 @@ import "sort"
 // merge is stable: on ties, elements of a precede elements of b. Large
 // merges split in parallel by the classic median/binary-search scheme
 // (Cole-style merging, the primitive the paper cites for its O(log) depth
-// merge [7]); the recursion is lane-aware, so whichever lane executes a
-// branch — owner or thief — pushes its sub-branches onto its own deque.
-// Forked branches are described by recycled frames rather than fresh
-// closures, so steady-state merges allocate nothing. MergeOn and
-// SortStableOn are package functions rather than Pool methods because Go
-// does not allow generic methods.
+// merge [7]). Forked branches are described by recycled frames rather
+// than fresh closures, so steady-state merges allocate nothing. MergeOn
+// and SortStableOn are package functions rather than Pool methods because
+// Go does not allow generic methods.
 func MergeOn[T any](p *Pool, a, b, out []T, less func(x, y T) bool) {
 	if len(out) != len(a)+len(b) {
 		panic("par: Merge output length mismatch")
 	}
 	p = p.get()
-	mergeRec(p, nil, a, b, out, less, p.cut.merge, false)
+	mergeRec(p, a, b, out, less, p.cut.merge, false)
 }
 
 // mergeFrame carries the arguments of a forked mergeRec branch plus a
@@ -32,7 +30,7 @@ type mergeFrame[T any] struct {
 	less      func(x, y T) bool
 	cutoff    int
 	flip      bool
-	run       func(*lane)
+	run       func()
 }
 
 func newMergeFrame[T any](p *Pool, a, b, out []T, less func(x, y T) bool, cutoff int, flip bool) *mergeFrame[T] {
@@ -47,8 +45,8 @@ func newMergeFrame[T any](p *Pool, a, b, out []T, less func(x, y T) bool, cutoff
 	return fr
 }
 
-func (fr *mergeFrame[T]) exec(l *lane) {
-	mergeRec(fr.p, l, fr.a, fr.b, fr.out, fr.less, fr.cutoff, fr.flip)
+func (fr *mergeFrame[T]) exec() {
+	mergeRec(fr.p, fr.a, fr.b, fr.out, fr.less, fr.cutoff, fr.flip)
 }
 
 // release returns the frame to its free-list. Only safe once the forked
@@ -64,7 +62,7 @@ func (fr *mergeFrame[T]) release() {
 // ties (a is logically first); with flip true, elements of b win. One
 // function with a flip bit — rather than the former mergeRec /
 // mergeRecFlipped pair — lets the forked branch be a recycled frame.
-func mergeRec[T any](p *Pool, l *lane, a, b, out []T, less func(x, y T) bool, cutoff int, flip bool) {
+func mergeRec[T any](p *Pool, a, b, out []T, less func(x, y T) bool, cutoff int, flip bool) {
 	if len(a) < len(b) {
 		// Keep a as the physically larger side so the split point is
 		// well-defined; swapping sides flips the tie-break.
@@ -75,7 +73,7 @@ func mergeRec[T any](p *Pool, l *lane, a, b, out []T, less func(x, y T) bool, cu
 		copy(out, a)
 		return
 	}
-	if p.lanes == nil || len(a)+len(b) <= cutoff {
+	if p.width == 1 || len(a)+len(b) <= cutoff {
 		if flip {
 			seqMerge(b, a, out, less)
 		} else {
@@ -97,12 +95,12 @@ func mergeRec[T any](p *Pool, l *lane, a, b, out []T, less func(x, y T) bool, cu
 	out[i+j] = a[i]
 	fr := newMergeFrame(p, a[i+1:], b[j:], out[i+j+1:], less, cutoff, flip)
 	jn := p.getJoin()
-	if p.fork(l, jn, task{lf: fr.run}) {
-		mergeRec(p, l, a[:i], b[:j], out[:i+j], less, cutoff, flip)
-		p.wait(l, jn)
+	if p.fork(jn, task{f: fr.run}) {
+		mergeRec(p, a[:i], b[:j], out[:i+j], less, cutoff, flip)
+		p.wait(jn)
 	} else {
-		mergeRec(p, l, a[:i], b[:j], out[:i+j], less, cutoff, flip)
-		fr.exec(l)
+		mergeRec(p, a[:i], b[:j], out[:i+j], less, cutoff, flip)
+		fr.exec()
 	}
 	p.putJoin(jn)
 	fr.release()
@@ -136,10 +134,10 @@ func SortStableOn[T any](p *Pool, xs []T, less func(x, y T) bool) {
 		return
 	}
 	bufp := Slice[T](&p.arena, n)
-	if p.lanes == nil || n <= p.cut.sort {
+	if p.width == 1 || n <= p.cut.sort {
 		seqSortStable(xs, *bufp, less)
 	} else {
-		sortInto(p, nil, xs, *bufp, less, true, p.cut.sort, p.cut.merge)
+		sortInto(p, xs, *bufp, less, true, p.cut.sort, p.cut.merge)
 	}
 	PutSlice(&p.arena, bufp)
 }
@@ -153,7 +151,7 @@ type sortFrame[T any] struct {
 	inSrc    bool
 	sortCut  int
 	mergeCut int
-	run      func(*lane)
+	run      func()
 }
 
 func newSortFrame[T any](p *Pool, src, dst []T, less func(x, y T) bool, inSrc bool, sortCut, mergeCut int) *sortFrame[T] {
@@ -169,8 +167,8 @@ func newSortFrame[T any](p *Pool, src, dst []T, less func(x, y T) bool, inSrc bo
 	return fr
 }
 
-func (fr *sortFrame[T]) exec(l *lane) {
-	sortInto(fr.p, l, fr.src, fr.dst, fr.less, fr.inSrc, fr.sortCut, fr.mergeCut)
+func (fr *sortFrame[T]) exec() {
+	sortInto(fr.p, fr.src, fr.dst, fr.less, fr.inSrc, fr.sortCut, fr.mergeCut)
 }
 
 func (fr *sortFrame[T]) release() {
@@ -180,7 +178,7 @@ func (fr *sortFrame[T]) release() {
 }
 
 // sortInto sorts src; if inSrc is true the result ends in src, else in dst.
-func sortInto[T any](p *Pool, l *lane, src, dst []T, less func(x, y T) bool, inSrc bool, sortCut, mergeCut int) {
+func sortInto[T any](p *Pool, src, dst []T, less func(x, y T) bool, inSrc bool, sortCut, mergeCut int) {
 	n := len(src)
 	if n <= sortCut {
 		seqSortStable(src, dst, less)
@@ -190,26 +188,26 @@ func sortInto[T any](p *Pool, l *lane, src, dst []T, less func(x, y T) bool, inS
 		return
 	}
 	mid := n / 2
-	if p.lanes == nil || p.closed.Load() {
-		sortInto(p, l, src[:mid], dst[:mid], less, !inSrc, sortCut, mergeCut)
-		sortInto(p, l, src[mid:], dst[mid:], less, !inSrc, sortCut, mergeCut)
+	if p.width == 1 || p.closed.Load() {
+		sortInto(p, src[:mid], dst[:mid], less, !inSrc, sortCut, mergeCut)
+		sortInto(p, src[mid:], dst[mid:], less, !inSrc, sortCut, mergeCut)
 	} else {
 		fr := newSortFrame(p, src[mid:], dst[mid:], less, !inSrc, sortCut, mergeCut)
 		jn := p.getJoin()
-		if p.fork(l, jn, task{lf: fr.run}) {
-			sortInto(p, l, src[:mid], dst[:mid], less, !inSrc, sortCut, mergeCut)
-			p.wait(l, jn)
+		if p.fork(jn, task{f: fr.run}) {
+			sortInto(p, src[:mid], dst[:mid], less, !inSrc, sortCut, mergeCut)
+			p.wait(jn)
 		} else {
-			sortInto(p, l, src[:mid], dst[:mid], less, !inSrc, sortCut, mergeCut)
-			fr.exec(l)
+			sortInto(p, src[:mid], dst[:mid], less, !inSrc, sortCut, mergeCut)
+			fr.exec()
 		}
 		p.putJoin(jn)
 		fr.release()
 	}
 	if inSrc {
-		mergeRec(p, l, dst[:mid], dst[mid:], src, less, mergeCut, false)
+		mergeRec(p, dst[:mid], dst[mid:], src, less, mergeCut, false)
 	} else {
-		mergeRec(p, l, src[:mid], src[mid:], dst, less, mergeCut, false)
+		mergeRec(p, src[:mid], src[mid:], dst, less, mergeCut, false)
 	}
 }
 

@@ -3,9 +3,9 @@
 // reductions, all-prefix-sums (scans), segmented broadcasts, parallel
 // merging of sorted sequences, and parallel stable sorting.
 //
-// Go has no work-stealing fork-join runtime, so the primitives emulate the
-// Work-Depth model on an explicit executor, Pool: a persistent bounded-width
-// worker set with per-worker work-stealing deques. Every primitive has one
+// Go has no fork-join runtime, so the primitives emulate the Work-Depth
+// model on an explicit executor, Pool: a persistent bounded-width worker
+// set that runs forked branches from one FIFO queue. Every primitive has one
 // way to be called: the non-generic ones are *Pool methods, and the generic
 // ones are the package functions MergeOn and SortStableOn, which take the
 // pool as their first argument (Go has no generic methods). A nil *Pool
@@ -34,7 +34,7 @@ const Grain = 8192
 type cutoffs struct {
 	forGrain int // per-chunk element count of For loops
 	scan     int // ExclusiveSum, InclusiveSum, SegmentedBroadcast
-	reduce   int // ReduceInt64, MinInt64, SumInt64
+	reduce   int // MinInt64
 	merge    int // MergeOn, by total elements across both inputs
 	sort     int // SortStableOn
 }
@@ -59,7 +59,7 @@ func (p *Pool) ForGrain(n, grain int, f func(i int)) {
 	p = p.get()
 	// Sequential fast path before the wrapper closure exists, so loops
 	// below the cutoff (and any loop on a width-1 pool) allocate nothing.
-	if p.lanes == nil || p.closed.Load() || n <= grain {
+	if p.width == 1 || p.closed.Load() || n <= grain {
 		for i := 0; i < n; i++ {
 			f(i)
 		}
@@ -108,7 +108,7 @@ func (p *Pool) ForChunk(n, grain int, f func(lo, hi int)) {
 	if grain < 1 {
 		grain = 1
 	}
-	if p.lanes == nil || p.closed.Load() || n <= grain {
+	if p.width == 1 || p.closed.Load() || n <= grain {
 		f(0, n)
 		return
 	}
@@ -130,22 +130,21 @@ func (p *Pool) ForChunk(n, grain int, f func(lo, hi int)) {
 	}
 	j := p.getJoin()
 	for i := 0; i < helpers; i++ {
-		if !p.fork(nil, j, task{cs: cr}) {
+		if !p.fork(j, task{cs: cr}) {
 			break // pool closed mid-call; the caller drains alone
 		}
 	}
 	cr.drain()
-	p.wait(nil, j)
+	p.wait(j)
 	p.putJoin(j)
 	p.putChunkRun(cr)
 }
 
 // Do runs the given functions as parallel fork-join branches on the pool:
-// branches are handed to the lanes' deques (at most width run at once,
-// zero goroutines spawned) and the caller helps execute queued branches
-// while joining. Branches only run inline in the caller when the pool is
-// sequential or closed — saturation spills to the overflow queue instead
-// of serializing.
+// branches go onto the pool's queue (at most width run at once, zero
+// goroutines spawned) and the caller helps run queued branches while
+// joining. Branches only run inline in the caller when the pool is
+// sequential or closed — saturation queues instead of serializing.
 func (p *Pool) Do(fs ...func()) {
 	p = p.get()
 	switch len(fs) {
@@ -155,7 +154,7 @@ func (p *Pool) Do(fs ...func()) {
 		fs[0]()
 		return
 	}
-	if p.lanes == nil || p.closed.Load() {
+	if p.width == 1 || p.closed.Load() {
 		for _, f := range fs {
 			f()
 		}
@@ -164,7 +163,7 @@ func (p *Pool) Do(fs ...func()) {
 	j := p.getJoin()
 	var inline []func()
 	for _, f := range fs[1:] {
-		if !p.fork(nil, j, task{f: f}) {
+		if !p.fork(j, task{f: f}) {
 			inline = append(inline, f) // pool closed mid-call
 		}
 	}
@@ -172,67 +171,8 @@ func (p *Pool) Do(fs ...func()) {
 	for _, f := range inline {
 		f()
 	}
-	p.wait(nil, j)
+	p.wait(j)
 	p.putJoin(j)
-}
-
-// Do2 is a binary fork-join (the common case in divide and conquer).
-func (p *Pool) Do2(a, b func()) {
-	p = p.get()
-	if p.lanes == nil || p.closed.Load() {
-		a()
-		b()
-		return
-	}
-	j := p.getJoin()
-	if !p.fork(nil, j, task{f: b}) {
-		p.putJoin(j)
-		a()
-		b()
-		return
-	}
-	a()
-	p.wait(nil, j)
-	p.putJoin(j)
-}
-
-// ReduceInt64 reduces xs with the associative op, returning identity for an
-// empty slice.
-func (p *Pool) ReduceInt64(xs []int64, identity int64, op func(a, b int64) int64) int64 {
-	p = p.get()
-	n := len(xs)
-	if n == 0 {
-		return identity
-	}
-	if p.lanes == nil || n <= p.cut.reduce {
-		acc := identity
-		for _, x := range xs {
-			acc = op(acc, x)
-		}
-		return acc
-	}
-	chunks := p.numChunks(n)
-	sp, partial := p.getScratch(chunks)
-	defer p.putScratch(sp)
-	size := (n + chunks - 1) / chunks
-	p.ForChunk(chunks, 1, func(clo, chi int) {
-		for c := clo; c < chi; c++ {
-			lo, hi := c*size, (c+1)*size
-			if hi > n {
-				hi = n
-			}
-			acc := identity
-			for _, x := range xs[lo:hi] {
-				acc = op(acc, x)
-			}
-			partial[c] = acc
-		}
-	})
-	acc := identity
-	for _, x := range partial {
-		acc = op(acc, x)
-	}
-	return acc
 }
 
 // MinInt64 returns the minimum element and its index (the smallest index
@@ -243,7 +183,7 @@ func (p *Pool) MinInt64(xs []int64) (int64, int) {
 		panic("par: MinInt64 of empty slice")
 	}
 	n := len(xs)
-	if p.lanes == nil || n <= p.cut.reduce {
+	if p.width == 1 || n <= p.cut.reduce {
 		return seqMin(xs, 0)
 	}
 	chunks := p.numChunks(n)
@@ -279,9 +219,4 @@ func seqMin(xs []int64, base int) (int64, int) {
 		}
 	}
 	return best, bi
-}
-
-// SumInt64 returns the sum of xs.
-func (p *Pool) SumInt64(xs []int64) int64 {
-	return p.ReduceInt64(xs, 0, func(a, b int64) int64 { return a + b })
 }

@@ -57,8 +57,16 @@ func TestReduceAndMin(t *testing.T) {
 				wantMin, wantIdx = xs[i], i
 			}
 		}
-		if got := Default().SumInt64(xs); got != want {
-			t.Fatalf("n=%d: sum=%d want %d", n, got, want)
+		var got atomic.Int64
+		Default().ForChunk(n, Grain/4, func(lo, hi int) {
+			var s int64
+			for _, x := range xs[lo:hi] {
+				s += x
+			}
+			got.Add(s)
+		})
+		if got.Load() != want {
+			t.Fatalf("n=%d: chunked sum=%d want %d", n, got.Load(), want)
 		}
 		gotMin, gotIdx := Default().MinInt64(xs)
 		if gotMin != wantMin || gotIdx != wantIdx {
@@ -225,8 +233,8 @@ func TestPrimitivesUnderSingleWorker(t *testing.T) {
 	for i := range xs {
 		xs[i] = 2
 	}
-	if got := Default().SumInt64(xs); got != int64(2*len(xs)) {
-		t.Fatalf("sum under GOMAXPROCS=1: %d", got)
+	if got, idx := Default().MinInt64(xs); got != 2 || idx != 0 {
+		t.Fatalf("min under GOMAXPROCS=1: (%d,%d)", got, idx)
 	}
 	out := make([]int64, len(xs))
 	if got := Default().ExclusiveSum(xs, out); got != int64(2*len(xs)) {

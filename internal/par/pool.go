@@ -9,23 +9,24 @@ import (
 // Pool is a bounded-width parallel executor: the concrete machine the
 // paper's abstract fork-join primitives (§1.1.2) run on. A Pool of width w
 // owns w-1 long-lived worker goroutines; the goroutine invoking a
-// primitive is the w-th lane. Primitives never spawn goroutines — forked
-// branches are pushed onto per-worker work-stealing deques, and a joining
-// caller helps execute queued branches instead of blocking, so nested
-// fork-join (parallel merge sort, concurrent tree scans) cannot deadlock
-// and total parallelism stays capped at the pool width no matter how
-// deeply primitives nest.
+// primitive is the w-th lane. Primitives never spawn goroutines: a forked
+// branch goes onto the pool's one FIFO queue, and a joining caller helps
+// run queued branches instead of blocking, so nested fork-join (parallel
+// merge sort, concurrent tree scans) cannot deadlock and total
+// parallelism stays capped at the pool width no matter how deeply
+// primitives nest.
 //
-// Scheduling: each worker lane pushes and pops its own bounded LIFO deque
-// (depth-first locality for divide-and-conquer cascades); idle lanes steal
-// FIFO from victims (breadth-first, taking the oldest and typically
-// largest branch); pushes that overflow a full deque spill to a shared
-// unbounded queue rather than degrading to inline execution, so a
-// saturated burst parallelizes instead of serializing into the forking
-// caller.
+// Scheduling: workers and joining callers pop the oldest queued branch.
+// The queue is unbounded, so a saturated burst queues for the workers
+// instead of degrading to inline execution in the forking caller. One
+// queue serves because solves fork little, and from outside the workers:
+// on width-2 executors over the cutbench graph shapes (seeds 1–4), an
+// andersonblelloch solve forks once (core's tree loop), a stoerwagner
+// solve never, and a geissmann solve 230–4,872 times, and none of those
+// forks is made by a worker, so per-worker queues would stay empty.
 //
 // Width and schedule never affect results: every primitive computes the
-// same output at every width and under any steal interleaving (chunked
+// same output at every width and under any interleaving (chunked
 // reductions use exact integer arithmetic, merges and sorts are stable),
 // so callers may treat the width purely as a resource knob.
 //
@@ -37,30 +38,18 @@ import (
 type Pool struct {
 	width     int
 	isDefault bool // the shared default pool; Close is a no-op on it
-	lanes     []*lane
 	stop      chan struct{}
 	closed    atomic.Bool
 	once      sync.Once // guards shutdown
 
 	// wake is a wakeup semaphore for parked workers and helping waiters:
-	// every push sends one non-blocking token. Capacity equals the number
+	// every fork sends one non-blocking token. Capacity equals the number
 	// of goroutines that can park (the workers plus slack for waiters), so
 	// a dropped token implies enough pending tokens to wake everyone.
 	wake chan struct{}
 
-	// overflow is the shared FIFO spill for pushes that found their target
-	// deque full. It is unbounded: admission control happens above the
-	// pool (the scheduler's queue caps), not by silently serializing
-	// forks.
-	overflow struct {
-		mu   sync.Mutex
-		head int
-		q    []task
-	}
-
-	// rr rotates push targets for callers that do not own a lane, and
-	// steal sweep starting points.
-	rr atomic.Uint32
+	// queue holds the forked branches no goroutine has started yet.
+	queue queue
 
 	stats poolStats
 
@@ -80,26 +69,24 @@ type Pool struct {
 // poolStats aggregates the pool's scheduling counters. All atomics; reads
 // through Stats are racy snapshots, which is fine for metrics.
 type poolStats struct {
-	steals         atomic.Int64
-	localPushes    atomic.Int64
-	sharedPushes   atomic.Int64
-	overflowPushes atomic.Int64
-	inlineRuns     atomic.Int64
+	forks      atomic.Int64
+	steals     atomic.Int64
+	inlineRuns atomic.Int64
 }
 
 // Stats is a point-in-time snapshot of a pool's scheduling and arena
 // counters, surfaced as mincutd_pool_* metrics by the service.
 type Stats struct {
-	// Steals counts tasks taken FIFO from another lane's deque (by idle
-	// workers or helping waiters). LocalPushes are forks that landed on
-	// the forking lane's own deque; SharedPushes landed on another lane's
-	// deque (forks from goroutines that own no lane); OverflowPushes
-	// spilled to the shared queue because the target deque was full.
-	Steals, LocalPushes, SharedPushes, OverflowPushes int64
+	// Forks counts branches handed to the queue. Steals counts the
+	// forked branches that a goroutine other than their forker ran: a
+	// worker, or a caller joining a different fork. A branch its forker
+	// takes back while joining it is not a steal. (A caller that runs
+	// one of its own outer forks while joining an inner one counts a
+	// steal too: the pool does not track which goroutine forked what.)
+	Forks, Steals int64
 	// InlineRuns counts forks that degraded to inline execution in the
-	// caller. On an open pool of width > 1 this is always 0 — the old
-	// single-queue executor folded saturated forks into the caller, the
-	// deque executor never does; only a closed pool runs branches inline.
+	// caller. On an open pool of width > 1 this is always 0: saturation
+	// queues, it never runs a branch inline; only a closed pool does.
 	InlineRuns int64
 	// ArenaHits and ArenaMisses count scratch-slice recycles vs fresh
 	// allocations in the pool's arena.
@@ -111,13 +98,11 @@ type Stats struct {
 func (p *Pool) Stats() Stats {
 	p = p.get()
 	return Stats{
-		Steals:         p.stats.steals.Load(),
-		LocalPushes:    p.stats.localPushes.Load(),
-		SharedPushes:   p.stats.sharedPushes.Load(),
-		OverflowPushes: p.stats.overflowPushes.Load(),
-		InlineRuns:     p.stats.inlineRuns.Load(),
-		ArenaHits:      p.arena.hits.Load(),
-		ArenaMisses:    p.arena.misses.Load(),
+		Forks:       p.stats.forks.Load(),
+		Steals:      p.stats.steals.Load(),
+		InlineRuns:  p.stats.inlineRuns.Load(),
+		ArenaHits:   p.arena.hits.Load(),
+		ArenaMisses: p.arena.misses.Load(),
 	}
 }
 
@@ -137,12 +122,8 @@ func NewPool(width int) *Pool {
 	}
 	if width > 1 {
 		p.wake = make(chan struct{}, 2*width)
-		p.lanes = make([]*lane, width-1)
-		for i := range p.lanes {
-			p.lanes[i] = &lane{}
-		}
-		for i := range p.lanes {
-			go p.worker(p.lanes[i])
+		for i := 1; i < width; i++ {
+			go p.worker()
 		}
 	}
 	return p
@@ -218,13 +199,15 @@ func (p *Pool) shutdown() {
 	})
 }
 
-// worker owns lane l: pop the own deque LIFO, otherwise find work
-// elsewhere (overflow FIFO, then steal FIFO from victims), otherwise park
-// until a push wakes it or the pool closes.
-func (p *Pool) worker(l *lane) {
+// worker runs queued branches, oldest first, and parks until a fork wakes
+// it or the pool closes. Every branch a worker runs is a steal: a worker
+// forks only inside a branch and joins those forks before the branch
+// returns, so nothing left in the queue is its own.
+func (p *Pool) worker() {
 	for {
-		if t, ok := p.findTask(l); ok {
-			p.exec(l, t)
+		if t, ok := p.queue.pop(); ok {
+			p.stats.steals.Add(1)
+			p.exec(t)
 			continue
 		}
 		select {
@@ -235,92 +218,64 @@ func (p *Pool) worker(l *lane) {
 	}
 }
 
-// findTask locates the next task for lane l (nil for a helping waiter
-// that owns no lane): own deque bottom first, then the shared overflow
-// queue, then a FIFO steal sweep over the other lanes.
-func (p *Pool) findTask(l *lane) (task, bool) {
-	if l != nil {
-		if t, ok := l.dq.popBottom(); ok {
-			return t, true
-		}
-	}
-	if t, ok := p.takeOverflow(); ok {
-		return t, true
-	}
-	n := len(p.lanes)
-	if n == 0 {
-		return task{}, false
-	}
-	start := int(p.rr.Add(1)) % n
-	for i := 0; i < n; i++ {
-		v := p.lanes[(start+i)%n]
-		if v == l {
-			continue
-		}
-		if t, ok := v.dq.stealTop(); ok {
-			p.stats.steals.Add(1)
-			return t, true
-		}
-	}
-	return task{}, false
+// task is one forked branch, stored by value in the queue so that a fork
+// allocates nothing beyond what the caller's own closure captured.
+// Exactly one of f and cs is set: f is a plain branch, cs a shared chunk
+// loop whose branch claims chunk indices until the loop is exhausted. j
+// is the join the branch reports to when it returns.
+type task struct {
+	f  func()
+	cs *chunkRun
+	j  *join
 }
 
-// takeOverflow pops the oldest spilled task.
-func (p *Pool) takeOverflow() (task, bool) {
-	o := &p.overflow
-	o.mu.Lock()
-	if o.head == len(o.q) {
-		if o.head != 0 {
-			o.q = o.q[:0]
-			o.head = 0
-		}
-		o.mu.Unlock()
-		return task{}, false
-	}
-	t := o.q[o.head]
-	o.q[o.head] = task{}
-	o.head++
-	o.mu.Unlock()
-	return t, true
-}
-
-// exec runs one task on lane l (nil for helping waiters) and signals its
-// join.
-func (p *Pool) exec(l *lane, t task) {
-	switch {
-	case t.cs != nil:
+// exec runs one task and signals its join.
+func (p *Pool) exec(t task) {
+	if t.cs != nil {
 		t.cs.drain()
-	case t.lf != nil:
-		t.lf(l)
-	default:
+	} else {
 		t.f()
 	}
-	if t.j != nil {
-		t.j.done()
-	}
+	t.j.done()
 }
 
-// push enqueues t: onto l's own deque when the pusher owns a lane, else
-// onto a rotating victim's deque, spilling to the overflow queue when the
-// target is full — never failing. One wake token per push keeps parked
-// lanes live.
-func (p *Pool) push(l *lane, t task) {
-	switch {
-	case l != nil && l.dq.pushBottom(t):
-		p.stats.localPushes.Add(1)
-	case p.lanes[int(p.rr.Add(1))%len(p.lanes)].dq.pushBottom(t):
-		p.stats.sharedPushes.Add(1)
-	default:
-		o := &p.overflow
-		o.mu.Lock()
-		o.q = append(o.q, t)
-		o.mu.Unlock()
-		p.stats.overflowPushes.Add(1)
+// queue is the pool's FIFO of forked branches: a ring buffer that doubles
+// when full, so it never refuses a fork and its memory follows the
+// largest backlog. Admission control happens above the pool (the
+// scheduler's queue caps), not by serializing forks.
+type queue struct {
+	mu   sync.Mutex
+	buf  []task // len is 0 or a power of two
+	head int    // index of the oldest task
+	n    int    // number of queued tasks
+}
+
+func (q *queue) push(t task) {
+	q.mu.Lock()
+	if q.n == len(q.buf) {
+		buf := make([]task, max(2*len(q.buf), 64))
+		k := copy(buf, q.buf[q.head:])
+		copy(buf[k:], q.buf[:q.head])
+		q.buf, q.head = buf, 0
 	}
-	select {
-	case p.wake <- struct{}{}:
-	default:
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = t
+	q.n++
+	q.mu.Unlock()
+}
+
+// pop removes the oldest task.
+func (q *queue) pop() (task, bool) {
+	q.mu.Lock()
+	if q.n == 0 {
+		q.mu.Unlock()
+		return task{}, false
 	}
+	t := q.buf[q.head]
+	q.buf[q.head] = task{}
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	q.mu.Unlock()
+	return t, true
 }
 
 // join tracks a set of forked branches. pending counts branches not yet
@@ -355,33 +310,41 @@ func (p *Pool) putJoin(j *join) {
 	p.joinPool.Put(j)
 }
 
-// fork hands t to the pool, registering it on j. It reports false — and
-// runs nothing — only when the pool has no workers (width 1) or is
-// closed, in which case the caller must run the branch inline itself.
-// Saturation never fails a fork: full deques spill to the overflow queue.
-func (p *Pool) fork(l *lane, j *join, t task) bool {
-	if p.lanes == nil || p.closed.Load() {
-		if p.lanes != nil {
+// fork queues t, registering it on j, and sends one wake token. It
+// reports false — and runs nothing — only when the pool has no workers
+// (width 1) or is closed, in which case the caller must run the branch
+// inline itself. Saturation never fails a fork: the queue grows.
+func (p *Pool) fork(j *join, t task) bool {
+	if p.width == 1 || p.closed.Load() {
+		if p.width > 1 {
 			p.stats.inlineRuns.Add(1)
 		}
 		return false
 	}
 	j.pending.Add(1)
 	t.j = j
-	p.push(l, t)
+	p.queue.push(t)
+	p.stats.forks.Add(1)
+	select {
+	case p.wake <- struct{}{}:
+	default:
+	}
 	return true
 }
 
 // wait blocks until every branch forked on j has finished. While waiting
-// it helps execute queued tasks (its own branches or anyone else's),
-// which both speeds completion and guarantees progress: a branch can only
-// be "stuck" in a deque or the overflow queue, and everyone who waits
-// sweeps all of them. A stale note (from a transient zero or a recycled
-// join) just causes one extra pending check.
-func (p *Pool) wait(l *lane, j *join) {
+// it helps run queued tasks (its own branches or anyone else's), which
+// both speeds completion and guarantees progress: a branch can only be
+// "stuck" in the queue, and everyone who waits drains it. A stale note
+// (from a transient zero or a recycled join) just causes one extra
+// pending check.
+func (p *Pool) wait(j *join) {
 	for j.pending.Load() != 0 {
-		if t, ok := p.findTask(l); ok {
-			p.exec(l, t)
+		if t, ok := p.queue.pop(); ok {
+			if t.j != j {
+				p.stats.steals.Add(1)
+			}
+			p.exec(t)
 			continue
 		}
 		select {
@@ -430,28 +393,6 @@ func (p *Pool) getChunkRun() *chunkRun {
 func (p *Pool) putChunkRun(cr *chunkRun) {
 	cr.f = nil
 	p.chunkPool.Put(cr)
-}
-
-// do2Lane is the lane-aware binary fork-join behind the recursive
-// primitives: branch b is pushed onto l's own deque (LIFO, so the lane
-// that executes it — owner or thief — continues the cascade locally)
-// while the caller runs a.
-func (p *Pool) do2Lane(l *lane, a, b func(*lane)) {
-	if p.lanes == nil || p.closed.Load() {
-		a(l)
-		b(l)
-		return
-	}
-	j := p.getJoin()
-	if !p.fork(l, j, task{lf: b}) {
-		p.putJoin(j)
-		a(l)
-		b(l)
-		return
-	}
-	a(l)
-	p.wait(l, j)
-	p.putJoin(j)
 }
 
 // maxChunks is the ceiling on chunk counts used by the chunked primitives

@@ -180,7 +180,7 @@ func TestPoolOwnsBoundedGoroutines(t *testing.T) {
 }
 
 // TestNestedPrimitivesNoDeadlock drives deeply nested fork-join through a
-// narrow pool: loops inside loops inside Do2, plus a concurrent caller per
+// narrow pool: loops inside loops inside Do, plus a concurrent caller per
 // lane, must all complete (the help-first join makes this safe).
 func TestNestedPrimitivesNoDeadlock(t *testing.T) {
 	p := NewPool(2)
@@ -194,7 +194,7 @@ func TestNestedPrimitivesNoDeadlock(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				p.ForGrain(8, 1, func(i int) {
-					p.Do2(
+					p.Do(
 						func() {
 							p.ForGrain(8, 1, func(j int) {
 								xs := make([]int64, 512)
@@ -232,9 +232,9 @@ func TestClosedPoolStillComputes(t *testing.T) {
 		t.Fatalf("closed pool InclusiveSum total = %d", total)
 	}
 	ran := false
-	p.Do2(func() {}, func() { ran = true })
+	p.Do(func() {}, func() { ran = true })
 	if !ran {
-		t.Fatal("closed pool dropped a Do2 branch")
+		t.Fatal("closed pool dropped a Do branch")
 	}
 }
 

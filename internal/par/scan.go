@@ -9,7 +9,7 @@ func (p *Pool) ExclusiveSum(xs, out []int64) int64 {
 	if n == 0 {
 		return 0
 	}
-	if p.lanes == nil || n <= p.cut.scan {
+	if p.width == 1 || n <= p.cut.scan {
 		return seqExclusive(xs, out)
 	}
 	chunks := p.numChunks(n)
@@ -60,7 +60,7 @@ func (p *Pool) InclusiveSum(xs, out []int64) int64 {
 	if n == 0 {
 		return 0
 	}
-	if p.lanes == nil || n <= p.cut.scan {
+	if p.width == 1 || n <= p.cut.scan {
 		var acc int64
 		for i, x := range xs {
 			acc += x
@@ -128,7 +128,7 @@ func (p *Pool) SegmentedBroadcast(present []bool, vals, out []int64, initial int
 	if n == 0 {
 		return
 	}
-	if p.lanes == nil || n <= p.cut.scan {
+	if p.width == 1 || n <= p.cut.scan {
 		acc := initial
 		for i := 0; i < n; i++ {
 			if present[i] {

@@ -7,106 +7,108 @@ import (
 	"time"
 )
 
-// --- deque unit tests ---
+// --- queue unit test ---
 
-func TestDequeOwnerLIFOThiefFIFO(t *testing.T) {
-	var d deque
-	order := make([]int, 0, 8)
+// TestQueueFIFOAcrossGrowth pins the ring buffer: tasks come out oldest
+// first, including across a doubling that happens while the oldest task
+// sits mid-buffer.
+func TestQueueFIFOAcrossGrowth(t *testing.T) {
+	var q queue
+	var order []int
 	mk := func(i int) task { return task{f: func() { order = append(order, i) }} }
-	for i := 0; i < 4; i++ {
-		if !d.pushBottom(mk(i)) {
-			t.Fatalf("pushBottom(%d) reported full on empty deque", i)
+	next := 0
+	push := func(k int) {
+		for ; k > 0; k-- {
+			q.push(mk(next))
+			next++
 		}
 	}
-	if got := d.size(); got != 4 {
-		t.Fatalf("size = %d, want 4", got)
-	}
-	// Thief takes the oldest.
-	if tk, ok := d.stealTop(); !ok {
-		t.Fatal("stealTop on non-empty deque failed")
-	} else {
-		tk.f()
-	}
-	// Owner takes the newest.
-	if tk, ok := d.popBottom(); !ok {
-		t.Fatal("popBottom on non-empty deque failed")
-	} else {
-		tk.f()
-	}
-	if tk, ok := d.stealTop(); !ok {
-		t.Fatal("second stealTop failed")
-	} else {
-		tk.f()
-	}
-	if tk, ok := d.popBottom(); !ok {
-		t.Fatal("last popBottom failed")
-	} else {
-		tk.f()
-	}
-	want := []int{0, 3, 1, 2}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("execution order = %v, want %v", order, want)
+	pop := func(k int) {
+		for ; k > 0; k-- {
+			tk, ok := q.pop()
+			if !ok {
+				t.Fatalf("pop on a queue of %d tasks failed", q.n)
+			}
+			tk.f()
 		}
 	}
-	if _, ok := d.popBottom(); ok {
-		t.Fatal("popBottom on empty deque succeeded")
+	push(40)
+	pop(30)
+	push(100) // wraps the first buffer, then doubles it
+	pop(110)
+	if _, ok := q.pop(); ok {
+		t.Fatal("pop on an empty queue succeeded")
 	}
-	if _, ok := d.stealTop(); ok {
-		t.Fatal("stealTop on empty deque succeeded")
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("pop %d ran task %d, want FIFO order", i, v)
+		}
+	}
+	if len(order) != next {
+		t.Fatalf("ran %d of %d tasks", len(order), next)
 	}
 }
 
-func TestDequeFullReportsFalse(t *testing.T) {
-	var d deque
-	nop := task{f: func() {}}
-	for i := 0; i < dequeCap; i++ {
-		if !d.pushBottom(nop) {
-			t.Fatalf("deque full after %d pushes, cap is %d", i, dequeCap)
+// --- the Steals counter ---
+
+// TestStealsCountBranchesRunElsewhere pins what Steals counts on a
+// width-2 pool: a forked branch that a goroutine other than its forker
+// ran. A branch its forker takes back while joining it is not a steal.
+func TestStealsCountBranchesRunElsewhere(t *testing.T) {
+	// Two chunks, and chunk 0 blocks until chunk 1 has run: whichever
+	// goroutine claims chunk 0, the forked helper must run on the worker.
+	p := NewPool(2)
+	ran1 := make(chan struct{})
+	p.ForChunk(2, 1, func(lo, hi int) {
+		if lo == 0 {
+			<-ran1
+		} else {
+			close(ran1)
 		}
+	})
+	if st := p.Stats(); st.Forks != 1 || st.Steals != 1 {
+		t.Fatalf("blocked two-chunk loop: Forks %d, Steals %d, want 1 and 1", st.Forks, st.Steals)
 	}
-	if d.pushBottom(nop) {
-		t.Fatal("pushBottom succeeded on a full deque")
+	p.Close()
+
+	// Hold the only worker in a blocking branch, then fork from the
+	// caller: nobody but the caller can run that fork.
+	p = NewPool(2)
+	defer p.Close()
+	held, release := make(chan struct{}), make(chan struct{})
+	var before, after Stats
+	p.Do(func() {
+		<-held
+		before = p.Stats()
+		var ran bool
+		p.Do(func() {}, func() { ran = true })
+		after = p.Stats()
+		if !ran {
+			t.Error("the inner fork never ran")
+		}
+		close(release)
+	}, func() {
+		close(held)
+		<-release
+	})
+	if got := after.Forks - before.Forks; got != 1 {
+		t.Errorf("inner fork counted %d forks, want 1", got)
 	}
-	if _, ok := d.popBottom(); !ok {
-		t.Fatal("popBottom failed on full deque")
+	if after.Steals != before.Steals {
+		t.Errorf("a fork its caller took back counted %d steals, want 0", after.Steals-before.Steals)
 	}
-	if !d.pushBottom(nop) {
-		t.Fatal("pushBottom failed after freeing a slot")
+	if st := p.Stats(); st.Forks != 2 || st.Steals != 1 {
+		t.Errorf("after the join: Forks %d, Steals %d, want 2 and 1 (the worker ran the holding branch)", st.Forks, st.Steals)
 	}
 }
 
-func TestDequeWraparound(t *testing.T) {
-	var d deque
-	nop := task{f: func() {}}
-	// Cycle head/tail far past dequeCap to exercise index wrapping.
-	for round := 0; round < 5*dequeCap; round++ {
-		if !d.pushBottom(nop) {
-			t.Fatalf("push failed at round %d", round)
-		}
-		if !d.pushBottom(nop) {
-			t.Fatalf("push failed at round %d", round)
-		}
-		if _, ok := d.stealTop(); !ok {
-			t.Fatalf("steal failed at round %d", round)
-		}
-		if _, ok := d.popBottom(); !ok {
-			t.Fatalf("pop failed at round %d", round)
-		}
-		if d.size() != 0 {
-			t.Fatalf("size = %d after balanced ops at round %d", d.size(), round)
-		}
-	}
-}
-
-// --- stealing stress: determinism across widths with stealing forced ---
+// --- stress: determinism across widths with cross-goroutine runs forced ---
 
 // stressSolve runs a nested fork-join workload — parallel sorts, scans,
 // merges and reductions forked as sibling branches from goroutines that
-// own no lane — and returns a deterministic digest. Pushes from no-lane
-// goroutines land on rotating victims' deques, so at any width > 1 other
-// lanes must steal or be handed work they did not push: exactly the
-// cross-lane traffic that must not affect results.
+// are not workers — and returns a deterministic digest. At any width > 1
+// the workers and the other callers run branches they did not fork:
+// exactly the cross-goroutine traffic that must not affect results.
 func stressSolve(p *Pool, n int) int64 {
 	xs := make([]int64, n)
 	ys := make([]int64, n)
@@ -120,11 +122,12 @@ func stressSolve(p *Pool, n int) int64 {
 		vs[i] = xs[i]
 	}
 	var scanTot, redTot int64
+	var redIdx int
 	p.Do(
 		func() { SortStableOn(p, xs, func(a, b int64) bool { return a < b }) },
 		func() { SortStableOn(p, ys, func(a, b int64) bool { return a < b }) },
 		func() { scanTot = p.ExclusiveSum(us, make([]int64, n)) },
-		func() { redTot = p.SumInt64(vs) },
+		func() { redTot, redIdx = p.MinInt64(vs) },
 	)
 	MergeOn(p, xs, ys, zs, func(a, b int64) bool { return a < b })
 	var digest int64
@@ -132,7 +135,7 @@ func stressSolve(p *Pool, n int) int64 {
 	for i, z := range zs {
 		digest += z * int64(i%97)
 	}
-	return digest + 31*scanTot + 17*redTot
+	return digest + 31*scanTot + 17*redTot + 13*int64(redIdx)
 }
 
 func TestStealingStressWidthEquivalence(t *testing.T) {
@@ -140,9 +143,10 @@ func TestStealingStressWidthEquivalence(t *testing.T) {
 	widths := []int{1, 2, 7, runtime.GOMAXPROCS(0)}
 
 	// Drop the cutoffs so the recursion forks aggressively even at this
-	// (test-sized) n: deep cascades at width 2 and 7 guarantee deques
-	// fill, spill, and get stolen from. Comparing these widths against
-	// width 1 also pins that cutoffs never change a result.
+	// (test-sized) n: deep cascades at width 2 and 7 keep the queue
+	// backlogged and hand branches between goroutines. Comparing these
+	// widths against width 1 also pins that cutoffs never change a
+	// result.
 	const low = 1 << 10
 	forced := cutoffs{forGrain: low, scan: low, reduce: low, merge: low, sort: low}
 
@@ -151,8 +155,8 @@ func TestStealingStressWidthEquivalence(t *testing.T) {
 		p := NewPool(w)
 		p.cut = forced
 		var got int64
-		// Several concurrent no-lane callers, several rounds each: bursty
-		// nested fork-join from outside the worker set.
+		// Several concurrent callers, several rounds each: bursty nested
+		// fork-join from outside the worker set.
 		var wg sync.WaitGroup
 		results := make([]int64, 4)
 		for g := 0; g < 4; g++ {
@@ -176,18 +180,17 @@ func TestStealingStressWidthEquivalence(t *testing.T) {
 		if wi == 0 {
 			want = got
 		} else if got != want {
-			t.Fatalf("width %d digest = %d, width 1 digest = %d: stealing changed results", w, got, want)
+			t.Fatalf("width %d digest = %d, width 1 digest = %d: scheduling changed results", w, got, want)
 		}
 		st := p.Stats()
 		if w > 1 {
-			if st.SharedPushes == 0 {
-				t.Errorf("width %d: no shared pushes — the no-lane fork path never ran", w)
+			if st.Forks == 0 {
+				t.Errorf("width %d: no forks — the parallel paths never ran", w)
 			}
 			if st.InlineRuns != 0 {
 				t.Errorf("width %d: %d forks degraded to inline execution on an open pool", w, st.InlineRuns)
 			}
-			t.Logf("width %d: steals=%d local=%d shared=%d overflow=%d",
-				w, st.Steals, st.LocalPushes, st.SharedPushes, st.OverflowPushes)
+			t.Logf("width %d: forks=%d steals=%d", w, st.Forks, st.Steals)
 		}
 		p.Close()
 	}
@@ -197,18 +200,18 @@ func TestStealingStressWidthEquivalence(t *testing.T) {
 
 // TestNoSaturationCollapse guards against the old channel-pool behavior
 // where a fork finding the shared queue full ran the branch inline in the
-// caller, serializing bursty fan-out. With deques, bursts spill to the
-// overflow queue and still execute on worker lanes: InlineRuns stays 0
-// and observed parallelism exceeds 1.
+// caller, serializing bursty fan-out. The queue is unbounded, so a burst
+// queues and still executes on the workers: InlineRuns stays 0 and
+// observed parallelism exceeds 1.
 func TestNoSaturationCollapse(t *testing.T) {
 	const width = 4
 	p := NewPool(width)
 	defer p.Close()
 
-	// Burst far past the per-lane deque capacity from a single no-lane
-	// caller. Under the old pool (queue cap 8*width) most of these forks
-	// would have collapsed inline.
-	const burst = 8 * dequeCap
+	// Burst far past the old pool's queue capacity from a single caller.
+	// Under the old pool (queue cap 8*width) most of these forks would
+	// have collapsed inline.
+	const burst = 2048
 	var running, peak atomicMax
 	fs := make([]func(), burst)
 	for i := range fs {
@@ -223,11 +226,10 @@ func TestNoSaturationCollapse(t *testing.T) {
 
 	st := p.Stats()
 	if st.InlineRuns != 0 {
-		t.Fatalf("%d forks ran inline on an open pool; overflow spill is broken", st.InlineRuns)
+		t.Fatalf("%d forks ran inline on an open pool; the queue refused forks", st.InlineRuns)
 	}
-	if got := st.SharedPushes + st.OverflowPushes; got != burst-1 {
-		t.Fatalf("burst of %d forks recorded %d pushes (shared %d + overflow %d), want %d",
-			burst, got, st.SharedPushes, st.OverflowPushes, burst-1)
+	if st.Forks != burst-1 {
+		t.Fatalf("burst of %d branches recorded %d forks, want %d", burst, st.Forks, burst-1)
 	}
 	if got := peak.load(); got < 2 {
 		t.Fatalf("peak parallelism %d during a %d-task burst on a width-%d pool", got, burst, width)
@@ -281,9 +283,10 @@ func TestDefaultConcurrentResize(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			out := make([]int64, len(xs))
 			for r := 0; r < 50; r++ {
-				if got := Default().SumInt64(xs); got != want {
-					t.Errorf("SumInt64 = %d, want %d", got, want)
+				if got := Default().ExclusiveSum(xs, out); got != want {
+					t.Errorf("ExclusiveSum total = %d, want %d", got, want)
 					return
 				}
 			}

@@ -910,10 +910,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("mincutd_jobs_running_peak", "High-water mark of jobs concurrently on workers.", int64(m.PeakRunning))
 	gauge("mincutd_workers", "Worker pool size.", int64(m.Workers))
 	gauge("mincutd_solve_pool_width", "Width of the executor every solver worker shares (GOMAXPROCS at startup).", int64(m.PoolWidth))
-	counter("mincutd_pool_steals_total", "Tasks taken from another lane's deque by an idle lane of the solve executor.", m.Pool.Steals)
-	counter("mincutd_pool_local_pushes_total", "Forks pushed onto the forking lane's own deque (fast path).", m.Pool.LocalPushes)
-	counter("mincutd_pool_shared_pushes_total", "Forks from outside the pool distributed round-robin to lane deques.", m.Pool.SharedPushes)
-	counter("mincutd_pool_overflow_pushes_total", "Forks spilled to the unbounded overflow queue because a deque was full.", m.Pool.OverflowPushes)
+	counter("mincutd_pool_forks_total", "Branches forked onto the solve executor's queue.", m.Pool.Forks)
+	counter("mincutd_pool_steals_total", "Forked branches run by a goroutine other than the one that forked them.", m.Pool.Steals)
 	counter("mincutd_pool_inline_runs_total", "Forks executed inline instead of being queued (closed-pool races only; should stay 0).", m.Pool.InlineRuns)
 	counter("mincutd_pool_arena_hits_total", "Solve-arena borrows served from a recycled buffer.", m.Pool.ArenaHits)
 	counter("mincutd_pool_arena_misses_total", "Solve-arena borrows that had to allocate a fresh buffer.", m.Pool.ArenaMisses)

@@ -238,10 +238,10 @@ type Metrics struct {
 	// high-water mark; Workers is the pool size; PoolWidth is the width of
 	// the executor every worker solves on (GOMAXPROCS at New).
 	QueueDepth, Running, PeakRunning, Workers, PoolWidth int
-	// Pool holds the shared executor's work-stealing and arena counters:
-	// steal traffic, fork placement (local deque / another lane's deque /
-	// overflow spill), inline degradations (always 0 while the executor is
-	// open), and solve-arena hit rates.
+	// Pool holds the shared executor's scheduling and arena counters:
+	// forks, steals (forked branches another goroutine ran), inline
+	// degradations (always 0 while the executor is open), and
+	// solve-arena hit rates.
 	Pool parcut.PoolStats
 }
 

@@ -138,7 +138,7 @@ func TestLoneSolveUsesEveryLane(t *testing.T) {
 		t.Fatalf("TreesScanned = %d; the test needs a graph with at least 2 packed trees", res.TreesScanned)
 	}
 	p := s.Metrics().Pool
-	if p.LocalPushes+p.SharedPushes+p.OverflowPushes == 0 {
+	if p.Forks == 0 {
 		t.Fatalf("a lone solve forked nothing on a width-%d executor; counters = %+v", runtime.GOMAXPROCS(0), p)
 	}
 }

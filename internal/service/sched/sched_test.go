@@ -604,11 +604,11 @@ func TestInvalidateGraphWithInFlightJob(t *testing.T) {
 }
 
 // TestMetricsAggregateExecutorPoolCounters: the scheduler's Metrics must
-// surface the shared work-stealing executor's counters. Every solve
-// borrows its working arrays from the executor's arena, so after one
-// solve the arena counters are non-zero, and after a second solve of the
-// same shape the free-lists are warm and hits appear. GOMAXPROCS is
-// raised to 2 while the scheduler is built, so the executor can fork.
+// surface the shared executor's counters. Every solve borrows its working
+// arrays from the executor's arena, so after one solve the arena counters
+// are non-zero, and after a second solve of the same shape the free-lists
+// are warm and hits appear. GOMAXPROCS is raised to 2 while the scheduler
+// is built, so the executor can fork.
 func TestMetricsAggregateExecutorPoolCounters(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	s := New(Config{Workers: 1})
@@ -633,7 +633,7 @@ func TestMetricsAggregateExecutorPoolCounters(t *testing.T) {
 	if m.Pool.InlineRuns != 0 {
 		t.Errorf("Pool.InlineRuns = %d, want 0 (no saturation collapse)", m.Pool.InlineRuns)
 	}
-	if m.Pool.LocalPushes+m.Pool.SharedPushes+m.Pool.OverflowPushes == 0 {
+	if m.Pool.Forks == 0 {
 		t.Errorf("no forks recorded at width 2; counters = %+v", m.Pool)
 	}
 }

@@ -39,8 +39,9 @@ import (
 )
 
 // Executor is a reusable bounded-width parallel execution context: a set
-// of long-lived worker goroutines that every parallel primitive of a solve
-// runs on. Reuse it across solves to avoid per-call worker start-up.
+// of long-lived worker goroutines that run the forked branches of every
+// parallel primitive of a solve from one FIFO queue. Reuse it across
+// solves to avoid per-call worker start-up.
 // Concurrent solves may share one executor (the service's workers all do):
 // each calling goroutine is one more lane, so C concurrent solves run on
 // at most C + width − 1 goroutines, and a lone solve gets every lane.
@@ -80,13 +81,13 @@ func (e *Executor) unwrap() *par.Pool {
 // scratch-arena counters. All counters are cumulative since the executor
 // was created.
 type PoolStats struct {
-	// Steals counts branches taken from another lane's deque by idle
-	// lanes; LocalPushes/SharedPushes/OverflowPushes classify where forked
-	// branches were enqueued (the forking lane's own deque, another
-	// lane's, or the shared overflow queue). InlineRuns counts forks that
-	// ran inline in the forking goroutine — always 0 on an open executor
-	// of width > 1.
-	Steals, LocalPushes, SharedPushes, OverflowPushes, InlineRuns int64
+	// Forks counts branches handed to the executor's queue, and Steals
+	// those run by a goroutine other than the one that forked them. At
+	// width 2 an andersonblelloch solve forks once (its tree loop), a
+	// stoerwagner solve never, and a geissmann solve hundreds to
+	// thousands of times. InlineRuns counts forks that ran inline in the
+	// forking goroutine — always 0 on an open executor of width > 1.
+	Forks, Steals, InlineRuns int64
 	// ArenaHits and ArenaMisses count recycled vs freshly allocated
 	// scratch borrows in the executor's solve arena.
 	ArenaHits, ArenaMisses int64
@@ -97,13 +98,11 @@ type PoolStats struct {
 func (e *Executor) Stats() PoolStats {
 	st := e.unwrap().Stats()
 	return PoolStats{
-		Steals:         st.Steals,
-		LocalPushes:    st.LocalPushes,
-		SharedPushes:   st.SharedPushes,
-		OverflowPushes: st.OverflowPushes,
-		InlineRuns:     st.InlineRuns,
-		ArenaHits:      st.ArenaHits,
-		ArenaMisses:    st.ArenaMisses,
+		Forks:       st.Forks,
+		Steals:      st.Steals,
+		InlineRuns:  st.InlineRuns,
+		ArenaHits:   st.ArenaHits,
+		ArenaMisses: st.ArenaMisses,
 	}
 }
 

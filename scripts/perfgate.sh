@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # perfgate.sh — the CI perf gate over the solver's inner-loop primitives.
 #
-# Runs paperbench's hotpath experiment (work-stealing fork-join, scan
+# Runs paperbench's hotpath experiment (one-queue fork-join, scan
 # family, parallel merge/sort, arena-backed connectivity) with median-of-N
 # repetitions, writes the measured series to BENCH_hotpath.json, and
 # compares them against the committed BENCH_baseline.json. Timing is
