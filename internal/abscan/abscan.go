@@ -22,25 +22,31 @@
 // contiguous range of DFS positions. The contraction structure ("the
 // ladder") is a perfect binary tree over those positions with lazy
 // range-add and minimum: leaf p holds c(order[p]) − 2·B(v, order[p])
-// for the currently fixed edge e_v, so the best partner for e_v is one
-// leaf-to-root query that skips e_v's own position. The ladder stores
-// minima and lazy sums only. A range add stops walking up at the first
-// ancestor of its split node whose minimum did not change, and the
+// for the currently fixed edge e_v. The pair value is symmetric and the
+// sweep fixes the edges in position order, so the best partner for e_v
+// is one leaf-to-root query over the positions after e_v's own: each
+// unordered pair is examined once, from its earlier position. The ladder
+// stores minima and lazy sums only. A range add stops walking up at the
+// first ancestor of its split node whose minimum did not change, and the
 // leftmost position attaining a minimum is recovered by one descent,
 // only for a candidate that beats its path's best so far. Fixing the
 // next edge is cheap exactly on heavy paths:
 // walking from a path's head to its leaf re-evaluates only the graph
 // edges incident to the vertex left behind and its light subtrees, which
 // is the classic O(log n)-re-evaluations-per-edge bound, each an
-// O(log n)-hop path update. Every heavy path ends at a tree leaf, whose
-// own edges are then the whole active set, and the ladder's state
-// depends only on the summed adds, so retiring those edges restores it
-// exactly. Heavy paths are thus independent of each other and run either
-// sequentially on one ladder (O(n) extra memory) or chunked across the
-// pool with one ladder per chunk — the same memory/depth trade as the
-// bough scan's concurrent phase schedule (respect.ScanParallelPhases).
-// The solver runs them sequentially: it already searches its trees in
-// parallel.
+// O(log n)-hop path update. Queries come in position order and read
+// only the positions after their own, so every path update is clipped to
+// the positions after the edge fixed next. Every heavy path ends at a
+// tree leaf, whose own edges are then the whole active set, and the
+// ladder's state depends only on the summed adds, so retiring those
+// edges restores every position after the tail exactly; the clipped
+// residue stays on the path's own positions, which lie left of every
+// later head. Heavy paths are thus independent of each other and run
+// either sequentially on one ladder (O(n) extra memory) or chunked
+// across the pool with one ladder per chunk — the same memory/depth
+// trade as the bough scan's concurrent phase schedule
+// (respect.ScanParallelPhases). The solver runs them sequentially: it
+// already searches its trees in parallel.
 //
 // Determinism: candidates are combined in (heavy path, position) order
 // with strict <, the ladder's descent returns the leftmost argmin, and
@@ -274,8 +280,8 @@ func (t *ladder) pull(x int) {
 	t.minv[x] = min(t.minv[2*x], t.minv[2*x+1]) + t.lazy[x]
 }
 
-// add adds delta to positions [l, r] (inclusive; no-op when l > r). The
-// range's canonical nodes take the add bottom-up. They all lie in the
+// add adds delta to positions [l, r] (inclusive, l ≤ r). The range's
+// canonical nodes take the add bottom-up. They all lie in the
 // subtree of the split node, the lowest common ancestor of leaves l and
 // r, and each one's parent is on the walk up from leaf l or from leaf
 // r, so pulling both walks up to the split recomputes every minimum
@@ -287,9 +293,6 @@ func (t *ladder) pull(x int) {
 // ancestor whose minimum comes out unchanged: every node above it
 // would too.
 func (t *ladder) add(l, r int, delta int64) {
-	if l > r {
-		return
-	}
 	lo, hi := t.base+l, t.base+r
 	for a, b := lo, hi+1; a < b; a, b = a>>1, b>>1 {
 		if a&1 == 1 {
@@ -319,24 +322,25 @@ func (t *ladder) add(l, r int, delta int64) {
 	}
 }
 
-// minExcept returns the minimum over every position but p and the node
+// minAfter returns the minimum over the positions after p and the node
 // holding it: leftmost of that node is the leftmost position attaining
-// the minimum. It walks from leaf p to the root: each sibling's minimum
-// competes with the best so far once both carry the same pending adds,
-// the left sibling winning ties. Sentinel leaves never take an add, so
-// the value is exactly maxValue when no other position holds a real
-// value.
-func (t *ladder) minExcept(p int) (int64, int) {
-	x := t.base + p
-	a := x ^ 1
-	m := t.minv[a]
-	for x >>= 1; x > 1; x >>= 1 {
-		m += t.lazy[x]
-		if s := x ^ 1; t.minv[s] < m || (s < x && t.minv[s] == m) {
-			m, a = t.minv[s], s
+// the minimum. It walks from leaf p to the root: each right sibling's
+// range lies wholly after p, and its minimum competes with the best so
+// far once both carry the same pending adds, the lower (left) node
+// winning ties. Sentinel leaves never take an add, so a node over
+// sentinels alone holds exactly maxValue and never wins: the result is
+// (maxValue, 0) when no real position follows p.
+func (t *ladder) minAfter(p int) (int64, int) {
+	m, a := maxValue, 0
+	for x := t.base + p; x > 1; x >>= 1 {
+		if x&1 == 0 && t.minv[x+1] < m {
+			m, a = t.minv[x+1], x+1
+		}
+		if a != 0 {
+			m += t.lazy[x>>1]
 		}
 	}
-	return m + t.lazy[1], a
+	return m, a
 }
 
 // leftmost returns the leftmost position of x's range attaining x's
@@ -364,29 +368,48 @@ type sweep struct {
 	adj *graph.Adj
 	c   []int64
 	lad *ladder
+	// lo is the clip bound: no query still to come on this ladder reads a
+	// position before lo, so path updates skip those positions.
+	lo int32
+	// adds counts the non-empty range adds made on the ladder.
+	adds int
 }
 
 // addPath adds delta to the ladder position of every tree edge on the
-// tree path x..y, by heavy-path hops: positions along one heavy path
-// are consecutive, and the edge out of a path's head is the head's own
-// position. The ranges depend only on the pair {x, y}.
+// tree path x..y from lo on, by heavy-path hops: positions along one
+// heavy path are consecutive, and the edge out of a path's head is the
+// head's own position. Each hop's endpoint moves to a smaller position,
+// so once both endpoints lie before lo nothing is left to add. The
+// ranges depend only on the pair {x, y} and lo.
 func (s *sweep) addPath(x, y int32, delta int64) {
 	d := s.d
 	for d.head[x] != d.head[y] {
+		if max(d.tin[x], d.tin[y]) < s.lo {
+			return
+		}
 		if d.depth[d.head[x]] < d.depth[d.head[y]] {
 			x, y = y, x
 		}
 		hx := d.head[x]
-		s.lad.add(int(d.tin[hx]), int(d.tin[x]), delta)
+		s.addRange(d.tin[hx], d.tin[x], delta)
 		x = d.parent[hx]
 	}
 	if d.tin[x] > d.tin[y] {
 		x, y = y, x
 	}
-	if x != y {
-		// x is the LCA; the path covers the edges of (x, y]'s vertices.
-		s.lad.add(int(d.tin[x])+1, int(d.tin[y]), delta)
+	// x is the LCA; the path covers the edges of (x, y]'s vertices.
+	s.addRange(d.tin[x]+1, d.tin[y], delta)
+}
+
+// addRange adds delta to positions [max(l, lo), r] unless that range is
+// empty.
+func (s *sweep) addRange(l, r int32, delta int64) {
+	l = max(l, s.lo)
+	if l > r {
+		return
 	}
+	s.adds++
+	s.lad.add(int(l), int(r), delta)
 }
 
 // shift re-evaluates the graph edges of vertex x for the transition from
@@ -411,17 +434,19 @@ func (s *sweep) shift(x, v, u int32) {
 
 // runPath scans the heavy path with head hd: enters S(hd) by activating
 // every graph edge crossing e_hd, then walks down the path, querying the
-// best partner for each fixed edge and shifting the active set to the
-// heavy child, and finally retires the edges of the path's tail leaf —
-// the whole active set left — so the ladder is back to S(∅) for the
-// next path.
+// best partner after each fixed edge's position and shifting the active
+// set to the heavy child, and finally retires the edges of the path's
+// tail leaf — the whole active set left. Every update is clipped to the
+// positions after the edge fixed next (after the tail for the retire),
+// so afterwards every position after the tail, which is every position a
+// later path reads, is back to S(∅).
 func (s *sweep) runPath(hd int32) pathOut {
 	d := s.d
 	adj := s.adj
-	lo, hi := int(d.tin[hd]), int(d.tin[hd])+int(d.size[hd])-1
+	s.lo = d.tin[hd] + 1
 	// Entry: edges with exactly one endpoint in hd↓ cross e_hd. Edges
 	// with both endpoints inside contribute nothing and are skipped.
-	for p := lo; p <= hi; p++ {
+	for p := d.tin[hd]; p < d.tin[hd]+d.size[hd]; p++ {
 		x := d.order[p]
 		for k := adj.Off[x]; k < adj.Off[x+1]; k++ {
 			y := adj.Nbr[k]
@@ -433,10 +458,10 @@ func (s *sweep) runPath(hd int32) pathOut {
 	out := pathOut{value: maxValue}
 	v := hd
 	for {
-		// Best partner for e_v: min over every other edge position. The
-		// fixed edge's own position must be excluded (its leaf currently
-		// holds c(v) − 2·B(v,v), which is not a pair value).
-		m, x := s.lad.minExcept(int(d.tin[v]))
+		// Best partner for e_v after its position. A pair with an earlier
+		// partner was examined from that partner's position, and e_v's own
+		// leaf holds c(v) − 2·B(v,v), which is not a pair value.
+		m, x := s.lad.minAfter(int(d.tin[v]))
 		if m < maxValue && s.c[v]+m < out.value {
 			out = pathOut{value: s.c[v] + m, u: v, v: d.order[s.lad.leftmost(x)]}
 		}
@@ -446,6 +471,7 @@ func (s *sweep) runPath(hd int32) pathOut {
 		}
 		// Shift S(v) -> S(u): re-evaluate edges incident to the departing
 		// region {v} ∪ light subtrees of v.
+		s.lo = d.tin[u] + 1
 		s.shift(v, v, u)
 		for i := d.tin[v] + 1; i < d.tin[v]+d.size[v]; i++ {
 			x := d.order[i]
@@ -459,9 +485,11 @@ func (s *sweep) runPath(hd int32) pathOut {
 		v = u
 	}
 	// v is the tail, a leaf, so the active set is exactly v's edges (the
-	// adjacency holds no self-loops), each added once with −2w. The
+	// adjacency holds no self-loops), each added once with −2w. A
+	// position after the tail took every update the path made, and the
 	// ladder's state depends only on the summed adds, so retiring these
-	// undoes every update the path made.
+	// restores it.
+	s.lo = d.tin[v] + 1
 	for k := adj.Off[v]; k < adj.Off[v+1]; k++ {
 		s.addPath(v, adj.Nbr[k], 2*adj.W[k])
 	}
@@ -471,13 +499,16 @@ func (s *sweep) runPath(hd int32) pathOut {
 // Scan finds the minimum cut of g crossing at most two edges of the
 // spanning tree given by parent (root marked by -1). adj is g's CSR
 // adjacency (shared read-only across trees) and deg its weighted
-// degrees. With parallelPaths the heavy paths are chunked across the
-// pool, one ladder per chunk (more memory, less depth); results are
-// identical either way and at every pool width. ctx is checked between
-// heavy paths; sink counts each completed heavy path through the
-// bough-phase counters (heavy paths play the role bough phases play in
-// the respect scan, including as park/cancel seams); sp gets the
-// path-decompose / contract / path-scan child spans.
+// degrees. Each unordered pair of tree edges is examined once, from its
+// earlier DFS position, and every path update is clipped to the
+// positions still queried, so one ladder must sweep its paths in
+// position order. With parallelPaths the heavy paths are chunked across
+// the pool, one ladder per chunk of consecutive paths (more memory, less
+// depth); results are identical either way and at every pool width.
+// ctx is checked between heavy paths; sink counts each completed heavy
+// path through the bough-phase counters (heavy paths play the role
+// bough phases play in the respect scan, including as park/cancel
+// seams); sp gets the path-decompose / contract / path-scan child spans.
 func Scan(ctx context.Context, g *graph.Graph, adj *graph.Adj, deg []int64, parent []int32, parallelPaths bool, pool *par.Pool, m *wd.Meter, sink *progress.Sink, sp trace.SpanRef) (Finding, error) {
 	n := g.N()
 	if n < 2 {

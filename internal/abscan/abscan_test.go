@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/respect"
 	"repro/internal/trace"
+	"repro/internal/tree"
 	"repro/internal/wd"
 )
 
@@ -314,36 +314,26 @@ func newLadder(vals []int64) *ladder {
 }
 
 // checkLadder compares the ladder with the plain array it mirrors: for
-// every position p, minExcept(p) must return the minimum over the other
-// real positions [1, len(vals)−1], or maxValue when none is left, and
-// leftmost of the node it returns must be the leftmost position holding
-// that minimum.
+// every position p, minAfter(p) must return the minimum over the real
+// positions after p, (p, len(vals)−1], or (maxValue, 0) when none is
+// left, and leftmost of the node it returns must be the leftmost
+// position holding that minimum.
 func checkLadder(lad *ladder, vals []int64) error {
-	// best is the leftmost argmin over the real positions and second the
-	// leftmost argmin over the others, so minExcept(best) answers second.
-	best, second := -1, -1
-	for q := 1; q < len(vals); q++ {
-		if best < 0 || vals[q] < vals[best] {
-			best, second = q, best
-		} else if second < 0 || vals[q] < vals[second] {
-			second = q
-		}
-	}
-	for p := range vals {
-		want := best
-		if p == best {
-			want = second
-		}
-		m, x := lad.minExcept(p)
+	// want is the leftmost argmin over the real positions after p, built
+	// right to left; -1 when there are none.
+	want := -1
+	for p := len(vals) - 1; p >= 0; p-- {
+		m, x := lad.minAfter(p)
 		if want < 0 {
-			if m != maxValue {
-				return fmt.Errorf("minExcept(%d) = %d, want maxValue", p, m)
+			if m != maxValue || x != 0 {
+				return fmt.Errorf("minAfter(%d) = (%d, node %d), want (maxValue, 0)", p, m, x)
 			}
-			continue
-		}
-		if at := lad.leftmost(x); m != vals[want] || at != want {
-			return fmt.Errorf("minExcept(%d) = (%d, node %d leftmost at %d), want (%d, %d)",
+		} else if at := lad.leftmost(x); m != vals[want] || at != want {
+			return fmt.Errorf("minAfter(%d) = (%d, node %d leftmost at %d), want (%d, %d)",
 				p, m, x, at, vals[want], want)
+		}
+		if p >= 1 && (want < 0 || vals[p] <= vals[want]) {
+			want = p
 		}
 	}
 	return nil
@@ -429,15 +419,52 @@ func FuzzLadder(f *testing.F) {
 	})
 }
 
+// sweepPaths builds parent's decomposition and one sweep over g, with
+// the weighted degrees as leaf values, and runs every heavy path on it in
+// position order, as Scan's sequential mode does, calling each (if not
+// nil) after every path. It returns the sweep's count of range adds.
+func sweepPaths(t testing.TB, g *graph.Graph, parent []int32, each func(d *decomposition, sw *sweep, hd int32)) int {
+	t.Helper()
+	ar := par.Default().Arena()
+	d, put, err := buildDecomposition(parent, ar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer put()
+	sw, putSweep := newSweep(d, g.BuildAdj(), g.WeightedDegrees(), ar)
+	defer putSweep()
+	for p := 0; p < d.n; p++ {
+		if hd := d.order[p]; d.head[hd] == hd {
+			sw.runPath(hd)
+			if each != nil {
+				each(d, sw, hd)
+			}
+		}
+	}
+	return sw.adds
+}
+
+// ladderAt is the value of position p: its leaf plus the lazy sums above.
+func ladderAt(lad *ladder, p int) int64 {
+	x := lad.base + p
+	v := lad.minv[x]
+	for x >>= 1; x >= 1; x >>= 1 {
+		v += lad.lazy[x]
+	}
+	return v
+}
+
 // TestLadderRestoredAfterEveryPath pins the tail-only restore: after
-// each runPath the ladder's minv and lazy equal a freshly reset
-// ladder's, entry for entry. Every tree leaf carries a self-loop and a
-// parallel copy of one of its edges, the edges the restore must skip or
-// retire once each.
+// each runPath, every position after the path's tail reads its reset
+// value, and minAfter(p) for every p from the tail on answers as on a
+// freshly reset ladder, value and leftmost position alike. Those are
+// the only positions a later path reads; positions up to the tail may
+// keep the residue of updates clipped away from them. Every tree leaf
+// carries a self-loop and a parallel copy of one of its edges, the edges
+// the restore must skip or retire once each.
 func TestLadderRestoredAfterEveryPath(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(13))
-	ar := par.Default().Arena()
 	for i := 0; i < 30; i++ {
 		n := 2 + rng.Intn(80)
 		g := gen.RandomConnected(n, n-1+rng.Intn(2*n), 20, int64(500+i))
@@ -459,29 +486,188 @@ func TestLadderRestoredAfterEveryPath(t *testing.T) {
 		}
 		addLoopsAndCopies(t, g, leaves, rng)
 
-		d, put, err := buildDecomposition(parent, ar)
-		if err != nil {
-			t.Fatalf("graph %d: %v", i, err)
+		var fresh *ladder
+		sweepPaths(t, g, parent, func(d *decomposition, sw *sweep, hd int32) {
+			if fresh == nil {
+				vals := make([]int64, n)
+				for p := range vals {
+					vals[p] = sw.c[d.order[p]]
+				}
+				fresh = newLadder(vals)
+			}
+			tail := hd
+			for d.heavy[tail] >= 0 {
+				tail = d.heavy[tail]
+			}
+			for p := int(d.tin[tail]); p < n; p++ {
+				if p > int(d.tin[tail]) {
+					if got, want := ladderAt(sw.lad, p), ladderAt(fresh, p); got != want {
+						t.Fatalf("graph %d (n=%d m=%d), path at %d: position %d reads %d, reset value %d",
+							i, n, g.M(), hd, p, got, want)
+					}
+				}
+				m, x := sw.lad.minAfter(p)
+				fm, fx := fresh.minAfter(p)
+				if m != fm || (x == 0) != (fx == 0) || (x != 0 && sw.lad.leftmost(x) != fresh.leftmost(fx)) {
+					t.Fatalf("graph %d (n=%d m=%d), path at %d: minAfter(%d) = (%d, node %d), fresh ladder (%d, node %d)",
+						i, n, g.M(), hd, p, m, x, fm, fx)
+				}
+			}
+		})
+	}
+}
+
+// sparseAddsGolden is the total count of ladder range adds over
+// BenchmarkScan's sparse trees. It moves whenever the sweep's work does;
+// a change that moves it re-records it and says why.
+const sparseAddsGolden = 163327
+
+// TestSweepClipsRangeAdds pins the clip as a count, since a sweep that
+// dropped it would find the same cuts. Every spanning tree of a
+// 1024-cycle is a path: each tree edge's update lands on that edge's own
+// position, at or before the edge fixed next, so the clip drops it and
+// only the one non-tree edge's updates remain, at most 4 range adds per
+// tree (about 2,050 unclipped). The total over BenchmarkScan's sparse
+// trees, which depends on the packing as well, is pinned exactly.
+func TestSweepClipsRangeAdds(t *testing.T) {
+	t.Parallel()
+	ring, _, err := gen.FromSpec("cycle:n=1024,w=50", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := make([][2]int32, 0, ring.M())
+	for cut := 0; cut < ring.M(); cut++ {
+		edges = edges[:0]
+		for i := 0; i < ring.M(); i++ {
+			if e := ring.Edge(i); i != cut {
+				edges = append(edges, [2]int32{e.U, e.V})
+			}
 		}
-		adj := g.BuildAdj()
-		c := g.WeightedDegrees() // any leaf values do: the restore does not depend on them
-		sw, putSweep := newSweep(d, adj, c, ar)
-		fresh, putFresh := newSweep(d, adj, c, ar)
-		for p := 0; p < n; p++ {
-			hd := d.order[p]
-			if d.head[hd] != hd {
+		parent, err := tree.RootEdgeList(ring.N(), edges, 0, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if adds := sweepPaths(t, ring, parent, nil); adds > 4 {
+			t.Fatalf("ring without edge %d: %d range adds, want at most 4", cut, adds)
+		}
+	}
+	g, parents := packedTrees(t, "random:n=520,m=1040,w=100")
+	total := 0
+	for _, parent := range parents {
+		total += sweepPaths(t, g, parent, nil)
+	}
+	if total != sparseAddsGolden {
+		t.Fatalf("%d range adds over %d sparse trees, want %d", total, len(parents), sparseAddsGolden)
+	}
+}
+
+// fuzzTree decodes data into a multigraph on 2 to 16 vertices and a
+// spanning tree of it. data[0] picks n; the next n−1 bytes shuffle the
+// vertices (a Fisher–Yates step each), and the first in that order is
+// the root; then each later vertex takes a byte pair: its parent, one
+// of the vertices before it in the order, and the weight of its tree
+// edge. Paths, stars and caterpillars all decode this way. Every
+// remaining byte triple is one more edge (u, v, w), self-loops and
+// parallel edges included. Weights lie in [1, 4], so ties are common.
+// Missing bytes read as 0. Every vertex is in range and every weight
+// small and positive, so AddEdge cannot fail.
+func fuzzTree(data []byte) (*graph.Graph, []int32) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	n := 2 + next()%15
+	order := make([]int32, n)
+	for v := range order {
+		order[v] = int32(v)
+	}
+	for k := 0; k < n-1; k++ {
+		j := k + next()%(n-k)
+		order[k], order[j] = order[j], order[k]
+	}
+	g := graph.New(n)
+	parent := make([]int32, n)
+	parent[order[0]] = -1
+	for k := 1; k < n; k++ {
+		p := order[next()%k]
+		parent[order[k]] = p
+		w := 1 + int64(next()%4)
+		_ = g.AddEdge(int(order[k]), int(p), w)
+	}
+	for len(data) >= 3 {
+		u, v, w := next()%n, next()%n, 1+int64(next()%4)
+		_ = g.AddEdge(u, v, w)
+	}
+	return g, parent
+}
+
+// bruteTreeCut is the minimum over every cut crossing one or two edges
+// of the tree: v↓ for each non-root v, and v↓ xor u↓ for each pair.
+func bruteTreeCut(g *graph.Graph, parent []int32) int64 {
+	n := g.N()
+	inSub := func(v, x int32) bool {
+		for ; x >= 0; x = parent[x] {
+			if x == v {
+				return true
+			}
+		}
+		return false
+	}
+	best := maxValue
+	side := make([]bool, n)
+	for v := int32(0); v < int32(n); v++ {
+		for u := v; u < int32(n); u++ {
+			if parent[v] < 0 || parent[u] < 0 {
 				continue
 			}
-			sw.runPath(hd)
-			// Node 0 is unused and holds whatever the arena left there.
-			got, want := sw.lad, fresh.lad
-			if got.base != want.base || !slices.Equal(got.minv[1:], want.minv[1:]) ||
-				!slices.Equal(got.lazy[1:], want.lazy[1:]) {
-				t.Fatalf("graph %d (n=%d m=%d): ladder not restored after the heavy path at %d", i, n, g.M(), hd)
+			for x := range side {
+				side[x] = inSub(v, int32(x)) != (u != v && inSub(u, int32(x)))
+			}
+			best = min(best, g.CutValue(side))
+		}
+	}
+	return best
+}
+
+// FuzzScan checks Scan on fuzzed multigraphs of at most 16 vertices and
+// byte-chosen spanning trees (see fuzzTree), in both path modes: its
+// value must equal a brute force over every 1- and 2-edge tree cut, and
+// Witness must weigh exactly that value. Run it beyond its seeds with
+//
+//	go test ./internal/abscan -run '^$' -fuzz '^FuzzScan$' -fuzztime 30s
+func FuzzScan(f *testing.F) {
+	f.Add([]byte{0})                                        // n=2, one tree edge
+	f.Add([]byte{6, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 2, 3, 3}) // n=8, a star at 0
+	// n=8, the path 0-1-…-7 with a chord, a self-loop and a parallel copy.
+	f.Add([]byte{6, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 0, 4, 1, 5, 2, 6, 3,
+		0, 7, 1, 3, 3, 2, 4, 5, 0})
+	// n=12 on a shuffled order: a caterpillar, its spine the first six
+	// vertices and one leaf on each, plus a chord, a self-loop and a
+	// parallel pair.
+	f.Add([]byte{10, 5, 3, 9, 1, 0, 7, 2, 2, 1, 0, 4,
+		0, 1, 1, 2, 2, 0, 3, 1, 4, 2, 0, 3, 1, 0, 2, 1, 3, 2, 4, 3, 5, 0,
+		0, 11, 2, 5, 5, 1, 3, 9, 3, 3, 9, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, parent := fuzzTree(data)
+		want := bruteTreeCut(g, parent)
+		for _, pp := range []bool{false, true} {
+			f := scanTree(t, g, parent, pp, nil)
+			if f.Value != want {
+				t.Fatalf("n=%d m=%d parent=%v parallelPaths=%v: value %d, brute force %d",
+					g.N(), g.M(), parent, pp, f.Value, want)
+			}
+			inCut, err := Witness(g, parent, f, nil, nil)
+			if err != nil {
+				t.Fatalf("witness: %v", err)
+			}
+			if v := g.CutValue(inCut); v != f.Value {
+				t.Fatalf("n=%d m=%d parent=%v parallelPaths=%v: witness weighs %d, found %d",
+					g.N(), g.M(), parent, pp, v, f.Value)
 			}
 		}
-		putFresh()
-		putSweep()
-		put()
-	}
+	})
 }
