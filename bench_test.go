@@ -124,7 +124,7 @@ func BenchmarkSelfSpeedup(b *testing.B) {
 func BenchmarkMinPathBatch(b *testing.B) {
 	for _, n := range []int{1 << 12, 1 << 15} {
 		parent := benchRandomTree(n, 11)
-		tr, err := tree.FromParent(parent)
+		tr, err := tree.FromParent(parent, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func BenchmarkDecompose(b *testing.B) {
 		"path":   benchPathTree(1 << 15),
 	}
 	for name, parent := range shapes {
-		tr, err := tree.FromParent(parent)
+		tr, err := tree.FromParent(parent, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -177,7 +177,7 @@ func expDepth() {
 	// The Minimum Path batch in isolation (the paper's §3 contribution).
 	tn := 1 << 16
 	parent := randomTreeParent(tn, 21)
-	tr, err := tree.FromParent(parent)
+	tr, err := tree.FromParent(parent, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -200,18 +200,19 @@ func expDepth() {
 }
 
 // expMinPath — E3: per-operation cost of the batched Minimum Path
-// structure as the batch grows (Lemma 9: O(log n (log n + log k)) work/op).
+// structure as the batch grows (Lemma 9: O(log n (log n + log k)) work/op),
+// and each batch's model depth next to Lemma 9's depth bound.
 func expMinPath() {
-	header("E3 (Lemma 9): Minimum Path batch, per-op cost")
+	header("E3 (Lemma 9): Minimum Path batch, per-op cost and depth")
 	sizes := []int{1 << 12, 1 << 14, 1 << 16}
 	if *quick {
 		sizes = sizes[:2]
 	}
-	fmt.Println("| tree n | batch k | ms | ns/op | model work/op | lg n·(lg n+lg k) |")
-	fmt.Println("|--------|---------|----|-------|----------------|-------------------|")
+	fmt.Println("| tree n | batch k | ms | ns/op | model work/op | lg n·(lg n+lg k) | model depth | ⌈lg n⌉(⌈lg n⌉+⌈lg k⌉) |")
+	fmt.Println("|--------|---------|----|-------|----------------|-------------------|-------------|-----------------------|")
 	for _, n := range sizes {
 		parent := randomTreeParent(n, 11)
-		tr, err := tree.FromParent(parent)
+		tr, err := tree.FromParent(parent, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -223,9 +224,10 @@ func expMinPath() {
 			start := time.Now()
 			s.RunBatch(w0, ops, nil, &meter)
 			el := time.Since(start)
-			fmt.Printf("| %d | %d | %.1f | %.0f | %.0f | %.0f |\n",
+			fmt.Printf("| %d | %d | %.1f | %.0f | %.0f | %.0f | %d | %d |\n",
 				n, k, el.Seconds()*1000, float64(el.Nanoseconds())/float64(k),
-				float64(meter.Work())/float64(k), lg(n)*(lg(n)+lg(k)))
+				float64(meter.Work())/float64(k), lg(n)*(lg(n)+lg(k)),
+				meter.Depth(), wd.CeilLog2(n)*(wd.CeilLog2(n)+wd.CeilLog2(k)))
 		}
 	}
 }
@@ -249,7 +251,7 @@ func expDecomp() {
 	}
 	for _, sh := range shapes {
 		for _, n := range sizes {
-			tr, err := tree.FromParent(sh.parent(n))
+			tr, err := tree.FromParent(sh.parent(n), nil)
 			if err != nil {
 				log.Fatal(err)
 			}

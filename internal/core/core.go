@@ -202,14 +202,8 @@ func minCut(ctx context.Context, g *graph.Graph, opt Options, search Search) (Re
 	sink.AddTrees(int64(len(pk.Trees)))
 	sink.EnterPhase(progress.PhaseScan)
 	scanSp := opt.Trace.Child("scan").AttrInt("trees", int64(len(pk.Trees)))
-	var obs par.RegionFunc
-	if scanSp.Active() {
-		obs = func(name string, items, width int) func() {
-			fsp := scanSp.Child(name).AttrInt("items", int64(items)).AttrInt("width", int64(width))
-			return fsp.End
-		}
-	}
-	pool.ForGrainRegion("fork:trees", obs, len(pk.Trees), 1, func(i int) {
+	forkSp := scanSp.Child("fork:trees").AttrInt("items", int64(len(pk.Trees))).AttrInt("width", int64(pool.Width()))
+	pool.ForGrain(len(pk.Trees), 1, func(i int) {
 		// Cancellation checkpoint between trees: a canceled context skips
 		// every search that has not started yet.
 		if err := ctx.Err(); err != nil {
@@ -235,6 +229,7 @@ func minCut(ctx context.Context, g *graph.Graph, opt Options, search Search) (Re
 			sink.TreeDone()
 		}
 	})
+	forkSp.End()
 	scanSp.End()
 	m.Par(locals...) // trees are searched in parallel (§4.3 step 3)
 	best := Result{Value: minDeg, TreesScanned: len(pk.Trees)}

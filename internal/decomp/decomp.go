@@ -248,9 +248,13 @@ func peelPhase(t *tree.Tree, alive []bool, count []int32, st *phaseState,
 		if !st.member[v] {
 			return
 		}
+		// The loop above set each top's path id; other members of its
+		// bough read it here, so the top must not write it again.
 		tp := top[v]
 		pid := d.PathOf[tp]
-		d.PathOf[v] = pid
+		if v != tp {
+			d.PathOf[v] = pid
+		}
 		d.PosOf[v] = rank[v]
 		paths[pid-int32(len(d.Paths))][rank[v]] = v
 		alive[v] = false

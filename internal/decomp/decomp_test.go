@@ -11,7 +11,7 @@ import (
 
 func mustTree(t *testing.T, parent []int32) *tree.Tree {
 	t.Helper()
-	tr, err := tree.FromParent(parent)
+	tr, err := tree.FromParent(parent, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

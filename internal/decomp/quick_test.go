@@ -27,7 +27,7 @@ func (quickTree) Generate(rng *rand.Rand, _ int) reflect.Value {
 func TestDecomposePhaseBound(t *testing.T) {
 	property := func(q quickTree) bool {
 		n := 1 + int(q.N)
-		tr, err := tree.FromParent(randomParent(n, q.Seed))
+		tr, err := tree.FromParent(randomParent(n, q.Seed), nil)
 		if err != nil {
 			return false
 		}

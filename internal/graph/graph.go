@@ -41,17 +41,6 @@ func New(n int) *Graph {
 	return &Graph{n: n}
 }
 
-// FromEdges builds a graph on n vertices from the given edge list.
-func FromEdges(n int, edges []Edge) (*Graph, error) {
-	g := New(n)
-	for _, e := range edges {
-		if err := g.AddEdge(int(e.U), int(e.V), e.W); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
-}
-
 // AddEdge appends the undirected edge {u, v} with weight w.
 func (g *Graph) AddEdge(u, v int, w int64) error {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
@@ -158,13 +147,12 @@ func (g *Graph) Canonical() *Graph {
 }
 
 // Adj is a CSR adjacency view of a Graph: for vertex v, the incident half
-// edges are Nbr[Off[v]:Off[v+1]] with parallel arrays EdgeIdx (index into
-// the graph's edge list) and W (edge weight). Self-loops are excluded.
+// edges are Nbr[Off[v]:Off[v+1]] with the parallel array W (edge weight).
+// Self-loops are excluded.
 type Adj struct {
-	Off     []int32
-	Nbr     []int32
-	EdgeIdx []int32
-	W       []int64
+	Off []int32
+	Nbr []int32
+	W   []int64
 }
 
 // Degree returns the number of incident non-loop half-edges of v.
@@ -178,7 +166,7 @@ func (g *Graph) BuildAdj() *Adj {
 
 // BuildAdjOn is BuildAdj on an explicit pool (nil = default).
 func (g *Graph) BuildAdjOn(pool *par.Pool) *Adj {
-	n, m := g.n, len(g.edges)
+	n := g.n
 	counts := make([]int64, n+1)
 	for _, e := range g.edges {
 		if e.U == e.V {
@@ -190,26 +178,24 @@ func (g *Graph) BuildAdjOn(pool *par.Pool) *Adj {
 	pool.InclusiveSum(counts, counts)
 	total := counts[n]
 	a := &Adj{
-		Off:     make([]int32, n+1),
-		Nbr:     make([]int32, total),
-		EdgeIdx: make([]int32, total),
-		W:       make([]int64, total),
+		Off: make([]int32, n+1),
+		Nbr: make([]int32, total),
+		W:   make([]int64, total),
 	}
 	for v := 0; v <= n; v++ {
 		a.Off[v] = int32(counts[v])
 	}
 	cursor := make([]int32, n)
 	copy(cursor, a.Off[:n])
-	for i := 0; i < m; i++ {
-		e := g.edges[i]
+	for _, e := range g.edges {
 		if e.U == e.V {
 			continue
 		}
 		cu := cursor[e.U]
-		a.Nbr[cu], a.EdgeIdx[cu], a.W[cu] = e.V, int32(i), e.W
+		a.Nbr[cu], a.W[cu] = e.V, e.W
 		cursor[e.U]++
 		cv := cursor[e.V]
-		a.Nbr[cv], a.EdgeIdx[cv], a.W[cv] = e.U, int32(i), e.W
+		a.Nbr[cv], a.W[cv] = e.U, e.W
 		cursor[e.V]++
 	}
 	return a

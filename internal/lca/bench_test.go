@@ -27,22 +27,3 @@ func BenchmarkQuery(b *testing.B) {
 		l.Query(us[i%1024], vs[i%1024])
 	}
 }
-
-func BenchmarkQueryBatch64k(b *testing.B) {
-	tr := randomTree(1<<16, 4)
-	l := New(tr, nil, nil)
-	rng := rand.New(rand.NewSource(5))
-	k := 1 << 16
-	us := make([]int32, k)
-	vs := make([]int32, k)
-	out := make([]int32, k)
-	for i := range us {
-		us[i] = int32(rng.Intn(tr.N()))
-		vs[i] = int32(rng.Intn(tr.N()))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.QueryBatch(us, vs, out, nil)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(k), "ns/query")
-}

@@ -1,9 +1,10 @@
 // Package lca answers lowest-common-ancestor queries on a rooted tree via
 // the Euler-tour + range-minimum reduction of Schieber–Vishkin lineage
 // (paper Appendix A cites [28]): O(n log n) construction work, O(1) per
-// query, with batched parallel query evaluation. The descendant case of
-// the two-respecting cut search uses it to attribute every graph edge to
-// the subtree that contains both endpoints (the ρ values of Appendix A).
+// query. The descendant case of the two-respecting cut search uses it to
+// attribute every graph edge to the subtree that contains both endpoints
+// (the ρ values of Appendix A), each edge's query issued from the
+// caller's own parallel loop.
 package lca
 
 import (
@@ -17,7 +18,6 @@ const blockShift = 5 // 32-entry blocks for the block-RMQ layer
 // LCA is a lowest-common-ancestor index over a Tree.
 type LCA struct {
 	t     *tree.Tree
-	pool  *par.Pool
 	euler []int32 // vertex visit sequence, length 2n-1
 	first []int32 // first occurrence of each vertex in euler
 	edep  []int32 // depth of euler[i]
@@ -32,7 +32,7 @@ type LCA struct {
 // completes, which together cover all 2n−1 positions.
 func New(t *tree.Tree, pool *par.Pool, m *wd.Meter) *LCA {
 	n := t.N()
-	l := &LCA{t: t, pool: pool}
+	l := &LCA{t: t}
 	L := 2*n - 1
 	l.euler = make([]int32, L)
 	l.first = make([]int32, n)
@@ -134,16 +134,4 @@ func (l *LCA) scan(lo, hi int32) int32 {
 		}
 	}
 	return best
-}
-
-// QueryBatch computes out[i] = LCA(us[i], vs[i]) for all pairs in
-// parallel, on the pool the index was built with.
-func (l *LCA) QueryBatch(us, vs, out []int32, m *wd.Meter) {
-	if len(us) != len(vs) || len(us) != len(out) {
-		panic("lca: QueryBatch length mismatch")
-	}
-	l.pool.For(len(us), func(i int) {
-		out[i] = l.Query(us[i], vs[i])
-	})
-	m.Add(int64(len(us)), 1)
 }

@@ -29,7 +29,7 @@ func randomTree(n int, seed int64) *tree.Tree {
 	for i := 1; i < n; i++ {
 		parent[perm[i]] = int32(perm[rng.Intn(i)])
 	}
-	t, err := tree.FromParent(parent)
+	t, err := tree.FromParent(parent, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -43,7 +43,7 @@ func TestLCASmall(t *testing.T) {
 	//   / \    \
 	//  3   4    5
 	parent := []int32{tree.None, 0, 0, 1, 1, 2}
-	tr, err := tree.FromParent(parent)
+	tr, err := tree.FromParent(parent, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestLCAOnPath(t *testing.T) {
 	for i := 1; i < n; i++ {
 		parent[i] = int32(i - 1)
 	}
-	tr, _ := tree.FromParent(parent)
+	tr, _ := tree.FromParent(parent, nil)
 	l := New(tr, nil, nil)
 	for _, c := range [][3]int32{{0, 299, 0}, {100, 200, 100}, {250, 250, 250}} {
 		if got := l.Query(c[0], c[1]); got != c[2] {
@@ -91,28 +91,8 @@ func TestLCAOnPath(t *testing.T) {
 	}
 }
 
-func TestQueryBatch(t *testing.T) {
-	tr := randomTree(500, 9)
-	l := New(tr, nil, nil)
-	rng := rand.New(rand.NewSource(10))
-	k := 2000
-	us := make([]int32, k)
-	vs := make([]int32, k)
-	out := make([]int32, k)
-	for i := range us {
-		us[i] = int32(rng.Intn(500))
-		vs[i] = int32(rng.Intn(500))
-	}
-	l.QueryBatch(us, vs, out, nil)
-	for i := range us {
-		if want := naiveLCA(tr, us[i], vs[i]); out[i] != want {
-			t.Fatalf("batch LCA(%d,%d)=%d want %d", us[i], vs[i], out[i], want)
-		}
-	}
-}
-
 func TestSingleVertex(t *testing.T) {
-	tr, _ := tree.FromParent([]int32{tree.None})
+	tr, _ := tree.FromParent([]int32{tree.None}, nil)
 	l := New(tr, nil, nil)
 	if got := l.Query(0, 0); got != 0 {
 		t.Fatalf("LCA(0,0)=%d", got)

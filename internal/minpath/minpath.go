@@ -131,6 +131,12 @@ func (s *Structure) RunBatch(w0 []int64, ops []Op, pool *par.Pool, m *wd.Meter) 
 		}
 	}
 	bounds = append(bounds, total)
+	// Each segment meters its own sub-batch, and the segments compose as
+	// parallel branches: Lemma 9's depth takes the deepest, not their sum.
+	var segMeters []*wd.Meter
+	if m != nil {
+		segMeters = make([]*wd.Meter, len(bounds)-1)
+	}
 	pool.ForGrain(len(bounds)-1, 1, func(bi int) {
 		lo, hi := bounds[bi], bounds[bi+1]
 		seg := sorted[lo].seg
@@ -143,11 +149,17 @@ func (s *Structure) RunBatch(w0 []int64, ops []Op, pool *par.Pool, m *wd.Meter) 
 		for i := lo; i < hi; i++ {
 			sub[i-lo] = minprefix.Op{Query: sorted[i].query, Leaf: sorted[i].leaf, X: sorted[i].x}
 		}
-		subRes := minprefix.RunBatch(weights, sub, pool, m)
+		var sm *wd.Meter
+		if segMeters != nil {
+			sm = new(wd.Meter)
+			segMeters[bi] = sm
+		}
+		subRes := minprefix.RunBatch(weights, sub, pool, sm)
 		for i := lo; i < hi; i++ {
 			expRes[sorted[i].expIdx] = subRes[i-lo]
 		}
 	})
+	m.Par(segMeters...)
 	// Reduce each query's expansion results to their minimum (§3.4: "the
 	// smallest result of the O(log n) MinPrefix queries").
 	pool.For(k, func(i int) {

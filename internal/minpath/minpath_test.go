@@ -12,7 +12,7 @@ import (
 
 func mustTree(t *testing.T, parent []int32) *tree.Tree {
 	t.Helper()
-	tr, err := tree.FromParent(parent)
+	tr, err := tree.FromParent(parent, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestQuickMatchesNaive(t *testing.T) {
 	property := func(c quickCase) bool {
 		n := 1 + int(c.N)
 		k := int(c.K)
-		tr, err := tree.FromParent(randomParent(n, c.Seed))
+		tr, err := tree.FromParent(randomParent(n, c.Seed), nil)
 		if err != nil {
 			return false
 		}
@@ -234,5 +234,27 @@ func TestQuickMatchesNaive(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(424242))}
 	if err := quick.Check(property, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBatchDepthWithinLemma9: a batch's metered depth stays within Lemma
+// 9's bound ⌈lg n⌉(⌈lg n⌉+⌈lg k⌉) on random trees with n = 2^12, 2^14 and
+// 2^16 and batches of k = n/2 and 2n operations, the shapes paperbench's
+// E3 runs. The per-segment Minimum Prefix batches run in parallel, so
+// their depths compose as parallel branches; summed instead, they read
+// thousands to hundreds of thousands on these shapes.
+func TestBatchDepthWithinLemma9(t *testing.T) {
+	for _, n := range []int{1 << 12, 1 << 14, 1 << 16} {
+		tr := mustTree(t, randomParent(n, 11))
+		s := New(tr, nil, nil)
+		w0 := make([]int64, n)
+		for _, k := range []int{n / 2, 2 * n} {
+			var m wd.Meter
+			s.RunBatch(w0, randomOps(n, k, 13), nil, &m)
+			bound := wd.CeilLog2(n) * (wd.CeilLog2(n) + wd.CeilLog2(k))
+			if m.Depth() > bound {
+				t.Errorf("n=%d k=%d: batch depth %d exceeds Lemma 9's bound %d", n, k, m.Depth(), bound)
+			}
+		}
 	}
 }

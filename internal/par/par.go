@@ -72,29 +72,6 @@ func (p *Pool) ForGrain(n, grain int, f func(i int)) {
 	})
 }
 
-// RegionFunc observes one fork-join region. It is called when the region
-// is about to fork with the region's name, its item count, and the width
-// it may run at; the returned func (nil OK) is called after the join
-// completes. Observers see regions, never individual forked branches —
-// tracing stays coarse enough that the observer cost is amortized over a
-// whole parallel loop.
-type RegionFunc func(name string, items, width int) (done func())
-
-// ForGrainRegion is ForGrain with an optional region observer: callers
-// that trace fork-join structure pass an obs built for the span they are
-// inside, everyone else passes nil and pays a single branch.
-func (p *Pool) ForGrainRegion(name string, obs RegionFunc, n, grain int, f func(i int)) {
-	if obs == nil {
-		p.ForGrain(n, grain, f)
-		return
-	}
-	done := obs(name, n, p.Width())
-	p.ForGrain(n, grain, f)
-	if done != nil {
-		done()
-	}
-}
-
 // ForChunk partitions [0, n) into contiguous chunks of at least grain
 // elements and runs f(lo, hi) on the chunks in parallel. The caller and
 // up to width-1 helper branches claim chunks from a shared atomic cursor,

@@ -74,7 +74,7 @@ func contractBoughs(g *graph.Graph, t *tree.Tree, member []bool, paths [][]int32
 			parent[toNew[v]] = toNew[p]
 		}
 	})
-	nt, err := tree.FromParentParallel(parent, pool, m)
+	nt, err := tree.FromParent(parent, m)
 	if err != nil {
 		panic("respect: contraction produced an invalid tree: " + err.Error())
 	}

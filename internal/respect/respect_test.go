@@ -16,7 +16,7 @@ import (
 // u↓ − v↓ for v below u. It is the oracle for Lemma 13. The testing.T is
 // optional (property tests pass nil and rely on the panic on bad input).
 func bruteForce(t *testing.T, g *graph.Graph, parent []int32) int64 {
-	tr, err := tree.FromParent(parent)
+	tr, err := tree.FromParent(parent, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -111,7 +111,7 @@ func TestCutValuesAgainstNaive(t *testing.T) {
 		n := 3 + int(seed*17)%40
 		g := gen.RandomConnected(n, 3*n, 12, seed)
 		parent := spanningParent(t, g, seed+10)
-		tr, err := tree.FromParent(parent)
+		tr, err := tree.FromParent(parent, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -122,7 +122,7 @@ func scan(g *graph.Graph, parent []int32, stopAtPhase int, out *phaseView, pool 
 }
 
 func scanMode(ctx context.Context, g *graph.Graph, parent []int32, stopAtPhase int, out *phaseView, parallelPhases bool, pool *par.Pool, m *wd.Meter, sink *progress.Sink, sp trace.SpanRef) (int64, provenance, error) {
-	t, err := tree.FromParentParallel(parent, pool, m)
+	t, err := tree.FromParent(parent, m)
 	if err != nil {
 		return 0, provenance{}, fmt.Errorf("respect: invalid spanning tree: %v", err)
 	}

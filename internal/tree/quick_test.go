@@ -17,35 +17,6 @@ func (quickTreeCase) Generate(rng *rand.Rand, _ int) reflect.Value {
 	return reflect.ValueOf(quickTreeCase{Seed: rng.Int63(), N: uint16(rng.Intn(1500))})
 }
 
-// TestQuickParallelEqualsSequential: the Euler-tour construction agrees
-// with the DFS construction on arbitrary trees (depths, preorder numbers,
-// subtree intervals).
-func TestQuickParallelEqualsSequential(t *testing.T) {
-	property := func(q quickTreeCase) bool {
-		n := 1 + int(q.N)
-		parent := randomParent(n, q.Seed)
-		seq, err := FromParent(parent)
-		if err != nil {
-			return false
-		}
-		par, err := FromParentParallel(parent, nil, nil)
-		if err != nil {
-			return false
-		}
-		for v := 0; v < n; v++ {
-			if seq.Depth[v] != par.Depth[v] || seq.In[v] != par.In[v] ||
-				seq.Out[v] != par.Out[v] || seq.Pre[v] != par.Pre[v] {
-				return false
-			}
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(2024))}
-	if err := quick.Check(property, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestQuickSubtreeIntervalInvariants: preorder intervals nest or are
 // disjoint, sizes telescope, and IsAncestor is consistent with parent
 // chains.
@@ -53,7 +24,7 @@ func TestQuickSubtreeIntervalInvariants(t *testing.T) {
 	property := func(q quickTreeCase) bool {
 		n := 1 + int(q.N)
 		parent := randomParent(n, q.Seed)
-		tr, err := FromParent(parent)
+		tr, err := FromParent(parent, nil)
 		if err != nil {
 			return false
 		}

@@ -1,15 +1,15 @@
-// Package tree provides rooted trees with the Euler-tour machinery the
+// Package tree provides rooted trees with the Euler-tour layout the
 // paper's algorithms traverse instead of the input graph (§1 "spanning
 // trees determine the order in which edges are accessed"): children in CSR
 // form, depths, preorder numbers and subtree intervals, subtree sums, and
-// ancestor tests. Construction is available both sequentially (reference)
-// and in parallel via Euler tours and list ranking (§3.3, [1]).
+// ancestor tests. FromParent builds a Tree with one DFS, and RootEdgeList
+// orients an unrooted spanning tree with another; each charges its meter
+// the cost of the paper's parallel Euler-tour construction (§3.3, [1]).
 package tree
 
 import (
 	"fmt"
 
-	"repro/internal/listrank"
 	"repro/internal/par"
 	"repro/internal/wd"
 )
@@ -47,11 +47,17 @@ func (t *Tree) IsAncestor(u, v int32) bool {
 }
 
 // FromParent builds a tree from a parent array (Parent[root] == None),
-// validating that the structure is a single tree. Children appear in
-// increasing vertex order. Sequential construction; see FromParentParallel
-// for the Euler-tour construction.
-func FromParent(parent []int32) (*Tree, error) {
-	t, err := skeletonFromParent(parent, nil)
+// and returns an error if the array is not a single rooted tree. Children
+// appear in increasing vertex order, and preorder visits them in that
+// order. It runs one stack DFS from the root.
+//
+// The paper computes depths, preorder numbers and subtree intervals with
+// an Euler tour ranked by pointer jumping and prefix sums over the tour,
+// work O(n log n) and depth O(log n). m is charged that model cost, which
+// depends on n alone. FromParent does not run the tour, for the reason
+// RootEdgeList gives.
+func FromParent(parent []int32, m *wd.Meter) (*Tree, error) {
+	t, err := skeletonFromParent(parent)
 	if err != nil {
 		return nil, err
 	}
@@ -93,17 +99,28 @@ func FromParent(parent []int32) (*Tree, error) {
 		}
 		t.Out[v] = out
 	}
+	if n > 1 {
+		// The tour's cost on its 2(n-1) arcs, with r = ⌈log₂ arcs⌉: four
+		// unit-depth passes over the vertices (child positions, successors,
+		// the scatter into tour order, the preorder scatter); listrank.Rank
+		// over the 2n arc slots, r jumping rounds and a final step of depth
+		// ⌈log₂ 2n⌉; and four passes over the arcs, three of them (two
+		// prefix sums among them) charged depth r and the interval pass 1.
+		arcs := int64(2 * (n - 1))
+		r := wd.CeilLog2(2 * (n - 1))
+		m.Add(4*int64(n)+2*int64(n)*(r+1)+4*arcs, 4+(r+wd.CeilLog2(2*n))+(3*r+1))
+	}
 	return t, nil
 }
 
 // skeletonFromParent validates the parent array and builds the children CSR.
-func skeletonFromParent(parent []int32, pool *par.Pool) (*Tree, error) {
+func skeletonFromParent(parent []int32) (*Tree, error) {
 	n := len(parent)
 	if n == 0 {
 		return nil, fmt.Errorf("tree: empty parent array")
 	}
 	root := None
-	counts := make([]int64, n+1)
+	off := make([]int32, n+1)
 	for v, p := range parent {
 		if p == None {
 			if root != None {
@@ -118,15 +135,13 @@ func skeletonFromParent(parent []int32, pool *par.Pool) (*Tree, error) {
 		if p == int32(v) {
 			return nil, fmt.Errorf("tree: vertex %d is its own parent", v)
 		}
-		counts[p+1]++
+		off[p+1]++
 	}
 	if root == None {
 		return nil, fmt.Errorf("tree: no root")
 	}
-	pool.InclusiveSum(counts, counts)
-	off := make([]int32, n+1)
-	for i := range off {
-		off[i] = int32(counts[i])
+	for v := 1; v <= n; v++ {
+		off[v] += off[v-1]
 	}
 	child := make([]int32, n-1)
 	cursor := make([]int32, n)
@@ -140,110 +155,6 @@ func skeletonFromParent(parent []int32, pool *par.Pool) (*Tree, error) {
 		cursor[p]++
 	}
 	t := &Tree{Parent: parent, Root: root, ChildOff: off, Child: child}
-	return t, nil
-}
-
-// FromParentParallel builds the same Tree as FromParent but computes
-// depths, preorder numbers, and subtree intervals with an Euler tour and
-// list ranking (work O(n log n), depth O(log n) with the pointer-jumping
-// ranker).
-func FromParentParallel(parent []int32, pool *par.Pool, m *wd.Meter) (*Tree, error) {
-	t, err := skeletonFromParent(parent, pool)
-	if err != nil {
-		return nil, err
-	}
-	n := len(parent)
-	t.Depth = make([]int32, n)
-	t.In = make([]int32, n)
-	t.Out = make([]int32, n)
-	t.Pre = make([]int32, n)
-	if n == 1 {
-		t.Out[0] = 1
-		t.Pre[0] = t.Root
-		return t, nil
-	}
-	// childPos[c] = index of c within its parent's child list.
-	childPos := make([]int32, n)
-	pool.For(n, func(v int) {
-		for j := t.ChildOff[v]; j < t.ChildOff[v+1]; j++ {
-			childPos[t.Child[j]] = j - t.ChildOff[v]
-		}
-	})
-	m.Add(int64(n), 1)
-	// Arcs: down(c) = 2c (parent(c) -> c), up(c) = 2c+1 (c -> parent(c))
-	// for every non-root c. Root slots stay unused (successor Nil).
-	succ := make([]int32, 2*n)
-	pool.For(n, func(vi int) {
-		v := int32(vi)
-		succ[2*v] = listrank.Nil
-		succ[2*v+1] = listrank.Nil
-		if v == t.Root {
-			return
-		}
-		// down(v): descend to v's first child or bounce back up.
-		if t.NumChildren(v) > 0 {
-			succ[2*v] = 2 * t.Child[t.ChildOff[v]]
-		} else {
-			succ[2*v] = 2*v + 1
-		}
-		// up(v): next sibling's down, or parent's up (tour ends at root).
-		p := t.Parent[v]
-		if pos := childPos[v]; t.ChildOff[p]+pos+1 < t.ChildOff[p+1] {
-			succ[2*v+1] = 2 * t.Child[t.ChildOff[p]+pos+1]
-		} else if p != t.Root {
-			succ[2*v+1] = 2*p + 1
-		}
-	})
-	m.Add(int64(n), 1)
-	rank := listrank.Rank(succ, pool, m)
-	total := 2 * (n - 1) // arcs in the tour
-	// Scatter arcs into tour order; +1 for a down arc, -1 for an up arc.
-	kind := make([]int64, total)
-	arcAt := make([]int32, total)
-	pool.For(n, func(vi int) {
-		v := int32(vi)
-		if v == t.Root {
-			return
-		}
-		dpos := int32(total-1) - rank[2*v]
-		upos := int32(total-1) - rank[2*v+1]
-		kind[dpos] = 1
-		kind[upos] = -1
-		arcAt[dpos] = 2 * v
-		arcAt[upos] = 2*v + 1
-	})
-	m.Add(int64(n), 1)
-	// downCount[i] = number of down arcs at positions <= i; depthSum[i] =
-	// depth after executing arc i.
-	downCount := make([]int64, total)
-	depthSum := make([]int64, total)
-	pool.For(total, func(i int) {
-		if kind[i] > 0 {
-			downCount[i] = 1
-		}
-		depthSum[i] = kind[i]
-	})
-	pool.InclusiveSum(downCount, downCount)
-	pool.InclusiveSum(depthSum, depthSum)
-	m.Add(int64(total)*3, 3*wd.CeilLog2(total))
-	pool.For(total, func(i int) {
-		arc := arcAt[i]
-		v := arc / 2
-		if arc%2 == 0 { // down arc: first visit of v
-			t.In[v] = int32(downCount[i])
-			t.Depth[v] = int32(depthSum[i])
-		} else { // up arc: subtree of v is complete
-			t.Out[v] = int32(downCount[i]) + 1
-		}
-	})
-	m.Add(int64(total), 1)
-	t.In[t.Root] = 0
-	t.Out[t.Root] = int32(n)
-	t.Depth[t.Root] = 0
-	pool.For(n, func(v int) {
-		t.Pre[t.In[v]] = int32(v)
-	})
-	m.Add(int64(n), 1)
 	return t, nil
 }
 

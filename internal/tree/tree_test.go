@@ -34,17 +34,25 @@ func pathParent(n int) []int32 {
 	return parent
 }
 
+// starParent builds a star: every vertex hangs off root 0.
+func starParent(n int) []int32 {
+	parent := make([]int32, n)
+	parent[0] = None
+	return parent
+}
+
 func TestFromParentValidation(t *testing.T) {
 	cases := [][]int32{
-		{},           // empty
-		{0},          // self-parent (no root)
-		{None, None}, // two roots
-		{1, 0},       // cycle, no root
-		{None, 5},    // out of range
-		{None, 2, 1}, // 2-cycle hanging off nothing reachable... parent[1]=2, parent[2]=1: cycle
+		{},              // empty
+		{0},             // self-parent (no root)
+		{None, None},    // two roots
+		{1, 0},          // cycle, no root
+		{None, 5},       // out of range
+		{None, 2, 1},    // 2-cycle off the root
+		{None, 0, 3, 2}, // 2-cycle off a rooted path
 	}
 	for i, parent := range cases {
-		if _, err := FromParent(parent); err == nil {
+		if _, err := FromParent(parent, nil); err == nil {
 			t.Errorf("case %d: invalid parent array accepted", i)
 		}
 	}
@@ -57,7 +65,7 @@ func TestSmallTreeLayout(t *testing.T) {
 	//   / \    \
 	//  3   4    5
 	parent := []int32{None, 0, 0, 1, 1, 2}
-	tr, err := FromParent(parent)
+	tr, err := FromParent(parent, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,44 +100,36 @@ func TestSmallTreeLayout(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		n := 1 + int(seed)*137%900 + int(seed)
-		parent := randomParent(n, seed)
-		seq, err := FromParent(parent)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var m wd.Meter
-		pp, err := FromParentParallel(parent, nil, &m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := 0; v < n; v++ {
-			if seq.Depth[v] != pp.Depth[v] {
-				t.Fatalf("seed %d: depth[%d] %d vs %d", seed, v, seq.Depth[v], pp.Depth[v])
-			}
-			if seq.In[v] != pp.In[v] || seq.Out[v] != pp.Out[v] {
-				t.Fatalf("seed %d: interval[%d] [%d,%d) vs [%d,%d)", seed, v,
-					seq.In[v], seq.Out[v], pp.In[v], pp.Out[v])
-			}
-			if seq.Pre[v] != pp.Pre[v] {
-				t.Fatalf("seed %d: pre[%d] %d vs %d", seed, v, seq.Pre[v], pp.Pre[v])
-			}
-		}
+// TestFromParentCharge: FromParent charges its meter the cost of the
+// Euler-tour construction, with values recorded from a build that ran the
+// tour (list ranking by pointer jumping, then prefix sums over the tour).
+// The charge depends on n alone, so path, star and random trees of each
+// size must all read the recorded pair; n covers both sides of several
+// powers of two, where the tour's round counts step.
+func TestFromParentCharge(t *testing.T) {
+	recorded := []struct {
+		n           int
+		work, depth int64
+	}{
+		{1, 0, 0}, {2, 24, 11}, {3, 46, 16}, {4, 72, 20}, {5, 92, 21},
+		{8, 168, 25}, {9, 190, 26}, {16, 376, 30}, {17, 400, 31},
+		{100, 2992, 45}, {512, 17400, 55}, {513, 17434, 56},
+		{1000, 35992, 60}, {3000, 119992, 70}, {5000, 209992, 75},
 	}
-}
-
-func TestParallelOnPathAndSingle(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 100} {
-		parent := pathParent(n)
-		pp, err := FromParentParallel(parent, nil, nil)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range recorded {
+		shapes := map[string][]int32{
+			"path":   pathParent(c.n),
+			"star":   starParent(c.n),
+			"random": randomParent(c.n, int64(c.n)),
 		}
-		for v := 0; v < n; v++ {
-			if pp.Depth[v] != int32(v) || pp.In[v] != int32(v) || pp.Out[v] != int32(n) {
-				t.Fatalf("n=%d v=%d: depth=%d in=%d out=%d", n, v, pp.Depth[v], pp.In[v], pp.Out[v])
+		for name, parent := range shapes {
+			var m wd.Meter
+			if _, err := FromParent(parent, &m); err != nil {
+				t.Fatalf("%s n=%d: %v", name, c.n, err)
+			}
+			if m.Work() != c.work || m.Depth() != c.depth {
+				t.Errorf("%s n=%d: charged (%d, %d), Euler tour cost (%d, %d)",
+					name, c.n, m.Work(), m.Depth(), c.work, c.depth)
 			}
 		}
 	}
@@ -137,7 +137,7 @@ func TestParallelOnPathAndSingle(t *testing.T) {
 
 func TestSubtreeSum(t *testing.T) {
 	parent := []int32{None, 0, 0, 1, 1, 2}
-	tr, _ := FromParent(parent)
+	tr, _ := FromParent(parent, nil)
 	x := []int64{1, 10, 100, 1000, 10000, 100000}
 	got := tr.SubtreeSum(x, nil, nil)
 	want := []int64{111111, 11010, 100100, 1000, 10000, 100000}
@@ -152,7 +152,7 @@ func TestSubtreeSumRandomAgainstNaive(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		n := 200 + int(seed)*31
 		parent := randomParent(n, seed+100)
-		tr, err := FromParent(parent)
+		tr, err := FromParent(parent, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -458,6 +458,9 @@ func Engines() []string { return engine.Names() }
 // ConstrainedMinCut finds the smallest cut that crosses at most two edges
 // of the given rooted spanning tree (parent[v] is v's parent; the root has
 // parent -1). This is the paper's Lemma 13 primitive; it is deterministic.
+// It returns an error if parent does not have one entry per vertex of G
+// or is not a single rooted tree: a second root, a parent out of range, a
+// vertex that is its own parent, or a cycle.
 func ConstrainedMinCut(G *Graph, parent []int32, opt Options) (Result, error) {
 	if G == nil || G.g == nil {
 		return Result{}, errNilGraph()

@@ -9,10 +9,15 @@ import (
 	"repro/internal/graph/gen"
 )
 
-// solveGolden is the FNV-1a digest TestSolveGolden computes at each
-// width. It moves only if some whole solve does: a new value, a new tree
-// count, a different returned partition, or a different metered cost.
-const solveGolden = uint64(0x09bee6841b27eba9)
+// solveResultGolden and solveMeterGolden are the FNV-1a digests
+// TestSolveGolden computes at each width. The result digest moves only if
+// some whole solve returns something new: a value, a tree count or a
+// partition. The meter digest moves only if some solve's metered Work or
+// Depth does.
+const (
+	solveResultGolden = uint64(0x22c11d0a8ff9cb4f)
+	solveMeterGolden  = uint64(0x8b88bb71f25baa25)
+)
 
 // goldenGraphs are small generator graphs of the shapes the solver
 // serves: the four cutbench workloads (sparse, ring, dense and the
@@ -54,43 +59,48 @@ func goldenGraphs(t *testing.T) []*Graph {
 }
 
 // TestSolveGolden pins whole solves bit for bit. For every served engine
-// on every golden graph it digests the Result's Value, TreesScanned,
-// InCut, Work and Depth, with a partition and stats requested, on
-// executors of width 1 and 2; each width must reproduce solveGolden. The
-// kernel goldens pin one layer each, so a change anywhere in a solve
-// (packing, rooting, scan, witness or the meter) that claims identical
-// results must leave this digest unchanged, and one that moves it
+// on every golden graph it digests the Result's Value, TreesScanned and
+// InCut into one digest and its Work and Depth into another, with a
+// partition and stats requested, on executors of width 1 and 2; each
+// width must reproduce solveResultGolden and solveMeterGolden. The kernel
+// goldens pin one layer each, so a change anywhere in a solve (packing,
+// rooting, scan, witness or the meter) that claims identical results must
+// leave the result digest unchanged, and one that moves either digest
 // re-records it and says why.
 func TestSolveGolden(t *testing.T) {
 	t.Parallel()
 	graphs := goldenGraphs(t)
 	for _, w := range []int{1, 2} {
 		ex := NewExecutor(w)
-		h := fnv.New64a()
+		result, meter := fnv.New64a(), fnv.New64a()
 		for _, name := range Engines() {
 			for gi, g := range graphs {
 				r, err := MinCut(g, Options{Engine: name, Seed: int64(gi), WantPartition: true, CollectStats: true, Executor: ex})
 				if err != nil {
 					t.Fatalf("%s on graph %d: %v", name, gi, err)
 				}
-				var b [32]byte
+				var b [16]byte
 				binary.LittleEndian.PutUint64(b[0:], uint64(r.Value))
 				binary.LittleEndian.PutUint64(b[8:], uint64(r.TreesScanned))
-				binary.LittleEndian.PutUint64(b[16:], uint64(r.Work))
-				binary.LittleEndian.PutUint64(b[24:], uint64(r.Depth))
-				h.Write(b[:])
+				result.Write(b[:])
 				side := make([]byte, len(r.InCut))
 				for v, in := range r.InCut {
 					if in {
 						side[v] = 1
 					}
 				}
-				h.Write(side)
+				result.Write(side)
+				binary.LittleEndian.PutUint64(b[0:], uint64(r.Work))
+				binary.LittleEndian.PutUint64(b[8:], uint64(r.Depth))
+				meter.Write(b[:])
 			}
 		}
 		ex.Close()
-		if got := h.Sum64(); got != solveGolden {
-			t.Errorf("width %d: digest of %d engines × %d graphs = %#x, want %#x", w, len(Engines()), len(graphs), got, solveGolden)
+		if got := result.Sum64(); got != solveResultGolden {
+			t.Errorf("width %d: result digest of %d engines × %d graphs = %#x, want %#x", w, len(Engines()), len(graphs), got, solveResultGolden)
+		}
+		if got := meter.Sum64(); got != solveMeterGolden {
+			t.Errorf("width %d: meter digest of %d engines × %d graphs = %#x, want %#x", w, len(Engines()), len(graphs), got, solveMeterGolden)
 		}
 	}
 }

@@ -221,6 +221,43 @@ func TestPathAggregatorAgainstNaive(t *testing.T) {
 	}
 }
 
+// TestNonTreeParentsRejected: both entry points that take a parent array
+// from their caller return an error on every array for 4 vertices that is
+// not one rooted tree, on the default executor and on one of width 2, and
+// never panic.
+func TestNonTreeParentsRejected(t *testing.T) {
+	g := NewGraph(4)
+	for v := 0; v < 4; v++ {
+		if err := g.AddEdge(v, (v+1)%4, int64(1+v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	weights := []int64{5, 6, 7, 8}
+	for _, c := range []struct {
+		name   string
+		parent []int32
+	}{
+		{"cycle off the root", []int32{-1, 0, 3, 2}},
+		{"cycle and no root", []int32{1, 2, 3, 0}},
+		{"two roots", []int32{-1, 0, -1, 2}},
+		{"parent above range", []int32{-1, 0, 9, 1}},
+		{"parent below -1", []int32{-1, 0, -5, 1}},
+		{"self-parent", []int32{-1, 0, 2, 2}},
+		{"wrong length", []int32{-1, 0, 1}},
+	} {
+		for _, opt := range []Options{{}, {Parallelism: 2}} {
+			if _, err := ConstrainedMinCut(g, c.parent, opt); err == nil {
+				t.Errorf("%s: ConstrainedMinCut accepted %v", c.name, c.parent)
+			}
+			p, err := NewPathAggregatorOpts(c.parent, weights, opt)
+			if err == nil {
+				p.Close()
+				t.Errorf("%s: NewPathAggregator accepted %v", c.name, c.parent)
+			}
+		}
+	}
+}
+
 func TestPathAggregatorValidation(t *testing.T) {
 	if _, err := NewPathAggregator([]int32{-1, 0}, []int64{1}); err == nil {
 		t.Fatal("length mismatch accepted")

@@ -44,7 +44,10 @@ func MinPath(v int32) PathOp { return PathOp{Query: true, Vertex: v} }
 
 // NewPathAggregator builds the structure over the rooted tree described by
 // parent (root marked with -1) with the given initial weights, running on
-// the shared default executor.
+// the shared default executor. It returns an error if weights does not
+// have one entry per vertex or parent is not a single rooted tree: a
+// second root, a parent out of range, a vertex that is its own parent, or
+// a cycle.
 func NewPathAggregator(parent []int32, weights []int64) (*PathAggregator, error) {
 	return NewPathAggregatorOpts(parent, weights, Options{})
 }
@@ -59,7 +62,7 @@ func NewPathAggregatorOpts(parent []int32, weights []int64, opt Options) (*PathA
 		return nil, fmt.Errorf("parcut: %d weights for %d vertices", len(weights), len(parent))
 	}
 	pool, owned := opt.executionPool()
-	t, err := tree.FromParentParallel(parent, pool, nil)
+	t, err := tree.FromParent(parent, nil)
 	if err != nil {
 		if owned {
 			pool.Close()
