@@ -9,9 +9,10 @@
 // Algorithms are the registered solve engines plus two conveniences:
 // geissmann (the paper's parallel algorithm; "parcut" is an alias, the
 // default), andersonblelloch (the same packing searched with the
-// Anderson–Blelloch scan; bit-identical values), stoerwagner (exact
-// deterministic O(n³)), auto (pick by graph size; the chosen engine is
-// printed), and brute (exhaustive, n ≤ 24 — not an engine).
+// Anderson–Blelloch scan; bit-identical values), stoerwagner (exact and
+// deterministic: maximum-adjacency passes with Nagamochi–Ibaraki
+// contraction, O(n³) worst case), auto (pick by graph size; the chosen
+// engine is printed), and brute (exhaustive, n ≤ 24 — not an engine).
 package main
 
 import (

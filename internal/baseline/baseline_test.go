@@ -128,6 +128,9 @@ func TestTooSmallGraphs(t *testing.T) {
 	if _, _, err := StoerWagner(g); err == nil {
 		t.Fatal("n=1 accepted by SW")
 	}
+	if _, _, err := solveNI(g); err == nil {
+		t.Fatal("n=1 accepted by NagamochiIbaraki")
+	}
 	if _, _, err := KargerStein(g, 1); err == nil {
 		t.Fatal("n=1 accepted by KS")
 	}

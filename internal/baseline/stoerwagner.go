@@ -6,10 +6,12 @@
 // polylog-depth, quadratic-work" regime the paper improves on), and
 // exhaustive enumeration for tiny instances.
 //
-// Stoer–Wagner also comes in a Context form (cancellation, progress,
-// tracing) so internal/engine can serve it behind the same scheduler
-// seams as the paper solver; Karger–Stein is a sequential oracle and
-// Table 1 comparator only.
+// The exact kernel internal/engine serves as "stoerwagner" is
+// NagamochiIbaraki: maximum-adjacency passes with Nagamochi–Ibaraki
+// contraction, O(n³) worst case, with cancellation, progress, tracing and
+// arena scratch. StoerWagner stays as Table 1's column and the independent
+// oracle the kernel is tested against; Karger–Stein is a sequential
+// oracle and Table 1 comparator only.
 package baseline
 
 import (
@@ -30,21 +32,21 @@ func StoerWagner(g *graph.Graph) (int64, []bool, error) {
 	return StoerWagnerContext(context.Background(), g, nil, nil, trace.SpanRef{})
 }
 
-// StoerWagnerContext is StoerWagner promoted to a serveable engine: ctx
-// is checked between contraction phases (there are n-1 of them, each
-// O(active²) work) so cancellation is prompt; sink (nil-safe) enters
-// PhaseContract and counts one coarse step per contraction phase on the
-// tree counters, notifying at the same seam where ctx is checked; sp,
-// when active, gains one "contract" child span tagged with the phase
-// count.
+// StoerWagnerContext is StoerWagner with cancellation, progress and
+// tracing. No engine serves it (NagamochiIbaraki is the served kernel);
+// StoerWagner and cutbench's traced run call it. ctx is checked between
+// contraction phases (there are n-1 of them, each O(active²) work); sink
+// (nil-safe) enters PhaseContract and counts one coarse step per
+// contraction phase on the tree counters, notifying at the same seam
+// where ctx is checked; sp, when active, gains one "contract" child span
+// tagged with the phase count.
 //
 // Every loop is sequential, and each maximum-adjacency step is one pass
 // over the supernodes not yet in A: it adds the newest member's matrix
 // row to their weights, drops that member from the list and keeps the
 // first maximum as the next pick. pool is unused: a step is O(active)
-// work, and forking it pays only far above the sizes auto sends here.
-// The parameter stays because the engine and cutbench's traced run pass
-// their executor.
+// work. The parameter stays because cutbench's traced run passes its
+// executor.
 func StoerWagnerContext(ctx context.Context, g *graph.Graph, pool *par.Pool, sink *progress.Sink, sp trace.SpanRef) (int64, []bool, error) {
 	n := g.N()
 	if n < 2 {

@@ -48,17 +48,48 @@ func TestStoerWagnerGolden(t *testing.T) {
 		h.Write(bits)
 		graphs++
 	}
+	for _, g := range goldenGraphs(t) {
+		record(g)
+	}
+	if got := h.Sum64(); got != stoerWagnerGolden {
+		t.Fatalf("digest of %d results = %#x, want %#x", graphs, got, stoerWagnerGolden)
+	}
+}
+
+// TestStoerWagnerAllocs: a solve allocates a fixed set of slices, so the
+// count does not grow with n. Per-phase allocation would show as a count
+// that rises from n = 64 to n = 256.
+func TestStoerWagnerAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		g := gen.RandomConnected(n, n*n/8, 100, 42)
+		return testing.AllocsPerRun(3, func() {
+			if _, _, err := StoerWagnerContext(context.Background(), g, nil, nil, trace.SpanRef{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(64), allocs(256)
+	if small != large || large > 10 {
+		t.Fatalf("allocations per solve: %v at n=64, %v at n=256; want the same count, at most 10", small, large)
+	}
+}
+
+// goldenGraphs builds the graphs TestStoerWagnerGolden describes, in
+// order; TestNagamochiIbarakiGolden digests the same list.
+func goldenGraphs(t *testing.T) []*graph.Graph {
+	t.Helper()
+	var out []*graph.Graph
 	for i := int64(0); i < 2; i++ {
-		record(gen.RandomConnected(256, 8192, 100, 1+i))
-		record(gen.RandomConnected(520, 1040, 100, 1+i))
+		out = append(out, gen.RandomConnected(256, 8192, 100, 1+i))
+		out = append(out, gen.RandomConnected(520, 1040, 100, 1+i))
 	}
 	ring := make([]int64, 256)
 	for i := range ring {
 		ring[i] = 5
 	}
-	record(gen.Cycle(ring).G)
+	out = append(out, gen.Cycle(ring).G)
 	for i, n := range []int{17, 64, 150} {
-		record(gen.RandomConnected(n, 3*n, 1, int64(30+i)))
+		out = append(out, gen.RandomConnected(n, 3*n, 1, int64(30+i)))
 	}
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 12; i++ {
@@ -86,27 +117,7 @@ func TestStoerWagnerGolden(t *testing.T) {
 				}
 			}
 		}
-		record(g)
+		out = append(out, g)
 	}
-	if got := h.Sum64(); got != stoerWagnerGolden {
-		t.Fatalf("digest of %d results = %#x, want %#x", graphs, got, stoerWagnerGolden)
-	}
-}
-
-// TestStoerWagnerAllocs: a solve allocates a fixed set of slices, so the
-// count does not grow with n. Per-phase allocation would show as a count
-// that rises from n = 64 to n = 256.
-func TestStoerWagnerAllocs(t *testing.T) {
-	allocs := func(n int) float64 {
-		g := gen.RandomConnected(n, n*n/8, 100, 42)
-		return testing.AllocsPerRun(3, func() {
-			if _, _, err := StoerWagnerContext(context.Background(), g, nil, nil, trace.SpanRef{}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	small, large := allocs(64), allocs(256)
-	if small != large || large > 10 {
-		t.Fatalf("allocations per solve: %v at n=64, %v at n=256; want the same count, at most 10", small, large)
-	}
+	return out
 }

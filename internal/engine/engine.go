@@ -18,9 +18,13 @@
 //     tree. Both searches are exact per tree, so the two return the same
 //     value and tree count; when a tree crosses two minimum cuts they may
 //     pick different partitions of that weight.
-//   - "stoerwagner": the exact deterministic O(n³) baseline — the right
-//     choice for small or dense graphs where polylog machinery loses to
-//     tuned sequential code.
+//   - "stoerwagner": the exact deterministic engine, served by
+//     baseline.NagamochiIbaraki: maximum-adjacency passes with
+//     Nagamochi–Ibaraki contraction, O(n³) worst case. Each pass merges
+//     every pair it certifies, so a dense graph takes a few passes
+//     instead of Stoer–Wagner's n−1 phases. It is the right choice for
+//     small or dense graphs, where polylog machinery loses to tuned
+//     sequential code.
 //
 // Karger–Stein recursive contraction is not served: it is dominated on
 // every measured cell, so it lives on only as an oracle and Table 1
@@ -88,8 +92,7 @@ type Result struct {
 	// InCut marks one side of the cut (nil unless Options.WantPartition).
 	InCut []bool
 	// TreesScanned counts the engine's coarse work units: spanning trees
-	// scanned (geissmann, andersonblelloch), 0 for the single-pass exact
-	// baseline.
+	// scanned (geissmann, andersonblelloch), 0 for the exact engine.
 	TreesScanned int
 }
 

@@ -10,9 +10,9 @@ package engine
 //	n <= DenseN and m >= DenseFrac·n²  → stoerwagner
 //	otherwise                          → andersonblelloch
 //
-// Tuned sequential Stoer–Wagner wins while the n³ term is small or the
-// graph is dense enough that the polylog machinery has no sparsity to
-// exploit. Past that region both 2-respecting-scan engines pack the same
+// The exact engine wins while its matrix is small or the graph is dense
+// enough that the polylog machinery has no sparsity to exploit. Past that
+// region both 2-respecting-scan engines pack the same
 // trees and find bit-identical values, and the Anderson–Blelloch
 // heavy-path scan (internal/abscan), which does one log factor less work
 // per tree, beat geissmann's bough-decomposition scan on every measured
@@ -30,15 +30,17 @@ type Thresholds struct {
 	DenseFrac float64
 }
 
-// DefaultThresholds hold the shipped calibration, refreshed from the
-// crossover measurements in BENCH_engines.json (paperbench -exp engines).
-// Last measured, best of 3 per cell on a default pool of width 2 (the
-// median of three runs): on the sparse family (m = 4n) stoerwagner wins
-// through n = 256 (13.8 ms vs 16.5 ms) and loses at n = 512 (76 ms vs
-// 51 ms) and n = 1024 (679 ms vs 135 ms), so SmallN sends sparse graphs
-// of 257 to 512 vertices to the slower engine, by up to 1.5×; on the
-// dense family (m = n²/8) it still wins 9.2× at n = 512 (71 ms vs
-// 657 ms), so the dense rule extends past the sparse one.
+// DefaultThresholds hold the shipped calibration (paperbench -exp
+// engines, BENCH_engines.json). They were set when stoerwagner ran
+// Stoer–Wagner's one merge per phase. Last measured with the
+// Nagamochi–Ibaraki kernel, best of 3 per cell on a default pool of
+// width 2, stoerwagner beat andersonblelloch on every cell it ran: on
+// the sparse family (m = 4n) 0.4 ms against 9.9 ms at n = 256, 1.8 ms
+// against 27.5 ms at n = 512 and 7.7 ms against 92.6 ms at n = 1024; on
+// the dense family (m = n²/8) 0.2 ms against 55.9 ms at n = 256 and
+// 1.6 ms against 353 ms at n = 512. So these thresholds send sparse graphs above
+// n = 512 and dense ones above n = 1024 to the slower engine; moving them
+// needs grid cells above those sizes.
 var DefaultThresholds = Thresholds{SmallN: 512, DenseN: 1024, DenseFrac: 0.125}
 
 // Select applies the thresholds to a graph with n vertices and m edges.

@@ -9,11 +9,12 @@ import (
 	"repro/internal/graph"
 )
 
-// stoerWagnerEngine serves baseline.StoerWagnerContext: exact,
-// deterministic, O(n³). Seed-insensitive and single-run (boosting an
-// exact algorithm is pure waste), so upper layers normalize Seed and
-// Boost away before cache keying. A partition it returns is re-weighed
-// in O(m) first, as the packed-tree engines' are.
+// stoerWagnerEngine serves baseline.NagamochiIbaraki: maximum-adjacency
+// passes with Nagamochi–Ibaraki contraction, O(n³) worst case, exact and
+// deterministic. Seed-insensitive and single-run (boosting an exact
+// algorithm is pure waste), so upper layers normalize Seed and Boost away
+// before cache keying. A partition it returns is re-weighed in O(m)
+// first, as the packed-tree engines' are.
 type stoerWagnerEngine struct{}
 
 func (stoerWagnerEngine) Name() string { return "stoerwagner" }
@@ -23,7 +24,7 @@ func (stoerWagnerEngine) Caps() Caps {
 }
 
 func (stoerWagnerEngine) Solve(ctx context.Context, g *graph.Graph, opt Options) (Result, error) {
-	v, inCut, err := baseline.StoerWagnerContext(ctx, g, opt.Pool, opt.Progress, opt.Trace)
+	v, inCut, err := baseline.NagamochiIbaraki(ctx, g, opt.Pool, opt.Progress, opt.Trace)
 	if err != nil {
 		return Result{}, err
 	}

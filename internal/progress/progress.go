@@ -24,9 +24,12 @@ const (
 	// PhaseScan covers the per-tree 2-respecting cut searches (paper §4):
 	// bough decomposition and the Minimum Path batches.
 	PhaseScan
-	// PhaseContract covers the contraction loop of the exact baseline
-	// engine (Stoer–Wagner's maximum-adjacency phases). The paper's
-	// solver never enters it.
+	// PhaseContract covers the contraction loop of the exact engine
+	// (maximum-adjacency passes with Nagamochi–Ibaraki contraction). The
+	// paper's solver never enters it. There the tree counters count
+	// merged supernodes: the total is n−1, one is done per supernode a
+	// pass folds into another, and a completed solve reads done ==
+	// total. Its "contract" span carries the number of passes.
 	PhaseContract
 )
 
@@ -57,7 +60,8 @@ type Snapshot struct {
 	// all packing attempts of the solve.
 	PackRoundsDone, PackRoundsTotal int64
 	// TreesDone / TreesTotal count completed and planned spanning-tree
-	// scans, accumulated across boost runs.
+	// scans, accumulated across boost runs; in PhaseContract, merged
+	// supernodes out of n−1.
 	TreesDone, TreesTotal int64
 	// BoughPhasesDone counts completed bough phases across all tree scans.
 	BoughPhasesDone int64

@@ -247,8 +247,8 @@ type Options struct {
 // (each packing attempt plans more rounds, each boost run adds trees), so
 // done/total fractions can dip when a phase re-plans.
 type ProgressSnapshot struct {
-	// Phase is "none", "packing", "scan", or (for the contraction-based
-	// baseline engines) "contract".
+	// Phase is "none", "packing", "scan", or (for the exact
+	// "stoerwagner" engine) "contract".
 	Phase string `json:"phase"`
 	// RunsDone / RunsTotal count boost runs (1/1 for unboosted solves).
 	RunsDone  int64 `json:"runs_done"`
@@ -256,7 +256,8 @@ type ProgressSnapshot struct {
 	// PackRoundsDone / PackRoundsTotal count greedy tree-packing rounds.
 	PackRoundsDone  int64 `json:"pack_rounds_done"`
 	PackRoundsTotal int64 `json:"pack_rounds_total"`
-	// TreesScanned / TreesTotal count spanning-tree scans.
+	// TreesScanned / TreesTotal count spanning-tree scans; in the
+	// "contract" phase, merged supernodes out of n−1.
 	TreesScanned int64 `json:"trees_scanned"`
 	TreesTotal   int64 `json:"trees_total"`
 	// BoughPhasesDone and BoughsProcessed count bough-phase work inside

@@ -15,7 +15,7 @@ import (
 // partition. The meter digest moves only if some solve's metered Work or
 // Depth does.
 const (
-	solveResultGolden = uint64(0x22c11d0a8ff9cb4f)
+	solveResultGolden = uint64(0xe73e0f21415e2e87)
 	solveMeterGolden  = uint64(0x8b88bb71f25baa25)
 )
 
