@@ -6,8 +6,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/par"
@@ -134,14 +135,14 @@ func (g *Graph) Canonical() *Graph {
 		}
 		edges[i] = e
 	}
-	sort.Slice(edges, func(a, b int) bool {
-		if edges[a].U != edges[b].U {
-			return edges[a].U < edges[b].U
+	slices.SortFunc(edges, func(a, b Edge) int {
+		if a.U != b.U {
+			return cmp.Compare(a.U, b.U)
 		}
-		if edges[a].V != edges[b].V {
-			return edges[a].V < edges[b].V
+		if a.V != b.V {
+			return cmp.Compare(a.V, b.V)
 		}
-		return edges[a].W < edges[b].W
+		return cmp.Compare(a.W, b.W)
 	})
 	return &Graph{n: g.n, edges: edges, total: g.total}
 }

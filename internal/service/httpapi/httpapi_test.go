@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -13,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	parcut "repro"
@@ -796,6 +799,30 @@ func TestUploadErrorCodes(t *testing.T) {
 	// A parse error is still the client's 400.
 	if code, _ := ts.do(t, "POST", "/v1/graphs", "", []byte("garbage"), nil); code != http.StatusBadRequest {
 		t.Fatalf("garbage upload: %d, want 400", code)
+	}
+}
+
+// TestOversizedTextUploadIs413: a text body that fails with
+// *http.MaxBytesError fails registry.Put with that error and answers 413,
+// wherever the cap falls, also inside a line that then does not parse.
+// The body fails on its own, so no body past maxUploadBytes is needed.
+func TestOversizedTextUploadIs413(t *testing.T) {
+	ts := newTestServer(t, 1)
+	tooBig := &http.MaxBytesError{Limit: maxUploadBytes}
+	for _, body := range []string{"p cut 3 2\ne 0 1 5\ne 1 2", "p cut 3 2\ne 0 1 5\ne 1 2 7\n", "p c"} {
+		cut := func() io.Reader { return io.MultiReader(strings.NewReader(body), iotest.ErrReader(tooBig)) }
+		var got *http.MaxBytesError
+		if _, _, err := registry.New(0, nil).Put(cut()); !errors.As(err, &got) {
+			t.Errorf("%q then *http.MaxBytesError: Put error %v", body, err)
+		}
+		rec := httptest.NewRecorder()
+		ts.api.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/graphs", cut()))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%q then *http.MaxBytesError: %d %s, want 413", body, rec.Code, rec.Body)
+		}
+	}
+	if code, _ := ts.do(t, "POST", "/v1/graphs", "", []byte("p cut 3 2\ne 0 1 5\ne 1 2"), nil); code != http.StatusBadRequest {
+		t.Fatalf("whole body with a short edge line: %d, want 400", code)
 	}
 }
 

@@ -182,7 +182,14 @@ func (G *Graph) Canonical() *Graph {
 	return &Graph{g: G.g.Canonical()}
 }
 
-// ReadGraph parses a graph written by Write.
+// ReadGraph parses a graph written by Write: a problem line "p cut <n>
+// <m>", then one line "e <u> <v> <w>" per edge, whose three fields are
+// decimal int64s separated by spaces or tabs; blank lines and lines
+// starting with 'c' are skipped. An edge line with a fourth field, a
+// number running into other characters or a record letter glued to its
+// first number is an error naming the line, as is an edge AddEdge
+// rejects. An error from r comes back wrapped, so errors.Is and
+// errors.As find it.
 func ReadGraph(r io.Reader) (*Graph, error) {
 	g, err := graph.Read(r)
 	if err != nil {
