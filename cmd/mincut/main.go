@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/baseline"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
@@ -56,7 +57,7 @@ func main() {
 	if *algo == "brute" {
 		value, inCut, err = baseline.BruteForce(g)
 	} else {
-		// Everything else routes through the engine registry; "parcut" stays
+		// Everything else routes through the engine table; "parcut" stays
 		// as an alias for the paper engine, and "auto" resolves by graph
 		// size (the chosen engine is printed below).
 		name := *algo
@@ -68,8 +69,8 @@ func main() {
 			log.Fatalf("unknown algorithm %q: %v (plus the aliases parcut, brute)", *algo, rerr)
 		}
 		engName = eng.Name()
-		var res engine.Result
-		res, err = eng.Solve(context.Background(), g, engine.Options{Seed: *seed, WantPartition: *partition, Meter: meter})
+		var res core.Result
+		res, err = eng.Solve(context.Background(), g, core.Options{Seed: *seed, WantPartition: *partition, Meter: meter})
 		value, inCut = res.Value, res.InCut
 	}
 	if err != nil {

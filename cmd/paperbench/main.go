@@ -464,9 +464,9 @@ func expAblation() {
 }
 
 // expScaling — E12: wall-clock scaling of the full solver against the
-// executor width, driven through the public Options.Parallelism knob (the
+// executor width, driven through the public Options.Executor (the
 // algorithm's own parallelism, not the Go runtime's): each width runs on a
-// dedicated pool of exactly that many lanes, with GOMAXPROCS untouched.
+// dedicated executor of exactly that many lanes, with GOMAXPROCS untouched.
 // The per-width results must be identical — the experiment double-checks
 // the solver's width-determinism invariant while it measures.
 func expScaling() {
@@ -578,10 +578,10 @@ func expScaling() {
 }
 
 // expEngines — E13: crossover measurement behind the "auto" engine rule.
-// Every registered engine solves the same graphs across an n × density
-// grid (each engine capped at the sizes where it finishes in reasonable
-// time), the exact baseline's value cross-checks the randomized engines,
-// and the per-family crossover points — the largest n where Stoer–Wagner
+// Every engine solves the same graphs across an n × density grid (each
+// engine capped at the sizes where it finishes in reasonable time), the
+// exact baseline's value cross-checks the randomized engines, and the
+// per-family crossover points — the largest n where Stoer–Wagner
 // still beats andersonblelloch, the engine auto picks past the
 // Stoer–Wagner region — are derived from the timings. The JSON
 // artifact (-engines-out, BENCH_engines.json in CI) records the grid, the
@@ -640,13 +640,13 @@ func expEngines() {
 			}
 			eng, ok := engine.Lookup(name)
 			if !ok {
-				log.Fatalf("engine %q vanished from the registry", name)
+				log.Fatalf("engine %q missing from the engine table", name)
 			}
 			best := math.Inf(1)
 			var val int64
 			for r := 0; r < reps; r++ {
 				start := time.Now()
-				res, err := eng.Solve(context.Background(), g, engine.Options{Seed: 7})
+				res, err := eng.Solve(context.Background(), g, core.Options{Seed: 7})
 				if err != nil {
 					log.Fatal(err)
 				}

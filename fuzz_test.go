@@ -105,7 +105,6 @@ func FuzzPathAggregator(f *testing.F) {
 		if err != nil {
 			return
 		}
-		defer p.Close()
 		naive := append([]int64(nil), w...)
 		for batch := 0; batch < 2; batch++ {
 			ops := make([]PathOp, next()%48)

@@ -190,6 +190,9 @@ func TestNagamochiIbarakiGolden(t *testing.T) {
 // comes from the executor's arena, so a steady-state solve allocates its
 // returned side and nothing that grows with n.
 func TestNagamochiIbarakiAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts; the allocation bound holds only in normal builds")
+	}
 	pool := par.NewPool(1)
 	defer pool.Close()
 	allocs := func(n int) float64 {

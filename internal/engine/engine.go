@@ -1,13 +1,14 @@
 // Package engine makes the solver backend a first-class, selectable
 // resource. An Engine computes one minimum cut run behind a narrow seam —
-// Solve(ctx, graph, Options) — with the same cross-cutting facilities the
-// paper solver enjoys threaded through Options: cooperative cancellation,
-// a bounded-width par.Pool, a progress sink, and a trace span. The
-// registry names each engine so the scheduler can key result caches, the
+// Solve(ctx, graph, core.Options) — with the same cross-cutting
+// facilities the paper solver enjoys threaded through core.Options:
+// cooperative cancellation, a bounded-width par.Pool, a progress sink,
+// and a trace span. A fixed
+// table names each engine so the scheduler can key result caches, the
 // HTTP API can accept an "engine" field, and metrics/traces can label
-// work by backend.
+// work by backend over a label space known at compile time.
 //
-// Three engines are built in:
+// The table holds three engines:
 //
 //   - "geissmann" and "andersonblelloch": two instances of one engine
 //     type running the paper's packed-tree pipeline (core.Solve) —
@@ -42,13 +43,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
+	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/par"
-	"repro/internal/progress"
-	"repro/internal/trace"
-	"repro/internal/wd"
 )
 
 // Default is the engine used when a caller names none: the paper's solver.
@@ -60,47 +57,11 @@ const Default = "geissmann"
 // of the same engine share result-cache entries.
 const Auto = "auto"
 
-// Options carry one run's inputs and instrumentation. Every field mirrors
-// the corresponding parcut/core option; engines ignore fields their Caps
-// do not claim (e.g. Seed on an exact engine), and the normalization in
-// upper layers relies on that.
-type Options struct {
-	// Seed fixes the run's randomness; ignored by exact engines.
-	Seed int64
-	// WantPartition requests InCut in the result. Engines that compute a
-	// partition anyway (the exact baseline) still return nil without it,
-	// so results are canonical for caching.
-	WantPartition bool
-	// Pool is the executor the run's parallel primitives use (nil = the
-	// shared default pool). Results are identical at every pool width.
-	Pool *par.Pool
-	// Meter, when non-nil, accumulates Work-Depth model costs (the
-	// packed-tree engines meter themselves; the baselines leave it
-	// untouched).
-	Meter *wd.Meter
-	// Progress, when non-nil, receives live phase/counter updates at the
-	// run's cancellation seams.
-	Progress *progress.Sink
-	// Trace, when active, receives the run's phase span tree.
-	Trace trace.SpanRef
-}
-
-// Result is one run's outcome.
-type Result struct {
-	// Value is the cut weight found by this run.
-	Value int64
-	// InCut marks one side of the cut (nil unless Options.WantPartition).
-	InCut []bool
-	// TreesScanned counts the engine's coarse work units: spanning trees
-	// scanned (geissmann, andersonblelloch), 0 for the exact engine.
-	TreesScanned int
-}
-
 // Caps declare what an engine can do, so feature gating upstream is
 // structural rather than name-based.
 type Caps struct {
 	// Exact: the result is the true minimum cut deterministically (not
-	// Monte Carlo), so it ignores Options.Seed and gains nothing from
+	// Monte Carlo), so it ignores core.Options.Seed and gains nothing from
 	// boosting. An engine that is not exact depends on the seed, and
 	// repeating it with BoostSeed-derived seeds and keeping the smallest
 	// cut lowers its failure probability.
@@ -108,59 +69,57 @@ type Caps struct {
 }
 
 // Engine computes one minimum cut run. Implementations must be safe for
-// concurrent Solve calls and deterministic in (graph, Options.Seed) at
-// every pool width.
+// concurrent Solve calls and deterministic in (graph, core.Options.Seed)
+// at every pool width. An engine ignores the options its Caps do not
+// claim (e.g. Seed on an exact engine), and the normalization in upper
+// layers relies on that.
 type Engine interface {
-	// Name is the engine's registry key, wire name, and metric label.
+	// Name is the engine's table key, wire name, and metric label.
 	Name() string
 	// Caps reports the engine's capabilities.
 	Caps() Caps
 	// Solve computes one run. Boosting (minimum over several seeded runs)
-	// is the caller's loop, skipped when Caps.Exact.
-	Solve(ctx context.Context, g *graph.Graph, opt Options) (Result, error)
+	// is the caller's loop, skipped when Caps.Exact. Result.InCut is nil
+	// unless opt.WantPartition, even for an engine that computes a
+	// partition anyway, so results are canonical for caching.
+	// Result.TreesScanned is 0 for the exact engine.
+	Solve(ctx context.Context, g *graph.Graph, opt core.Options) (core.Result, error)
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = make(map[string]Engine)
-	regOrder []string
-)
-
-// Register adds an engine under its Name. It panics on a duplicate or
-// empty name — registration is a process-setup step, not a runtime path.
-func Register(e Engine) {
-	name := e.Name()
-	if name == "" || name == Auto {
-		panic(fmt.Sprintf("engine: invalid engine name %q", name))
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("engine: duplicate engine %q", name))
-	}
-	registry[name] = e
-	regOrder = append(regOrder, name)
+// engines is the fixed engine table, in the order Names reports.
+var engines = [...]Engine{
+	packedEngine{name: "geissmann", search: core.Boughs},
+	stoerWagnerEngine{},
+	packedEngine{name: "andersonblelloch", search: core.HeavyPaths},
 }
 
-// Lookup returns the engine registered under name.
+// Count is the number of engines, so per-engine tables (the scheduler's
+// metric cells) can be arrays.
+const Count = len(engines)
+
+// Lookup returns the engine named name.
 func Lookup(name string) (Engine, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	e, ok := registry[name]
-	return e, ok
+	for _, e := range engines {
+		if e.Name() == name {
+			return e, true
+		}
+	}
+	return nil, false
 }
 
-// Names lists the registered engines in registration order (the built-ins
-// first: geissmann, stoerwagner, andersonblelloch).
+// Names lists the engines in table order: geissmann, stoerwagner,
+// andersonblelloch.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return append([]string(nil), regOrder...)
+	names := make([]string, len(engines))
+	for i, e := range engines {
+		names[i] = e.Name()
+	}
+	return names
 }
 
 // Resolve maps a requested engine name to a concrete Engine: "" means
 // Default, Auto selects by the graph's size (n vertices, m edges), and
-// anything else must be registered. The error lists the valid names.
+// anything else must name an engine. The error lists the valid names.
 func Resolve(name string, n, m int) (Engine, error) {
 	switch name {
 	case "":

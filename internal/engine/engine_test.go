@@ -7,13 +7,15 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/par"
 )
 
-// TestRegistryBuiltins: the three built-in engines register in order, each
-// resolvable by name, with the capability bit the upper layers gate on.
+// TestRegistryBuiltins: the engine table holds the three engines in
+// order, each resolvable by name, with the capability bit the upper
+// layers gate on.
 func TestRegistryBuiltins(t *testing.T) {
 	want := []string{"geissmann", "stoerwagner", "andersonblelloch"}
 	if got := Names(); !reflect.DeepEqual(got, want) {
@@ -83,7 +85,7 @@ func TestSelectThresholds(t *testing.T) {
 
 // checkPartition verifies a WantPartition result: a real two-sided
 // partition whose re-evaluated cut weight equals the reported value.
-func checkPartition(t *testing.T, g *graph.Graph, name string, res Result) {
+func checkPartition(t *testing.T, g *graph.Graph, name string, res core.Result) {
 	t.Helper()
 	if len(res.InCut) != g.N() {
 		t.Fatalf("%s: partition has %d entries for n=%d", name, len(res.InCut), g.N())
@@ -121,7 +123,7 @@ func TestCrossEngineEquivalence(t *testing.T) {
 		// Sweep density from barely-connected to near-complete.
 		m := n - 1 + rng.Intn(maxM-(n-1)+1)
 		g := gen.RandomConnected(n, m, 50, int64(1000+i))
-		opt := Options{Seed: int64(i), WantPartition: true}
+		opt := core.Options{Seed: int64(i), WantPartition: true}
 		sres, err := sw.Solve(ctx, g, opt)
 		if err != nil {
 			t.Fatalf("graph %d (n=%d m=%d): stoerwagner: %v", i, n, m, err)
@@ -160,10 +162,10 @@ func TestWidthDeterminism(t *testing.T) {
 	widths := []int{1, 2, 7, runtime.GOMAXPROCS(0)}
 	for _, name := range Names() {
 		e, _ := Lookup(name)
-		var ref Result
+		var ref core.Result
 		for wi, w := range widths {
 			pool := par.NewPool(w)
-			res, err := e.Solve(context.Background(), g, Options{Seed: 5, WantPartition: true, Pool: pool})
+			res, err := e.Solve(context.Background(), g, core.Options{Seed: 5, WantPartition: true, Pool: pool})
 			pool.Close()
 			if err != nil {
 				t.Fatalf("%s at width %d: %v", name, w, err)

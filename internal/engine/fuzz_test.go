@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -35,7 +36,7 @@ func fuzzGraph(data []byte) (g *graph.Graph, heavy, ok bool) {
 	return g, heavy, true
 }
 
-// FuzzEnginesAgree runs every registered engine, with a partition
+// FuzzEnginesAgree runs every engine, with a partition
 // requested, on fuzzed multigraphs of at most 12 vertices and checks each
 // against baseline.BruteForce: an exact engine returns the brute-force
 // value, a packed (Monte Carlo) engine never returns less, every
@@ -79,10 +80,10 @@ func FuzzEnginesAgree(f *testing.F) {
 			t.Fatalf("BruteForce: %v", err)
 		}
 		where := fmt.Sprintf("n=%d m=%d heavy=%v seed=%d", g.N(), g.M(), heavy, seed)
-		results := map[string]Result{}
+		results := map[string]core.Result{}
 		for _, name := range Names() {
 			e, _ := Lookup(name)
-			res, err := e.Solve(ctx, g, Options{Seed: seed, WantPartition: true})
+			res, err := e.Solve(ctx, g, core.Options{Seed: seed, WantPartition: true})
 			if err != nil {
 				t.Fatalf("%s on %s: %v", name, where, err)
 			}

@@ -23,16 +23,16 @@ func (stoerWagnerEngine) Caps() Caps {
 	return Caps{Exact: true}
 }
 
-func (stoerWagnerEngine) Solve(ctx context.Context, g *graph.Graph, opt Options) (Result, error) {
+func (stoerWagnerEngine) Solve(ctx context.Context, g *graph.Graph, opt core.Options) (core.Result, error) {
 	v, inCut, err := baseline.NagamochiIbaraki(ctx, g, opt.Pool, opt.Progress, opt.Trace)
 	if err != nil {
-		return Result{}, err
+		return core.Result{}, err
 	}
 	if !opt.WantPartition {
-		return Result{Value: v}, nil
+		return core.Result{Value: v}, nil
 	}
 	if err := core.CheckPartition(g, opt.Pool, inCut, v); err != nil {
-		return Result{}, fmt.Errorf("stoerwagner: %w", err)
+		return core.Result{}, fmt.Errorf("stoerwagner: %w", err)
 	}
-	return Result{Value: v, InCut: inCut}, nil
+	return core.Result{Value: v, InCut: inCut}, nil
 }

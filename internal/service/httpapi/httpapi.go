@@ -214,7 +214,12 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
 		var jg jsonGraph
 		if derr := json.NewDecoder(body).Decode(&jg); derr != nil {
-			writeErr(w, http.StatusBadRequest, "bad JSON graph: %v", derr)
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(derr, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			writeErr(w, code, "bad JSON graph: %v", derr)
 			return
 		}
 		g, berr := buildJSONGraph(jg.N, jg.Edges)
@@ -410,7 +415,7 @@ func submitErr(w http.ResponseWriter, err error) {
 }
 
 // resolveEngine maps the wire engine name (default "auto") to a concrete
-// registered engine using the graph's size, writing the 400 itself on an
+// engine using the graph's size, writing the 400 itself on an
 // unknown name. Resolving before the scheduler key is built is what lets
 // "auto" share cache entries with explicit requests for the same engine.
 func resolveEngine(w http.ResponseWriter, name string, info registry.Info) (engine.Engine, bool) {
@@ -825,16 +830,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge := func(name, help string, v int64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 	}
-	// writeHist renders one labelled histogram in le semantics; the
-	// implicit +Inf bucket is the count.
-	writeHist := func(name, labels string, h sched.Histogram) {
-		for _, bk := range h.Buckets {
-			fmt.Fprintf(&b, "%s_bucket{%s,le=\"%g\"} %d\n", name, labels, bk.UpperBound, bk.Count)
-		}
-		fmt.Fprintf(&b, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, labels, h.Count)
-		fmt.Fprintf(&b, "%s_sum{%s} %g\n", name, labels, time.Duration(h.SumNanos).Seconds())
-		fmt.Fprintf(&b, "%s_count{%s} %d\n", name, labels, h.Count)
-	}
 	fmt.Fprintf(&b, "# HELP mincutd_build_info Build metadata; the value is always 1.\n# TYPE mincutd_build_info gauge\n")
 	fmt.Fprintf(&b, "mincutd_build_info{version=%q,go_version=%q} 1\n", s.version, runtime.Version())
 	// Per-class/per-reason breakdowns keep the old unlabelled series as
@@ -859,38 +854,34 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	counter("mincutd_jobs_failed_total", "Jobs that ended in a solver error.", m.Failed)
 	counter("mincutd_jobs_canceled_total", "Jobs canceled before completion.", m.Canceled)
+	// A class's dispatches and its total queue wait are its queue-wait
+	// histogram's count and sum.
 	var dispatched int64
 	for _, c := range m.Classes {
-		dispatched += c.Dispatched
+		dispatched += c.QueueWait.Count
 	}
 	counter("mincutd_jobs_dispatched_total", "Jobs handed to a worker (sum; class label breaks it down).", dispatched)
 	for _, c := range m.Classes {
-		fmt.Fprintf(&b, "mincutd_jobs_dispatched_total{class=%q} %d\n", c.Class, c.Dispatched)
+		fmt.Fprintf(&b, "mincutd_jobs_dispatched_total{class=%q} %d\n", c.Class, c.QueueWait.Count)
 	}
 	counter("mincutd_jobs_escalated_total", "Queued jobs promoted to a stronger class by coalescing.", m.Escalated)
 	fmt.Fprintf(&b, "# HELP mincutd_queue_wait_seconds_total Total queued-to-dispatched wall time per class.\n# TYPE mincutd_queue_wait_seconds_total counter\n")
 	for _, c := range m.Classes {
-		fmt.Fprintf(&b, "mincutd_queue_wait_seconds_total{class=%q} %g\n", c.Class, time.Duration(c.QueueWaitNanos).Seconds())
+		fmt.Fprintf(&b, "mincutd_queue_wait_seconds_total{class=%q} %g\n", c.Class, time.Duration(c.QueueWait.SumNanos).Seconds())
 	}
 	fmt.Fprintf(&b, "# HELP mincutd_queue_wait_seconds Queued-to-dispatched wall time per class.\n# TYPE mincutd_queue_wait_seconds histogram\n")
 	for _, c := range m.Classes {
-		writeHist("mincutd_queue_wait_seconds", fmt.Sprintf("class=%q", c.Class), c.QueueWait)
+		writeHist(&b, "mincutd_queue_wait_seconds", fmt.Sprintf("class=%q", c.Class), c.QueueWait)
 	}
 	fmt.Fprintf(&b, "# HELP mincutd_solve_duration_seconds Solver phase wall time per dispatch class, phase and engine (canceled tails included).\n# TYPE mincutd_solve_duration_seconds histogram\n")
 	for _, c := range m.Classes {
 		for _, ph := range c.PhaseDurationsByEngine {
-			writeHist("mincutd_solve_duration_seconds", fmt.Sprintf("class=%q,phase=%q,engine=%q", c.Class, ph.Phase, ph.Engine), ph.Hist)
+			writeHist(&b, "mincutd_solve_duration_seconds", fmt.Sprintf("class=%q,phase=%q,engine=%q", c.Class, ph.Phase, ph.Engine), ph.Hist)
 		}
 	}
 	fmt.Fprintf(&b, "# HELP mincutd_http_request_duration_seconds HTTP request latency per route and status code.\n# TYPE mincutd_http_request_duration_seconds histogram\n")
 	for _, sr := range s.httpm.snapshot() {
-		labels := fmt.Sprintf("route=%q,code=\"%d\"", sr.Route, sr.Code)
-		for i, ub := range latencyBuckets {
-			fmt.Fprintf(&b, "mincutd_http_request_duration_seconds_bucket{%s,le=\"%g\"} %d\n", labels, ub, sr.Buckets[i])
-		}
-		fmt.Fprintf(&b, "mincutd_http_request_duration_seconds_bucket{%s,le=\"+Inf\"} %d\n", labels, sr.Count)
-		fmt.Fprintf(&b, "mincutd_http_request_duration_seconds_sum{%s} %g\n", labels, time.Duration(sr.SumNanos).Seconds())
-		fmt.Fprintf(&b, "mincutd_http_request_duration_seconds_count{%s} %d\n", labels, sr.Count)
+		writeHist(&b, "mincutd_http_request_duration_seconds", fmt.Sprintf("route=%q,code=\"%d\"", sr.route, sr.code), sr.hist)
 	}
 	counter("mincutd_cache_hits_total", "Submissions served without a new solver run (cached result or coalesced onto an in-flight job).", m.CacheHits)
 	counter("mincutd_jobs_coalesced_total", "Submissions that joined an in-flight job (subset of cache hits).", m.Coalesced)
@@ -916,12 +907,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("mincutd_pool_arena_hits_total", "Solve-arena borrows served from a recycled buffer.", m.Pool.ArenaHits)
 	counter("mincutd_pool_arena_misses_total", "Solve-arena borrows that had to allocate a fresh buffer.", m.Pool.ArenaMisses)
 	fmt.Fprintf(&b, "# HELP mincutd_solve_seconds Wall time of successful solver runs.\n# TYPE mincutd_solve_seconds histogram\n")
-	for _, bk := range m.LatencyBuckets {
-		fmt.Fprintf(&b, "mincutd_solve_seconds_bucket{le=%q} %d\n", fmt.Sprintf("%g", bk.UpperBound), bk.Count)
-	}
-	fmt.Fprintf(&b, "mincutd_solve_seconds_bucket{le=\"+Inf\"} %d\n", m.SolveCount)
-	fmt.Fprintf(&b, "mincutd_solve_seconds_sum %g\n", time.Duration(m.SolveNanos).Seconds())
-	fmt.Fprintf(&b, "mincutd_solve_seconds_count %d\n", m.SolveCount)
+	writeHist(&b, "mincutd_solve_seconds", "", m.Solve)
 	gauge("mincutd_graphs", "Graphs currently registered (resident or on disk).", int64(rs.Graphs))
 	gauge("mincutd_graphs_resident", "Graphs whose edges are held in memory.", int64(rs.Resident))
 	gauge("mincutd_graph_bytes", "Bytes charged for the registry's resident graphs (8 per vertex plus 16 per edge).", rs.Bytes)
@@ -969,4 +955,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	_, _ = io.WriteString(w, b.String())
+}
+
+// writeHist renders one histogram series in le semantics, with labels (a
+// comma-separated list, or "" for none) on every sample; the implicit
+// +Inf bucket is the count.
+func writeHist(b *strings.Builder, name, labels string, h sched.HistogramSnapshot) {
+	le, set := "", ""
+	if labels != "" {
+		le, set = labels+",", "{"+labels+"}"
+	}
+	for _, bk := range h.Buckets {
+		fmt.Fprintf(b, "%s_bucket{%sle=\"%g\"} %d\n", name, le, bk.UpperBound, bk.Count)
+	}
+	fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d\n", name, le, h.Count)
+	fmt.Fprintf(b, "%s_sum%s %g\n", name, set, time.Duration(h.SumNanos).Seconds())
+	fmt.Fprintf(b, "%s_count%s %d\n", name, set, h.Count)
 }

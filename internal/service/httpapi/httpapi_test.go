@@ -802,23 +802,33 @@ func TestUploadErrorCodes(t *testing.T) {
 	}
 }
 
-// TestOversizedTextUploadIs413: a text body that fails with
-// *http.MaxBytesError fails registry.Put with that error and answers 413,
-// wherever the cap falls, also inside a line that then does not parse.
-// The body fails on its own, so no body past maxUploadBytes is needed.
-func TestOversizedTextUploadIs413(t *testing.T) {
+// TestOversizedUploadIs413: a text or JSON body that fails with
+// *http.MaxBytesError answers 413, wherever the cap falls, also inside a
+// line or value that then does not parse; a text body fails registry.Put
+// with that error. The body fails on its own, so no body past
+// maxUploadBytes is needed.
+func TestOversizedUploadIs413(t *testing.T) {
 	ts := newTestServer(t, 1)
 	tooBig := &http.MaxBytesError{Limit: maxUploadBytes}
-	for _, body := range []string{"p cut 3 2\ne 0 1 5\ne 1 2", "p cut 3 2\ne 0 1 5\ne 1 2 7\n", "p c"} {
-		cut := func() io.Reader { return io.MultiReader(strings.NewReader(body), iotest.ErrReader(tooBig)) }
-		var got *http.MaxBytesError
-		if _, _, err := registry.New(0, nil).Put(cut()); !errors.As(err, &got) {
-			t.Errorf("%q then *http.MaxBytesError: Put error %v", body, err)
+	for _, tc := range []struct{ contentType, body string }{
+		{"text/plain", "p cut 3 2\ne 0 1 5\ne 1 2"},
+		{"text/plain", "p cut 3 2\ne 0 1 5\ne 1 2 7\n"},
+		{"text/plain", "p c"},
+		{"application/json", `{"n": 3, "edges": [[0, 1, 5], [1, 2`},
+	} {
+		cut := func() io.Reader { return io.MultiReader(strings.NewReader(tc.body), iotest.ErrReader(tooBig)) }
+		if tc.contentType == "text/plain" {
+			var got *http.MaxBytesError
+			if _, _, err := registry.New(0, nil).Put(cut()); !errors.As(err, &got) {
+				t.Errorf("%q then *http.MaxBytesError: Put error %v", tc.body, err)
+			}
 		}
+		req := httptest.NewRequest("POST", "/v1/graphs", cut())
+		req.Header.Set("Content-Type", tc.contentType)
 		rec := httptest.NewRecorder()
-		ts.api.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/graphs", cut()))
+		ts.api.Handler().ServeHTTP(rec, req)
 		if rec.Code != http.StatusRequestEntityTooLarge {
-			t.Errorf("%q then *http.MaxBytesError: %d %s, want 413", body, rec.Code, rec.Body)
+			t.Errorf("%s %q then *http.MaxBytesError: %d %s, want 413", tc.contentType, tc.body, rec.Code, rec.Body)
 		}
 	}
 	if code, _ := ts.do(t, "POST", "/v1/graphs", "", []byte("p cut 3 2\ne 0 1 5\ne 1 2"), nil); code != http.StatusBadRequest {

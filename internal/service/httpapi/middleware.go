@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/service/sched"
 )
 
 // ctxKey keys httpapi's context values.
@@ -97,49 +98,39 @@ func (s *Server) middleware(mux *http.ServeMux) http.Handler {
 	})
 }
 
-// httpMetrics accumulates per-route/per-code request-duration histograms
-// over latencyBuckets. A plain mutex suffices: the rate here is bounded
-// by HTTP handling, not the solver hot path.
+// httpMetrics holds one request-duration histogram per (route, code). A
+// plain mutex suffices: the rate here is bounded by HTTP handling, not
+// the solver hot path.
 type httpMetrics struct {
 	mu     sync.Mutex
-	series map[string]*httpSeries
+	series map[httpKey]*sched.Histogram
 }
 
-// latencyBuckets are the upper bounds (seconds) of the request-duration
-// histogram, matching the scheduler's solve-latency buckets so the two
-// can share dashboard heat maps.
-var latencyBuckets = [...]float64{0.001, 0.01, 0.1, 1, 10, 60}
+// httpKey labels one request-duration histogram.
+type httpKey struct {
+	route string
+	code  int
+}
 
-// httpSeries is one (route, code) labelled histogram. Buckets are
-// cumulative (le semantics); the implicit +Inf bucket is Count.
+// httpSeries is one request-duration histogram as /metrics renders it.
 type httpSeries struct {
-	Route    string
-	Code     int
-	Count    int64
-	SumNanos int64
-	Buckets  [len(latencyBuckets)]int64
+	httpKey
+	hist sched.HistogramSnapshot
 }
 
 func (h *httpMetrics) observe(route string, code int, d time.Duration) {
-	key := fmt.Sprintf("%s|%d", route, code)
+	key := httpKey{route, code}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.series == nil {
-		h.series = make(map[string]*httpSeries)
+		h.series = make(map[httpKey]*sched.Histogram)
 	}
-	sr := h.series[key]
-	if sr == nil {
-		sr = &httpSeries{Route: route, Code: code}
-		h.series[key] = sr
+	hist := h.series[key]
+	if hist == nil {
+		hist = new(sched.Histogram)
+		h.series[key] = hist
 	}
-	sr.Count++
-	sr.SumNanos += int64(d)
-	secs := d.Seconds()
-	for i, ub := range latencyBuckets {
-		if secs <= ub {
-			sr.Buckets[i]++
-		}
-	}
+	hist.Observe(d)
 }
 
 // snapshot returns the series sorted by route then code, so /metrics
@@ -148,14 +139,14 @@ func (h *httpMetrics) snapshot() []httpSeries {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	out := make([]httpSeries, 0, len(h.series))
-	for _, sr := range h.series {
-		out = append(out, *sr)
+	for k, hist := range h.series {
+		out = append(out, httpSeries{k, hist.Snapshot()})
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].Route != out[j].Route {
-			return out[i].Route < out[j].Route
+		if out[i].route != out[j].route {
+			return out[i].route < out[j].route
 		}
-		return out[i].Code < out[j].Code
+		return out[i].code < out[j].code
 	})
 	return out
 }

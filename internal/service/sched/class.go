@@ -289,6 +289,6 @@ func (s *Scheduler) observePhaseLocked(j *Job, phase string, d time.Duration) {
 	if !ok {
 		return
 	}
-	s.m.solveHistCell(j.metricClass, p, j.engineIdx).observe(d)
+	s.m.phase[j.metricClass][p][j.engineIdx].Observe(d)
 	j.phaseNanos[p] += int64(d)
 }

@@ -13,11 +13,12 @@ import (
 // solve) that a stream of them keeps the queue deep on a 4-worker pool.
 func bgGraph(seed int64) *parcut.Graph { return parcut.RandomGraph(120, 480, 50, seed) }
 
-// totalDispatched sums the per-class dispatch counters.
+// totalDispatched sums the per-class dispatch counts: each class's
+// queue-wait histogram observes one wait per dispatch.
 func totalDispatched(m Metrics) int64 {
 	var n int64
 	for _, c := range m.Classes {
-		n += c.Dispatched
+		n += c.QueueWait.Count
 	}
 	return n
 }

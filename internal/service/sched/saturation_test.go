@@ -107,7 +107,9 @@ func TestSharedExecutorWidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := parcut.MinCut(g, parcut.Options{Seed: 4, WantPartition: true, Parallelism: 1})
+	seq := parcut.NewExecutor(1)
+	defer seq.Close()
+	want, err := parcut.MinCut(g, parcut.Options{Seed: 4, WantPartition: true, Executor: seq})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,13 +171,15 @@ func TestConcurrentJobsMatchLibrary(t *testing.T) {
 		}
 		jobs = append(jobs, job{j, g, opt})
 	}
+	seq := parcut.NewExecutor(1)
+	defer seq.Close()
 	for _, jb := range jobs {
 		got, err := s.Wait(context.Background(), jb.j)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want, err := parcut.MinCut(jb.g, parcut.Options{Seed: jb.opt.Seed, WantPartition: true,
-			Engine: jb.opt.Engine, Parallelism: 1})
+			Engine: jb.opt.Engine, Executor: seq})
 		if err != nil {
 			t.Fatal(err)
 		}

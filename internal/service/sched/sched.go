@@ -351,7 +351,6 @@ func New(cfg Config) *Scheduler {
 		byID:         make(map[string]*Job),
 		byKey:        make(map[Key]*Job),
 	}
-	s.m.initEngines()
 	for i, c := range Classes {
 		s.fifos[i] = list.New()
 		s.weights[i] = defaultClassWeights[c]
@@ -409,7 +408,6 @@ func (s *Scheduler) Submit(key Key, g *parcut.Graph, opts SubmitOpts) (*Job, boo
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		s.m.rejected.Add(1)
 		s.m.rejectedDraining.Add(1)
 		return nil, false, ErrDraining
 	}
@@ -420,7 +418,6 @@ func (s *Scheduler) Submit(key Key, g *parcut.Graph, opts SubmitOpts) (*Job, boo
 	// always have a canceled context — publish releases it — so the check
 	// must not exclude them from cache hits.
 	if prev, ok := s.byKey[key]; ok && !doomed(prev) {
-		s.m.submitted.Add(1)
 		s.m.submittedBy[class.rank()].Add(1)
 		s.m.cacheHits.Add(1)
 		if prev.state == StateQueued || prev.state == StateRunning {
@@ -436,17 +433,14 @@ func (s *Scheduler) Submit(key Key, g *parcut.Graph, opts SubmitOpts) (*Job, boo
 		return prev, true, nil
 	}
 	if s.maxQueue > 0 && s.queuedTotal >= s.maxQueue {
-		s.m.rejected.Add(1)
 		s.m.rejectedQueueFull.Add(1)
 		return nil, false, fmt.Errorf("%w: %d jobs queued", ErrQueueFull, s.queuedTotal)
 	}
 	if cap := s.caps[class.rank()]; cap > 0 && s.queues[class.rank()].Len() >= cap {
-		s.m.rejected.Add(1)
 		s.m.rejectedClassCap.Add(1)
 		return nil, false, fmt.Errorf("%w: class %q has %d jobs queued, cap %d",
 			ErrClassQueueFull, class, s.queues[class.rank()].Len(), cap)
 	}
-	s.m.submitted.Add(1)
 	s.m.submittedBy[class.rank()].Add(1)
 	j := s.newJobLocked(key, g, class, opts.Detached)
 	s.pushLocked(j)
@@ -749,10 +743,7 @@ func (s *Scheduler) worker() {
 		j.metricClass = c
 		s.mu.Unlock()
 		j.queueSp.End()
-		wait := j.dispatched.Sub(j.created)
-		s.m.dispatchedBy[c].Add(1)
-		s.m.queueWaitNanosBy[c].Add(int64(wait))
-		s.m.queueWaitHist[c].observe(wait)
+		s.m.queueWait[c].Observe(j.dispatched.Sub(j.created))
 		j.recordEvent(Event{Type: "state", State: StateRunning}, false)
 		s.run(j)
 	}
@@ -774,7 +765,7 @@ func (s *Scheduler) run(j *Job) {
 		res, err = parcut.MinCutContext(j.ctx, j.g, opt)
 		opt.Trace.End()
 		if err == nil {
-			s.m.observeSolve(time.Since(start))
+			s.m.solve.Observe(time.Since(start))
 		}
 	}
 	s.publish(j, res, err)
@@ -852,9 +843,7 @@ func (s *Scheduler) publishLocked(j *Job, res parcut.Result, err error) {
 	switch {
 	case err == nil:
 		j.state = StateDone
-		s.m.completed.Add(1)
-		s.m.completedBy[j.class.rank()].Add(1)
-		s.m.completedCell(j.class.rank(), j.engineIdx).Add(1)
+		s.m.completedBy[j.class.rank()][j.engineIdx].Add(1)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		j.state = StateCanceled
 		s.m.canceled.Add(1)

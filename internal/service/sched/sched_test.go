@@ -97,7 +97,7 @@ func TestSolveAndResultCache(t *testing.T) {
 		t.Fatalf("Wait on cached job: %v", err)
 	}
 	m := s.Metrics()
-	if m.SolveCount != 1 || m.CacheHits != 1 || m.Coalesced != 0 {
+	if m.Solve.Count != 1 || m.CacheHits != 1 || m.Coalesced != 0 {
 		t.Fatalf("metrics = %+v, want 1 solve, 1 cache hit, 0 coalesced", m)
 	}
 	st, ok := s.Job(j.ID())
@@ -153,8 +153,8 @@ func TestConcurrentDuplicatesCoalesce(t *testing.T) {
 	if m.CacheHits != dups-1 || m.Coalesced != dups-1 {
 		t.Fatalf("metrics = %+v, want %d cache hits all coalesced", m, dups-1)
 	}
-	if m.SolveCount != 1 { // one shared solve; the canceled blocker counts no solve
-		t.Fatalf("SolveCount = %d, want 1", m.SolveCount)
+	if m.Solve.Count != 1 { // one shared solve; the canceled blocker counts no solve
+		t.Fatalf("Solve.Count = %d, want 1", m.Solve.Count)
 	}
 }
 
@@ -295,8 +295,8 @@ func TestMidRunCancellationAborts(t *testing.T) {
 		t.Fatalf("canceled job has no error: %+v", st)
 	}
 	// The Boost=2^20 job stopped between runs: no solve completed.
-	if m := s.Metrics(); m.SolveCount != 0 {
-		t.Fatalf("SolveCount = %d, want 0", m.SolveCount)
+	if m := s.Metrics(); m.Solve.Count != 0 {
+		t.Fatalf("Solve.Count = %d, want 0", m.Solve.Count)
 	}
 }
 
@@ -405,9 +405,9 @@ func TestBoostMatchesLibrary(t *testing.T) {
 		if st, _ := s.Job(j.ID()); st.Progress.RunsDone != 8 {
 			t.Fatalf("%s: RunsDone = %d, want 8 runs in the one job", eng, st.Progress.RunsDone)
 		}
-		if m := s.Metrics(); m.SolveCount != int64(i+1) || m.PeakRunning != 1 {
-			t.Fatalf("%s: SolveCount = %d, PeakRunning = %d; want %d and 1 (one job per request)",
-				eng, m.SolveCount, m.PeakRunning, i+1)
+		if m := s.Metrics(); m.Solve.Count != int64(i+1) || m.PeakRunning != 1 {
+			t.Fatalf("%s: Solve.Count = %d, PeakRunning = %d; want %d and 1 (one job per request)",
+				eng, m.Solve.Count, m.PeakRunning, i+1)
 		}
 	}
 }
@@ -430,9 +430,9 @@ func TestCancelBoostedJobStopsRuns(t *testing.T) {
 	if st, _ := s.Job(j.ID()); st.State != StateCanceled {
 		t.Fatalf("state = %s, want canceled", st.State)
 	}
-	if m := s.Metrics(); m.SolveCount != 0 || m.Running != 0 || m.QueueDepth != 0 {
-		t.Fatalf("SolveCount %d, Running %d, QueueDepth %d after cancel; want all 0",
-			m.SolveCount, m.Running, m.QueueDepth)
+	if m := s.Metrics(); m.Solve.Count != 0 || m.Running != 0 || m.QueueDepth != 0 {
+		t.Fatalf("Solve.Count %d, Running %d, QueueDepth %d after cancel; want all 0",
+			m.Solve.Count, m.Running, m.QueueDepth)
 	}
 }
 
@@ -549,8 +549,8 @@ func TestInvalidateGraphDropsCachedResults(t *testing.T) {
 	if err != nil || res.Value != 4 {
 		t.Fatalf("re-solve: res=%+v err=%v", res, err)
 	}
-	if m := s.Metrics(); m.SolveCount != 3 {
-		t.Fatalf("SolveCount = %d, want 3 (invalidated key re-ran)", m.SolveCount)
+	if m := s.Metrics(); m.Solve.Count != 3 {
+		t.Fatalf("Solve.Count = %d, want 3 (invalidated key re-ran)", m.Solve.Count)
 	}
 
 	// The untouched graph's cache survives.

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
@@ -104,18 +105,6 @@ func (e *Executor) Stats() PoolStats {
 		ArenaHits:   st.ArenaHits,
 		ArenaMisses: st.ArenaMisses,
 	}
-}
-
-// executionPool resolves the executor a call with these options runs on,
-// and whether the call owns it (and must close it when done).
-func (o Options) executionPool() (pool *par.Pool, owned bool) {
-	if o.Executor != nil {
-		return o.Executor.pool, false
-	}
-	if o.Parallelism > 0 {
-		return par.NewPool(o.Parallelism), true
-	}
-	return nil, false
 }
 
 // Graph is a weighted undirected multigraph on vertices 0..n-1. Parallel
@@ -207,7 +196,7 @@ type Options struct {
 	// "stoerwagner" (exact, deterministic O(n³) baseline), or "auto" (pick
 	// by graph size: small or dense graphs go to the sequential exact
 	// baseline, larger ones to the Anderson–Blelloch scan). Engines()
-	// lists the registered names. An exact engine ignores Seed and runs
+	// lists the valid names. An exact engine ignores Seed and runs
 	// once whatever Boost says.
 	Engine string
 	// Seed fixes all randomness; two runs with the same seed and input
@@ -223,15 +212,10 @@ type Options struct {
 	// keeps the smallest cut found, driving the (already small) failure
 	// probability down exponentially. 0 and 1 both mean a single run.
 	Boost int
-	// Parallelism bounds the number of CPU lanes the solve uses: the call
-	// runs on a dedicated executor of that width, created for the call.
-	// 0 means all cores (the shared process-wide executor). The result is
-	// identical at every parallelism — width is purely a resource knob.
-	Parallelism int
 	// Executor, when non-nil, runs the solve on a caller-owned reusable
-	// executor (see NewExecutor) instead; it takes precedence over
-	// Parallelism. Long-lived callers issuing many solves should prefer
-	// an Executor so workers persist across calls.
+	// executor (see NewExecutor); nil means the shared process-wide
+	// executor (width GOMAXPROCS). The result is identical at every
+	// executor width — width is purely a resource knob.
 	Executor *Executor
 	// Progress, when non-nil, receives live progress updates (current
 	// phase, packing rounds, trees scanned, boost runs completed) while
@@ -413,10 +397,6 @@ func MinCutContext(ctx context.Context, G *Graph, opt Options) (Result, error) {
 	if opt.CollectStats {
 		m = new(wd.Meter)
 	}
-	pool, owned := opt.executionPool()
-	if owned {
-		defer pool.Close()
-	}
 	runs := opt.Boost
 	if runs < 1 {
 		runs = 1
@@ -434,10 +414,10 @@ func MinCutContext(ctx context.Context, G *Graph, opt Options) (Result, error) {
 			return Result{}, fmt.Errorf("parcut: canceled: %w", err)
 		}
 		runSp := opt.Trace.Child("run").AttrInt("run", int64(run)).Attr("engine", eng.Name())
-		r, err := eng.Solve(ctx, G.g, engine.Options{
+		r, err := eng.Solve(ctx, G.g, core.Options{
 			Seed:          BoostSeed(opt.Seed, run),
 			WantPartition: opt.WantPartition,
-			Pool:          pool,
+			Pool:          opt.Executor.unwrap(),
 			Meter:         m,
 			Progress:      sink,
 			Trace:         runSp,
@@ -459,8 +439,8 @@ func MinCutContext(ctx context.Context, G *Graph, opt Options) (Result, error) {
 	return out, nil
 }
 
-// Engines lists the registered engine names in registration order; any of
-// them (or "auto") is a valid Options.Engine.
+// Engines lists the engine names in table order; any of them (or
+// "auto") is a valid Options.Engine.
 func Engines() []string { return engine.Names() }
 
 // ConstrainedMinCut finds the smallest cut that crosses at most two edges
@@ -477,11 +457,7 @@ func ConstrainedMinCut(G *Graph, parent []int32, opt Options) (Result, error) {
 	if opt.CollectStats {
 		m = new(wd.Meter)
 	}
-	pool, owned := opt.executionPool()
-	if owned {
-		defer pool.Close()
-	}
-	r, err := respect.TwoRespect(G.g, parent, opt.WantPartition, pool, m)
+	r, err := respect.TwoRespect(G.g, parent, opt.WantPartition, opt.Executor.unwrap(), m)
 	if err != nil {
 		return Result{}, err
 	}

@@ -64,7 +64,7 @@ func TestBoostCollapsesOnExactEngine(t *testing.T) {
 // contraction left visibly unfinished.
 func TestCancelParkedInContractStoerWagner(t *testing.T) {
 	g := RandomGraph(300, 1200, 50, 7)
-	err, s := parkAt(t, g, Options{Seed: 1, Parallelism: 1, Engine: "stoerwagner"},
+	err, s := parkAt(t, g, Options{Seed: 1, Engine: "stoerwagner"},
 		func(ps ProgressSnapshot) bool { return ps.Phase == "contract" && ps.TreesScanned >= 1 })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -86,7 +86,7 @@ func TestCancelParkedInContractStoerWagner(t *testing.T) {
 // the remaining paths and trees.
 func TestCancelParkedInScanAndersonBlelloch(t *testing.T) {
 	g := RandomGraph(200, 800, 50, 7)
-	err, s := parkAt(t, g, Options{Seed: 1, Parallelism: 1, Engine: "andersonblelloch"},
+	err, s := parkAt(t, g, Options{Seed: 1, Engine: "andersonblelloch"},
 		func(ps ProgressSnapshot) bool { return ps.Phase == "scan" && ps.BoughPhasesDone >= 1 })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

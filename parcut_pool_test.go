@@ -30,13 +30,14 @@ func TestMinCutWidthEquivalence(t *testing.T) {
 		for _, boost := range []int{1, 3} {
 			var ref Result
 			for i, w := range widthsUnderTest() {
+				exec := NewExecutor(w)
 				for _, instrumented := range []bool{false, true} {
 					opt := Options{
 						Seed:          42,
 						WantPartition: true,
 						CollectStats:  true,
 						Boost:         boost,
-						Parallelism:   w,
+						Executor:      exec,
 					}
 					var rec *trace.Recorder
 					var published *trace.Trace
@@ -65,16 +66,19 @@ func TestMinCutWidthEquivalence(t *testing.T) {
 							gi, boost, w, instrumented, res, ref)
 					}
 				}
+				exec.Close()
 			}
 		}
 	}
 }
 
-// TestMinCutExecutorMatchesParallelism: a reusable Executor and the
-// per-call Parallelism knob must be observationally identical.
-func TestMinCutExecutorMatchesParallelism(t *testing.T) {
+// TestMinCutExecutorReuse: an Executor reused across solves returns what
+// a fresh executor of the same width returns on its first solve.
+func TestMinCutExecutorReuse(t *testing.T) {
 	g := RandomGraph(150, 600, 30, 3)
-	want, err := MinCut(g, Options{Seed: 9, WantPartition: true, Parallelism: 3})
+	fresh := NewExecutor(3)
+	want, err := MinCut(g, Options{Seed: 9, WantPartition: true, Executor: fresh})
+	fresh.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +111,9 @@ func TestConstrainedMinCutWidthEquivalence(t *testing.T) {
 	}
 	var ref Result
 	for i, w := range widthsUnderTest() {
-		res, err := ConstrainedMinCut(g, parent, Options{WantPartition: true, CollectStats: true, Parallelism: w})
+		exec := NewExecutor(w)
+		res, err := ConstrainedMinCut(g, parent, Options{WantPartition: true, CollectStats: true, Executor: exec})
+		exec.Close()
 		if err != nil {
 			t.Fatalf("width %d: %v", w, err)
 		}
@@ -130,7 +136,9 @@ func TestConstrainedMinCutWidthEquivalence(t *testing.T) {
 // reference result.
 func TestConcurrentMinCutIndependentExecutors(t *testing.T) {
 	g := RandomGraph(150, 600, 40, 7)
-	want, err := MinCut(g, Options{Seed: 5, WantPartition: true, Parallelism: 1})
+	seq := NewExecutor(1)
+	want, err := MinCut(g, Options{Seed: 5, WantPartition: true, Executor: seq})
+	seq.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,15 +190,16 @@ func TestPathAggregatorWidthEquivalence(t *testing.T) {
 	}
 	var ref []int64
 	for i, w := range widthsUnderTest() {
-		pa, err := NewPathAggregatorOpts(parent, weights, Options{Parallelism: w})
+		exec := NewExecutor(w)
+		pa, err := NewPathAggregatorOpts(parent, weights, Options{Executor: exec})
 		if err != nil {
 			t.Fatalf("width %d: %v", w, err)
 		}
 		got, err := pa.Run(ops)
+		exec.Close()
 		if err != nil {
 			t.Fatalf("width %d: %v", w, err)
 		}
-		pa.Close()
 		if i == 0 {
 			ref = got
 			continue

@@ -48,13 +48,15 @@ func TestProgressSnapshotAfterSolve(t *testing.T) {
 	}
 }
 
-// parkAt runs a solve with a Progress hook that blocks the first time
-// cond matches, cancels the context while the solver is parked at that
-// seam, releases it, and returns the solve's error and the final
-// snapshot. The solver must unwind with a cancellation error without
-// doing the remaining phases' work.
+// parkAt runs a solve on a width-1 executor with a Progress hook that
+// blocks the first time cond matches, cancels the context while the
+// solver is parked at that seam, releases it, and returns the solve's
+// error and the final snapshot. The solver must unwind with a
+// cancellation error without doing the remaining phases' work.
 func parkAt(t *testing.T, g *Graph, opt Options, cond func(ProgressSnapshot) bool) (error, ProgressSnapshot) {
 	t.Helper()
+	opt.Executor = NewExecutor(1)
+	defer opt.Executor.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	entered := make(chan struct{})
@@ -96,7 +98,7 @@ func parkAt(t *testing.T, g *Graph, opt Options, cond func(ProgressSnapshot) boo
 // round.
 func TestCancelParkedInPackingUnwinds(t *testing.T) {
 	g := RandomGraph(300, 1200, 50, 7)
-	err, s := parkAt(t, g, Options{Seed: 1, Parallelism: 1},
+	err, s := parkAt(t, g, Options{Seed: 1},
 		func(ps ProgressSnapshot) bool { return ps.Phase == "packing" })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -114,7 +116,7 @@ func TestCancelParkedInPackingUnwinds(t *testing.T) {
 // skip every tree scan.
 func TestCancelParkedAtScanEntryUnwinds(t *testing.T) {
 	g := RandomGraph(300, 1200, 50, 7)
-	err, s := parkAt(t, g, Options{Seed: 1, Parallelism: 1},
+	err, s := parkAt(t, g, Options{Seed: 1},
 		func(ps ProgressSnapshot) bool { return ps.Phase == "scan" })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -133,7 +135,7 @@ func TestCancelParkedAtScanEntryUnwinds(t *testing.T) {
 // scan's remaining phases and trees.
 func TestCancelParkedAtBoughPhaseUnwinds(t *testing.T) {
 	g := RandomGraph(300, 1200, 50, 7)
-	err, s := parkAt(t, g, Options{Seed: 1, Parallelism: 1},
+	err, s := parkAt(t, g, Options{Seed: 1},
 		func(ps ProgressSnapshot) bool { return ps.BoughPhasesDone >= 1 })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

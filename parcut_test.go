@@ -233,6 +233,8 @@ func TestNonTreeParentsRejected(t *testing.T) {
 		}
 	}
 	weights := []int64{5, 6, 7, 8}
+	exec := NewExecutor(2)
+	defer exec.Close()
 	for _, c := range []struct {
 		name   string
 		parent []int32
@@ -245,13 +247,11 @@ func TestNonTreeParentsRejected(t *testing.T) {
 		{"self-parent", []int32{-1, 0, 2, 2}},
 		{"wrong length", []int32{-1, 0, 1}},
 	} {
-		for _, opt := range []Options{{}, {Parallelism: 2}} {
+		for _, opt := range []Options{{}, {Executor: exec}} {
 			if _, err := ConstrainedMinCut(g, c.parent, opt); err == nil {
 				t.Errorf("%s: ConstrainedMinCut accepted %v", c.name, c.parent)
 			}
-			p, err := NewPathAggregatorOpts(c.parent, weights, opt)
-			if err == nil {
-				p.Close()
+			if _, err := NewPathAggregatorOpts(c.parent, weights, opt); err == nil {
 				t.Errorf("%s: NewPathAggregator accepted %v", c.name, c.parent)
 			}
 		}

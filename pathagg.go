@@ -23,7 +23,6 @@ type PathAggregator struct {
 	s       *minpath.Structure
 	weights []int64
 	pool    *par.Pool
-	owned   bool // pool was created for this aggregator; Close releases it
 }
 
 // PathOp is one operation in a batch.
@@ -53,39 +52,26 @@ func NewPathAggregator(parent []int32, weights []int64) (*PathAggregator, error)
 }
 
 // NewPathAggregatorOpts is NewPathAggregator with execution options:
-// opt.Executor pins the aggregator's batches to a caller-owned executor;
-// otherwise opt.Parallelism > 0 gives the aggregator a dedicated executor
-// of that width, released by Close. The remaining Options fields are
-// ignored. Results are identical at every parallelism.
+// opt.Executor pins the aggregator's batches to a caller-owned executor.
+// The remaining Options fields are ignored. Results are identical at
+// every executor width.
 func NewPathAggregatorOpts(parent []int32, weights []int64, opt Options) (*PathAggregator, error) {
 	if len(parent) != len(weights) {
 		return nil, fmt.Errorf("parcut: %d weights for %d vertices", len(weights), len(parent))
 	}
-	pool, owned := opt.executionPool()
 	t, err := tree.FromParent(parent, nil)
 	if err != nil {
-		if owned {
-			pool.Close()
-		}
 		return nil, fmt.Errorf("parcut: %v", err)
 	}
 	w := make([]int64, len(weights))
 	copy(w, weights)
+	pool := opt.Executor.unwrap()
 	return &PathAggregator{
 		t:       t,
 		s:       minpath.New(t, pool, nil),
 		weights: w,
 		pool:    pool,
-		owned:   owned,
 	}, nil
-}
-
-// Close releases the aggregator's dedicated executor, if it owns one
-// (Parallelism > 0 without an Executor). It is safe to call always.
-func (p *PathAggregator) Close() {
-	if p.owned {
-		p.pool.Close()
-	}
 }
 
 // N returns the number of tree vertices.
