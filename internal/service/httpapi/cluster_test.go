@@ -571,3 +571,57 @@ func TestClusterBatchUploadSharding(t *testing.T) {
 		}
 	}
 }
+
+// TestUploadDecodersAgree: a single node and either node of a cluster
+// decode an upload body the same way, so they answer it with the same
+// status and the same IDs. A JSON body, single or batch, must be exactly
+// one value: whitespace may follow it, anything else is a 400.
+func TestUploadDecodersAgree(t *testing.T) {
+	single := newTestServer(t, 1)
+	nodes := newTestCluster(t, 2)
+	addrs := []string{strings.TrimPrefix(single.URL, "http://"), nodes[0].addr, nodes[1].addr}
+	const graphJSON = `{"n": 3, "edges": [[0, 1, 5], [1, 2, 7], [2, 0, 9]]}`
+	const batch = `{"graphs": [{"text": "p cut 2 1\ne 0 1 4\n"}, {"n": 2, "edges": [[0, 1, 6]]}]}`
+	for _, tc := range []struct {
+		name, path, contentType, body string
+		want                          int
+	}{
+		{"valid JSON", "/v1/graphs", "application/json", graphJSON, http.StatusCreated},
+		{"JSON with trailing bytes", "/v1/graphs", "application/json", graphJSON + " trailing", http.StatusBadRequest},
+		{"JSON with trailing whitespace", "/v1/graphs", "application/json", graphJSON + " \n\t\r\n", http.StatusCreated},
+		{"truncated JSON", "/v1/graphs", "application/json", graphJSON[:30], http.StatusBadRequest},
+		{"valid text", "/v1/graphs", "text/plain", "p cut 3 3\ne 0 1 5\ne 1 2 7\ne 2 0 9\n", http.StatusCreated},
+		{"text with a fourth field", "/v1/graphs", "text/plain", "p cut 3 1\ne 0 1 5 6\n", http.StatusBadRequest},
+		{"batch", "/v1/graphs:batch", "application/json", batch, http.StatusOK},
+		{"batch with trailing bytes", "/v1/graphs:batch", "application/json", batch + `{"graphs": []}`, http.StatusBadRequest},
+		{"batch with trailing whitespace", "/v1/graphs:batch", "application/json", batch + "\n", http.StatusOK},
+	} {
+		var answers []string
+		for _, addr := range addrs {
+			var out struct {
+				ID      string             `json:"id"`
+				Results []batchUploadEntry `json:"results"`
+			}
+			resp, raw := clusterDo(t, addr, http.MethodPost, tc.path, tc.contentType, []byte(tc.body), nil, &out)
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s via %s: %d %s, want %d", tc.name, addr, resp.StatusCode, raw, tc.want)
+			}
+			ids := []string{out.ID}
+			answer := fmt.Sprint(resp.StatusCode, " ", out.ID)
+			for _, e := range out.Results {
+				ids = append(ids, e.ID)
+				answer += fmt.Sprint(" ", e.Status, " ", e.ID)
+			}
+			answers = append(answers, answer)
+			// Delete what was stored, so the next node sees a fresh upload.
+			for _, id := range ids {
+				if id != "" {
+					clusterDo(t, addr, http.MethodDelete, "/v1/graphs/"+id, "", nil, nil, nil)
+				}
+			}
+		}
+		if answers[1] != answers[0] || answers[2] != answers[0] {
+			t.Errorf("%s: single node answers %q, cluster nodes %q and %q", tc.name, answers[0], answers[1], answers[2])
+		}
+	}
+}

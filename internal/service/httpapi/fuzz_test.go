@@ -21,14 +21,16 @@ import (
 //
 //   - POST /v1/graphs with Content-Type application/json answers 200, 201,
 //     400 or 413, never a 5xx or a panic. It answers 2xx exactly when the
-//     body decodes as {"n", "edges"}, every edge is valid and the graph
-//     fits the registry's budget: n within [0, 2^30], endpoints in range,
+//     body is one JSON value, followed by nothing but whitespace, that
+//     decodes as {"n", "edges"}, every edge is valid and the graph fits the
+//     registry's budget: n within [0, 2^30], endpoints in range,
 //     weights positive and summing to at most graph.MaxTotalWeight, and
 //     8 bytes per vertex plus 16 per edge within mincutd's default 1 GiB.
 //     A 2xx reply's n, m and bytes match GET /v1/graphs/{id}, and
 //     uploading the body again answers 200 with "existed".
-//   - POST /v1/graphs:batch answers 200, 400 or 413. A 200 reply has one
-//     entry per item, in order, each "created", "existed" or "failed".
+//   - POST /v1/graphs:batch answers 200, 400 or 413. A 200 reply is to a
+//     body that is one JSON value, and has one entry per item, in order,
+//     each "created", "existed" or "failed".
 //
 // Run it beyond its seeds with
 //
@@ -47,7 +49,9 @@ func FuzzUploadJSON(f *testing.F) {
 		`{"n": 3, "edges": null}`,                                // null edges
 		`{"graphs": [{"text": "p cut 3 2\ne 0 1 5\ne 1 2 7\n"}, {"n": 2, "edges": [[0,1,4]]},
 			{"n": 2, "edges": [[0,1,4]], "text": "p cut 2 1\ne 0 1 4\n"}]}`, // text, JSON, and both
-		`{"n": 1073741824, "edges": []}`, // n = 2^30: 8 GiB of vertices, over the budget
+		`{"n": 1073741824, "edges": []}`,                      // n = 2^30: 8 GiB of vertices, over the budget
+		`{"n": 2, "edges": [[0,1,4]]} x`,                      // trailing bytes
+		"{\"graphs\": [{\"n\": 2, \"edges\": [[0,1,4]]}]} \n", // trailing whitespace
 	} {
 		f.Add([]byte(seed))
 	}
@@ -97,7 +101,7 @@ func FuzzUploadJSON(f *testing.F) {
 			return
 		}
 		var req batchUploadRequest
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		if err := json.Unmarshal(body, &req); err != nil {
 			t.Fatalf("batch upload %q answered 200 but does not decode: %v", body, err)
 		}
 		var out struct {
@@ -119,13 +123,14 @@ const fuzzBudget = 1 << 30
 
 // validJSONGraph reports whether body holds a graph the JSON upload form
 // must accept into a registry of fuzzBudget bytes, checked apart from the
-// server's own validation.
+// server's own validation; json.Unmarshal, unlike a json.Decoder, rejects
+// anything but whitespace after the value.
 func validJSONGraph(body []byte) bool {
 	var jg struct {
 		N     int        `json:"n"`
 		Edges [][3]int64 `json:"edges"`
 	}
-	if json.NewDecoder(bytes.NewReader(body)).Decode(&jg) != nil || jg.N < 0 || jg.N > 1<<30 ||
+	if json.Unmarshal(body, &jg) != nil || jg.N < 0 || jg.N > 1<<30 ||
 		8*int64(jg.N)+16*int64(len(jg.Edges)) > fuzzBudget {
 		return false
 	}

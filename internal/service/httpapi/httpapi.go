@@ -180,11 +180,41 @@ func buildJSONGraph(n int, edges [][3]int64) (*parcut.Graph, error) {
 	return g, nil
 }
 
-// uploadErrCode classifies a registry Put failure: a full disk is 507, any
-// other backend-store fault is 502, and everything else (parse errors,
-// malformed graphs, oversized-for-cache graphs) is the client's 400.
+// decodeUpload reads one upload body into a graph: the JSON form when
+// contentType says so, as exactly one JSON value, and the text format,
+// streamed into its parser, otherwise. It is the one upload decoder, so a
+// body means the same graph, or the same error, on every node and route.
+func decodeUpload(contentType string, src io.Reader) (*parcut.Graph, error) {
+	if !strings.HasPrefix(contentType, "application/json") {
+		return parcut.ReadGraph(src)
+	}
+	var jg jsonGraph
+	if err := decodeJSON(src, &jg); err != nil {
+		return nil, fmt.Errorf("bad JSON graph: %w", err)
+	}
+	return buildJSONGraph(jg.N, jg.Edges)
+}
+
+// decodeJSON decodes src, which must hold exactly one JSON value, into v.
+// A json.Decoder would buffer the whole value too, but would ignore any
+// bytes after it.
+func decodeJSON(src io.Reader, v any) error {
+	b, err := io.ReadAll(src)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(b, v)
+}
+
+// uploadErrCode classifies a failed upload or capped body read: a body
+// past its cap is 413, a full disk 507, any other backend-store fault
+// 502, and everything else (parse errors, malformed graphs,
+// oversized-for-cache graphs) the client's 400.
 func uploadErrCode(err error) int {
+	var tooBig *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, store.ErrDiskFull):
 		return http.StatusInsufficientStorage
 	case errors.Is(err, registry.ErrStore):
@@ -202,49 +232,6 @@ type graphResponse struct {
 	Existed bool   `json:"existed,omitempty"`
 	// Node is the cluster member holding the graph; omitted single-node.
 	Node string `json:"node,omitempty"`
-}
-
-func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, maxUploadBytes)
-	var (
-		info    registry.Info
-		existed bool
-		err     error
-	)
-	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
-		var jg jsonGraph
-		if derr := json.NewDecoder(body).Decode(&jg); derr != nil {
-			code := http.StatusBadRequest
-			var tooBig *http.MaxBytesError
-			if errors.As(derr, &tooBig) {
-				code = http.StatusRequestEntityTooLarge
-			}
-			writeErr(w, code, "bad JSON graph: %v", derr)
-			return
-		}
-		g, berr := buildJSONGraph(jg.N, jg.Edges)
-		if berr != nil {
-			writeErr(w, http.StatusBadRequest, "%v", berr)
-			return
-		}
-		info, existed, err = s.reg.PutGraph(g)
-	} else {
-		info, existed, err = s.reg.Put(body)
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge, "%v", err)
-			return
-		}
-	}
-	if err != nil {
-		writeErr(w, uploadErrCode(err), "%v", err)
-		return
-	}
-	code := http.StatusCreated
-	if existed {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, graphResponse{ID: info.ID, N: info.N, M: info.M, Bytes: info.Bytes, Existed: existed, Node: s.nodeName()})
 }
 
 // maxBatchUploadItems caps how many graphs one batch upload may carry.

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	parcut "repro"
+	"repro/internal/cluster"
 	"repro/internal/service/registry"
 	"repro/internal/service/sched"
 	"repro/internal/service/store"
@@ -804,31 +805,52 @@ func TestUploadErrorCodes(t *testing.T) {
 
 // TestOversizedUploadIs413: a text or JSON body that fails with
 // *http.MaxBytesError answers 413, wherever the cap falls, also inside a
-// line or value that then does not parse; a text body fails registry.Put
-// with that error. The body fails on its own, so no body past
-// maxUploadBytes is needed.
+// line or value that then does not parse or after a complete value; a
+// text body fails decodeUpload with that error. That holds for single and
+// batch uploads, on a single node and on a cluster node, both as the entry
+// node that reads the body to place it and as the owner a peer forwarded
+// it to. The body fails on its own, so no body past maxUploadBytes is
+// needed.
 func TestOversizedUploadIs413(t *testing.T) {
 	ts := newTestServer(t, 1)
+	nodes := newTestCluster(t, 2)
 	tooBig := &http.MaxBytesError{Limit: maxUploadBytes}
-	for _, tc := range []struct{ contentType, body string }{
-		{"text/plain", "p cut 3 2\ne 0 1 5\ne 1 2"},
-		{"text/plain", "p cut 3 2\ne 0 1 5\ne 1 2 7\n"},
-		{"text/plain", "p c"},
-		{"application/json", `{"n": 3, "edges": [[0, 1, 5], [1, 2`},
+	targets := []struct {
+		name          string
+		h             http.Handler
+		forwardedFrom string
+	}{
+		{"single node", ts.api.Handler(), ""},
+		{"cluster entry node", nodes[0].api.Handler(), ""},
+		{"cluster owner", nodes[0].api.Handler(), nodes[1].addr},
+	}
+	for _, tc := range []struct{ path, contentType, body string }{
+		{"/v1/graphs", "text/plain", "p cut 3 2\ne 0 1 5\ne 1 2"},
+		{"/v1/graphs", "text/plain", "p cut 3 2\ne 0 1 5\ne 1 2 7\n"},
+		{"/v1/graphs", "text/plain", "p c"},
+		{"/v1/graphs", "application/json", `{"n": 3, "edges": [[0, 1, 5], [1, 2`},
+		{"/v1/graphs", "application/json", `{"n": 3, "edges": [[0, 1, 5]]} `},
+		{"/v1/graphs:batch", "application/json", `{"graphs": [{"text": "p cut 3 2\ne 0 1`},
+		{"/v1/graphs:batch", "application/json", `{"graphs": [{"n": 2, "edges": [[0, 1, 4]]}]} `},
 	} {
 		cut := func() io.Reader { return io.MultiReader(strings.NewReader(tc.body), iotest.ErrReader(tooBig)) }
 		if tc.contentType == "text/plain" {
 			var got *http.MaxBytesError
-			if _, _, err := registry.New(0, nil).Put(cut()); !errors.As(err, &got) {
-				t.Errorf("%q then *http.MaxBytesError: Put error %v", tc.body, err)
+			if _, err := decodeUpload(tc.contentType, cut()); !errors.As(err, &got) {
+				t.Errorf("%q then *http.MaxBytesError: decode error %v", tc.body, err)
 			}
 		}
-		req := httptest.NewRequest("POST", "/v1/graphs", cut())
-		req.Header.Set("Content-Type", tc.contentType)
-		rec := httptest.NewRecorder()
-		ts.api.Handler().ServeHTTP(rec, req)
-		if rec.Code != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s %q then *http.MaxBytesError: %d %s, want 413", tc.contentType, tc.body, rec.Code, rec.Body)
+		for _, tg := range targets {
+			req := httptest.NewRequest("POST", tc.path, cut())
+			req.Header.Set("Content-Type", tc.contentType)
+			if tg.forwardedFrom != "" {
+				req.Header.Set(cluster.ForwardedFromHeader, tg.forwardedFrom)
+			}
+			rec := httptest.NewRecorder()
+			tg.h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s: %s %s %q then *http.MaxBytesError: %d %s, want 413", tg.name, tc.path, tc.contentType, tc.body, rec.Code, rec.Body)
+			}
 		}
 	}
 	if code, _ := ts.do(t, "POST", "/v1/graphs", "", []byte("p cut 3 2\ne 0 1 5\ne 1 2"), nil); code != http.StatusBadRequest {

@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -71,12 +69,7 @@ func (s *Server) proxyToPeer(w http.ResponseWriter, r *http.Request, owner strin
 	if r.Body != nil && r.ContentLength != 0 {
 		b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 		if err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				writeErr(w, http.StatusRequestEntityTooLarge, "%v", err)
-				return
-			}
-			writeErr(w, http.StatusBadRequest, "read request body: %v", err)
+			writeErr(w, uploadErrCode(err), "read request body: %v", err)
 			return
 		}
 		body = b
@@ -178,56 +171,51 @@ func (s *Server) routeJob(next http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// parseUploadGraph decodes an upload body in either encoding (JSON or the
-// text format) without storing it — the router needs the graph's content
-// hash to pick an owner before any node commits bytes.
-func parseUploadGraph(contentType string, body []byte) (*parcut.Graph, error) {
-	if strings.HasPrefix(contentType, "application/json") {
-		var jg jsonGraph
-		if err := json.Unmarshal(body, &jg); err != nil {
-			return nil, fmt.Errorf("bad JSON graph: %v", err)
-		}
-		return buildJSONGraph(jg.N, jg.Edges)
-	}
-	return parcut.ReadGraph(bytes.NewReader(body))
-}
-
-// routeUpload places a single-graph upload: parse, hash, and either store
-// locally (this node owns the content hash) or relay the original bytes
-// to the owner. Placement by content hash means re-uploading the same
-// graph through any node always lands on the same shard and dedups there.
+// routeUpload stores one uploaded graph, or places it: the body is decoded
+// once, and the graph is stored from that decode when this node owns its
+// content ID, or the bytes the client sent are relayed to the owner.
+// Placement by content hash means re-uploading the same graph through any
+// node always lands on the same shard and dedups there. Single-node and
+// forwarded uploads never need the raw bytes, so the text format streams
+// into its parser.
 func (s *Server) routeUpload(w http.ResponseWriter, r *http.Request) {
-	if s.cluster == nil || forwarded(r) {
-		s.handleUpload(w, r)
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxUploadBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge, "%v", err)
+	routed := s.cluster != nil && !forwarded(r)
+	var src io.Reader = http.MaxBytesReader(w, r.Body, maxUploadBytes)
+	var body []byte
+	if routed {
+		b, err := io.ReadAll(src)
+		if err != nil {
+			writeErr(w, uploadErrCode(err), "read upload: %v", err)
 			return
 		}
-		writeErr(w, http.StatusBadRequest, "read upload: %v", err)
+		body, src = b, bytes.NewReader(b)
+	}
+	g, err := decodeUpload(r.Header.Get("Content-Type"), src)
+	if err != nil {
+		writeErr(w, uploadErrCode(err), "%v", err)
 		return
 	}
-	g, perr := parseUploadGraph(r.Header.Get("Content-Type"), body)
-	if perr != nil {
-		writeErr(w, http.StatusBadRequest, "%v", perr)
+	if routed {
+		id, err := registry.GraphID(g)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		if owner := s.cluster.Owner(id); owner != s.cluster.Self() {
+			s.proxyToPeerBody(w, r, owner, body)
+			return
+		}
+	}
+	info, existed, err := s.reg.PutGraph(g)
+	if err != nil {
+		writeErr(w, uploadErrCode(err), "%v", err)
 		return
 	}
-	id, gerr := registry.GraphID(g)
-	if gerr != nil {
-		writeErr(w, http.StatusBadRequest, "%v", gerr)
-		return
+	code := http.StatusCreated
+	if existed {
+		code = http.StatusOK
 	}
-	owner := s.cluster.Owner(id)
-	if owner == s.cluster.Self() {
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		s.handleUpload(w, r)
-		return
-	}
-	s.proxyToPeerBody(w, r, owner, body)
+	writeJSON(w, code, graphResponse{ID: info.ID, N: info.N, M: info.M, Bytes: info.Bytes, Existed: existed, Node: s.nodeName()})
 }
 
 // routeUploadBatch ingests many graphs in one round trip — the bulk
@@ -243,13 +231,8 @@ func (s *Server) routeUpload(w http.ResponseWriter, r *http.Request) {
 // the HTTP status is 200 as long as the envelope was well-formed.
 func (s *Server) routeUploadBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchUploadRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBytes)).Decode(&req); err != nil {
-		code := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeErr(w, code, "bad batch upload body: %v", err)
+	if err := decodeJSON(http.MaxBytesReader(w, r.Body, maxUploadBytes), &req); err != nil {
+		writeErr(w, uploadErrCode(err), "bad batch upload body: %v", err)
 		return
 	}
 	if len(req.Graphs) == 0 {

@@ -13,10 +13,15 @@
 // the total bytes they are charged exceed the configured capacity. With a
 // Backend attached (a disk store), the LRU becomes a cache over the
 // durable copy: every upload, single or batched, is one group commit to
-// the backend before the graph becomes visible, eviction drops only the
-// in-memory bytes (the entry stays known and its Info still answers),
-// and Get faults evicted graphs back in transparently — concurrent Gets of the same evicted graph share
-// one load. Delete removes both the resident bytes and the backend copy.
+// the backend, and its entry is created only after that commit, so an
+// uncommitted graph is never visible. One writer lock serializes the
+// backend writes, upload commits and deletes; the registry lock is never
+// held across one, so no read waits on an upload's or a delete's disk
+// I/O.
+// Eviction drops only the in-memory bytes (the entry stays known and its
+// Info still answers), and Get faults evicted graphs back in
+// transparently — concurrent Gets of the same evicted graph share one
+// load. Delete removes both the resident bytes and the backend copy.
 package registry
 
 import (
@@ -25,7 +30,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -98,7 +102,7 @@ type Stats struct {
 	// Hits counts Get calls that found their graph (including ones served
 	// by a backend load); Misses the rest.
 	Hits, Misses int64
-	// Dedups counts Put calls that matched an existing entry.
+	// Dedups counts uploaded graphs that matched an existing entry.
 	Dedups int64
 	// Evictions counts entries whose resident bytes were dropped to make
 	// room.
@@ -116,15 +120,15 @@ type entry struct {
 	g       *parcut.Graph
 	elem    *list.Element // position in the LRU list; nil when not resident
 	loading chan struct{}
-	// pending marks a PutGraphBatch placeholder whose backend write has not
-	// committed yet: invisible to Lookup (durability before visibility),
-	// while read-through loads of committed graphs stay visible.
-	pending bool
 }
 
 // Registry is a bounded, concurrency-safe graph store. The zero value is
 // not usable; call New.
 type Registry struct {
+	// wmu serializes backend writes: an upload's commit and the creation of
+	// its entries, and a delete's index removal and tombstone. It is taken
+	// before mu, never while holding it.
+	wmu      sync.Mutex
 	mu       sync.Mutex
 	capacity int64
 	bytes    int64
@@ -157,18 +161,6 @@ func New(capacity int64, backend Backend) *Registry {
 	return r
 }
 
-// Put parses the graph in the repository's text format (streaming — the
-// body is never buffered whole), canonicalizes and hashes it, and stores
-// it unless an identical graph is already present. It returns the entry's
-// Info and whether the graph already existed.
-func (r *Registry) Put(src io.Reader) (Info, bool, error) {
-	g, err := parcut.ReadGraph(src)
-	if err != nil {
-		return Info{}, false, err
-	}
-	return r.PutGraph(g)
-}
-
 // PutGraph stores an already-parsed graph, deduplicating by content hash:
 // a batch of one (see PutGraphBatch). The stored copy is the graph's
 // canonical form, not the caller's edge order, so results for an ID are
@@ -190,9 +182,9 @@ type BatchResult struct {
 // GraphID computes the content-addressed registry ID g would be stored
 // under — "sha256:" + hex digest of the canonical serialization — without
 // storing anything. The cluster router uses it to place a graph on its
-// owning node before (and instead of) a local Put; the ID it returns is
-// bit-for-bit the one the owning node's registry will assign, because
-// both come from canonicalID.
+// owning node before (and instead of) a local PutGraph; the ID it
+// returns is bit-for-bit the one the owning node's registry will assign,
+// because both come from canonicalID.
 func GraphID(g *parcut.Graph) (string, error) {
 	_, id, err := canonicalID(g)
 	return id, err
@@ -226,137 +218,92 @@ func (r *Registry) hashGraph(g *parcut.Graph) (*parcut.Graph, Info, error) {
 
 // PutGraphBatch stores many graphs at once, deduplicating by content
 // hash. With a backend, every new graph of the batch is made durable by
-// one group commit — two fsync barriers in total — before it becomes
-// visible; a failed commit fails every new item (nothing was committed).
+// one group commit — two fsync barriers in total — before its entry is
+// created; a failed commit fails every new item (nothing was committed).
 // Items otherwise succeed or fail independently. Duplicates — against the
 // registry, the backend, or earlier items of the same batch — report
-// Existed.
+// Existed. A batch whose every graph the registry holds never waits for
+// another upload's commit.
 func (r *Registry) PutGraphBatch(gs []*parcut.Graph) []BatchResult {
 	out := make([]BatchResult, len(gs))
 	canon := make([]*parcut.Graph, len(gs))
-	infos := make([]Info, len(gs))
-	var todo []int
 	for i, g := range gs {
-		canon[i], infos[i], out[i].Err = r.hashGraph(g)
-		if out[i].Err == nil {
-			todo = append(todo, i)
+		canon[i], out[i].Info, out[i].Err = r.hashGraph(g)
+	}
+	var fresh []int // items whose id the registry did not hold
+	r.mu.Lock()
+	for i := range gs {
+		switch {
+		case out[i].Err != nil || r.dedupLocked(&out[i], canon[i]):
+			// Settled: invalid, or held already.
+		case r.backend == nil:
+			r.createLocked(out[i].Info, canon[i])
+		default:
+			fresh = append(fresh, i)
 		}
 	}
-	// Each round commits the items whose id no other upload or load has in
-	// flight and releases its own placeholders; only then does it wait out
-	// the rest and retry them, so two batches never wait on each other.
-	for len(todo) > 0 {
-		var newIdx, dups, retry []int
-		var placeholders []*entry // aligned with newIdx
-		var waits []chan struct{}
-		firstOf := make(map[string]int) // id -> index of the round's first copy
-		r.mu.Lock()
-		for _, i := range todo {
-			id := infos[i].ID
-			// A repeat of an id this round already claimed must be checked
-			// before the entries lookup: the first copy's placeholder is in
-			// entries with loading set, and waiting on it would let a failed
-			// group commit retry the duplicate alone, against the
-			// all-or-nothing contract.
-			if _, dup := firstOf[id]; dup {
-				dups = append(dups, i)
-				continue
-			}
-			if e, ok := r.entries[id]; ok {
-				if e.loading != nil {
-					// Another upload is writing this id to the backend, or a
-					// Get is loading it; retry once that settles.
-					retry = append(retry, i)
-					waits = append(waits, e.loading)
-					continue
-				}
-				r.dedups.Add(1)
-				if e.elem != nil {
-					r.lru.MoveToFront(e.elem)
-				} else {
-					// Known but evicted: the upload just handed us the bytes a
-					// future Get would otherwise fault in from disk — keep them.
-					r.makeResidentLocked(e, canon[i])
-				}
-				out[i].Info, out[i].Existed = e.info, true
-				continue
-			}
-			firstOf[id] = i
-			if r.backend == nil {
-				e := &entry{info: infos[i]}
-				r.entries[id] = e
-				r.makeResidentLocked(e, canon[i])
-				out[i].Info = infos[i]
-				continue
-			}
-			// Durability before visibility, without stalling the registry: a
-			// placeholder (loading channel set) reserves the id while the
-			// group commit — segment writes plus two fsyncs — runs outside
-			// the lock, so concurrent Gets of other graphs never wait on this
-			// upload's disk I/O.
-			e := &entry{info: infos[i], loading: make(chan struct{}), pending: true}
-			r.entries[id] = e
-			placeholders = append(placeholders, e)
-			newIdx = append(newIdx, i)
-		}
-		r.mu.Unlock()
+	r.mu.Unlock()
+	if len(fresh) == 0 {
+		return out
+	}
 
-		var batchErr error
-		var existed []bool
-		if len(newIdx) > 0 {
-			ids := make([]string, len(newIdx))
-			graphs := make([]*parcut.Graph, len(newIdx))
-			for k, i := range newIdx {
-				ids[k] = infos[i].ID
-				graphs[k] = canon[i]
-			}
-			existed, batchErr = r.backend.PutMany(ids, graphs)
-		}
-
-		r.mu.Lock()
-		for k, i := range newIdx {
-			id, e := infos[i].ID, placeholders[k]
-			close(e.loading)
-			e.loading = nil
-			e.pending = false
-			if batchErr != nil {
-				if r.entries[id] == e {
-					delete(r.entries, id)
-				}
-				out[i].Err = fmt.Errorf("store %s: %w", id, errors.Join(ErrStore, batchErr))
-				continue
-			}
-			out[i].Info = infos[i]
+	// The commit runs outside mu, so reads never wait on its segment
+	// writes and fsyncs, and under wmu, so no delete falls between the
+	// commit and the entries it makes visible.
+	r.wmu.Lock()
+	defer r.wmu.Unlock()
+	ids := make([]string, len(fresh))
+	graphs := make([]*parcut.Graph, len(fresh))
+	for k, i := range fresh {
+		ids[k], graphs[k] = out[i].Info.ID, canon[i]
+	}
+	existed, err := r.backend.PutMany(ids, graphs)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for k, i := range fresh {
+		switch {
+		case r.dedupLocked(&out[i], canon[i]):
+			// An earlier copy in this batch, or an upload that held wmu
+			// first, created the entry.
+		case err != nil:
+			out[i] = BatchResult{Err: fmt.Errorf("store %s: %w", ids[k], errors.Join(ErrStore, err))}
+		default:
+			// existed: the backend held the graph without an entry (e.g.
+			// written behind this registry's back), a dedup to the caller.
 			if existed[k] {
-				// The backend held it from before this registry's lifetime
-				// (e.g. a restart recovered it to disk but the index entry
-				// was deleted meanwhile) — a dedup from the caller's point of
-				// view.
 				out[i].Existed = true
 				r.dedups.Add(1)
 			}
-			if r.entries[id] == e && e.g == nil {
-				r.makeResidentLocked(e, canon[i])
-			}
+			r.createLocked(out[i].Info, canon[i])
 		}
-		// Later copies of an id within the round share the first copy's
-		// outcome, as Existed (their content is durable iff the first
-		// commit succeeded).
-		for _, i := range dups {
-			out[i] = out[firstOf[infos[i].ID]]
-			if out[i].Err == nil {
-				out[i].Existed = true
-				r.dedups.Add(1)
-			}
-		}
-		r.mu.Unlock()
-
-		for _, ch := range waits {
-			<-ch
-		}
-		todo = retry
 	}
 	return out
+}
+
+// dedupLocked reports whether the registry already holds br's graph,
+// marking br Existed and the entry most recently used when it does. A
+// known but evicted entry keeps g, the bytes a future Get would otherwise
+// fault in from disk. Caller holds r.mu.
+func (r *Registry) dedupLocked(br *BatchResult, g *parcut.Graph) bool {
+	e, ok := r.entries[br.Info.ID]
+	if !ok {
+		return false
+	}
+	r.dedups.Add(1)
+	if e.elem != nil {
+		r.lru.MoveToFront(e.elem)
+	} else {
+		r.makeResidentLocked(e, g)
+	}
+	br.Info, br.Existed = e.info, true
+	return true
+}
+
+// createLocked adds a resident entry for g. Caller holds r.mu.
+func (r *Registry) createLocked(info Info, g *parcut.Graph) {
+	e := &entry{info: info}
+	r.entries[info.ID] = e
+	r.makeResidentLocked(e, g)
 }
 
 // makeResidentLocked installs g as e's resident bytes and charges the
@@ -371,7 +318,7 @@ func (r *Registry) makeResidentLocked(e *entry, g *parcut.Graph) {
 // evictLocked drops least-recently-used resident graphs until the budget
 // holds. With a backend the entry survives — only the bytes leave memory;
 // without one the entry is gone for good. The newest entry is never
-// evicted (Put rejects oversized graphs up front, so the loop always
+// evicted (hashGraph rejects oversized graphs up front, so the loop always
 // terminates with at least one entry left).
 func (r *Registry) evictLocked() {
 	if r.capacity <= 0 {
@@ -396,8 +343,9 @@ func (r *Registry) evictLocked() {
 // A known-but-evicted graph is loaded back from the backend (outside the
 // registry lock; concurrent Gets of the same id share one load). Solvers
 // keep their own reference, so a graph evicted mid-solve stays alive
-// until the job finishes. The error is ErrNotFound for unknown ids, or
-// the backend's load error (e.g. a CRC mismatch) verbatim-wrapped.
+// until the job finishes. The error is ErrNotFound for unknown ids and
+// for one a Delete dropped while its load ran, or else the backend's load
+// error (e.g. a CRC mismatch) verbatim-wrapped.
 func (r *Registry) Get(id string) (*parcut.Graph, Info, error) {
 	r.mu.Lock()
 	var e *entry
@@ -434,22 +382,28 @@ func (r *Registry) Get(id string) (*parcut.Graph, Info, error) {
 	g, err := r.backend.Get(id)
 
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	e.loading = nil
 	close(ch)
-	if err != nil {
+	current := r.entries[id] == e
+	switch {
+	case err != nil && !current:
+		// A Delete dropped the entry while the load ran: the graph is gone,
+		// not broken.
+		r.misses.Add(1)
+		return nil, Info{}, fmt.Errorf("%w: %s", ErrNotFound, id)
+	case err != nil:
 		r.loadErrs.Add(1)
-		r.mu.Unlock()
 		return nil, Info{}, fmt.Errorf("registry: load %s: %w", id, err)
 	}
 	r.loads.Add(1)
 	r.hits.Add(1)
-	// Re-check before installing: a concurrent Delete may have dropped the
-	// entry, or a concurrent Put may have made it resident already. The
-	// loaded graph is returned either way — the caller's lookup was valid.
-	if cur, ok := r.entries[id]; ok && cur == e && e.g == nil {
+	// A concurrent upload may have made the entry resident already. The
+	// loaded graph is returned either way, also after a concurrent Delete:
+	// the caller's lookup was valid.
+	if current && e.g == nil {
 		r.makeResidentLocked(e, g)
 	}
-	r.mu.Unlock()
 	return g, info, nil
 }
 
@@ -460,9 +414,7 @@ func (r *Registry) Lookup(id string) (Info, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e, ok := r.entries[id]
-	if !ok || e.pending {
-		// A pending entry is an upload whose durable commit is still in
-		// flight (and may yet fail); it must not be visible.
+	if !ok {
 		return Info{}, false
 	}
 	return e.info, true
@@ -470,43 +422,29 @@ func (r *Registry) Lookup(id string) (Info, bool) {
 
 // Delete removes the graph from memory and, when a backend is attached,
 // from disk. It reports whether the graph was known. In-flight solves
-// holding the graph pointer are unaffected.
+// holding the graph pointer are unaffected; a load of the graph in flight
+// answers ErrNotFound unless it already read the graph.
 func (r *Registry) Delete(id string) (bool, error) {
+	// Under wmu no upload commits between the index removal and the
+	// tombstone: one that did could find the store's still-present copy
+	// (existed, nothing written) and acknowledge as durable an upload the
+	// tombstone then erases.
+	r.wmu.Lock()
+	defer r.wmu.Unlock()
 	r.mu.Lock()
-	var e *entry
-	ok := false
-	for {
-		e, ok = r.entries[id]
-		if !ok || e.loading == nil {
-			break
-		}
-		// An upload or load of this id is in flight; let it settle first so
-		// the delete has a definite before/after.
-		ch := e.loading
-		r.mu.Unlock()
-		<-ch
-		r.mu.Lock()
-	}
+	e, ok := r.entries[id]
 	if ok {
 		if e.elem != nil {
 			r.lru.Remove(e.elem)
 			r.bytes -= e.info.Bytes
-			e.elem = nil
-			e.g = nil
 		}
 		delete(r.entries, id)
 	}
+	r.mu.Unlock()
 	if r.backend == nil {
-		r.mu.Unlock()
 		return ok, nil
 	}
-	// The backend delete happens under the lock: releasing it first would
-	// let a concurrent PutGraph observe the store's still-present entry
-	// (existed=true, nothing written) and acknowledge as durable an upload
-	// the racing tombstone then erases from disk. Deletes are rare; the
-	// brief stall is the price of that invariant.
 	onDisk, err := r.backend.Delete(id)
-	r.mu.Unlock()
 	if err != nil {
 		return ok || onDisk, fmt.Errorf("registry: delete %s: %w", id, err)
 	}

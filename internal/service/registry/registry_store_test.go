@@ -30,7 +30,7 @@ func TestEvictedGraphReloadsFromStore(t *testing.T) {
 	st := openStore(t, t.TempDir())
 	r := New(112, st) // two 3-vertex 2-edge graphs fit, 56 bytes each
 	mk := func(w int64) Info {
-		info, _, err := r.Put(strings.NewReader(text(3, [][3]int64{{0, 1, w}, {1, 2, w}})))
+		info, _, err := put(r, strings.NewReader(text(3, [][3]int64{{0, 1, w}, {1, 2, w}})))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,13 +75,13 @@ func TestCorruptSegmentSurfacesCleanError(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
 	r := New(64, st)
-	info, _, err := r.Put(strings.NewReader(text(3, [][3]int64{{0, 1, 5}, {1, 2, 7}})))
+	info, _, err := put(r, strings.NewReader(text(3, [][3]int64{{0, 1, 5}, {1, 2, 7}})))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Evict it by filling the cache, then corrupt the segment under it.
 	for w := int64(10); w < 13; w++ {
-		if _, _, err := r.Put(strings.NewReader(text(3, [][3]int64{{0, 1, w}, {1, 2, w}}))); err != nil {
+		if _, _, err := put(r, strings.NewReader(text(3, [][3]int64{{0, 1, w}, {1, 2, w}}))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,7 +115,7 @@ func TestRestartRebuildsIndexFromStore(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
 	r := New(0, st)
-	info, _, err := r.Put(strings.NewReader(text(3, [][3]int64{{0, 1, 5}, {1, 2, 7}})))
+	info, _, err := put(r, strings.NewReader(text(3, [][3]int64{{0, 1, 5}, {1, 2, 7}})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestDeleteRemovesMemoryAndDisk(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
 	r := New(0, st)
-	info, _, err := r.Put(strings.NewReader(text(3, [][3]int64{{0, 1, 5}, {1, 2, 7}})))
+	info, _, err := put(r, strings.NewReader(text(3, [][3]int64{{0, 1, 5}, {1, 2, 7}})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestDeleteRemovesMemoryAndDisk(t *testing.T) {
 		t.Fatalf("deleted graph survived restart: %+v", s)
 	}
 	// Re-uploading after delete works (fresh durable copy).
-	info2, existed, err := r2.Put(strings.NewReader(text(3, [][3]int64{{0, 1, 5}, {1, 2, 7}})))
+	info2, existed, err := put(r2, strings.NewReader(text(3, [][3]int64{{0, 1, 5}, {1, 2, 7}})))
 	if err != nil || existed || info2.ID != info.ID {
 		t.Fatalf("re-upload: info=%+v existed=%v err=%v", info2, existed, err)
 	}
@@ -182,7 +182,7 @@ func TestConcurrentGetsShareOneLoad(t *testing.T) {
 	st := openStore(t, t.TempDir())
 	r := New(56, st) // one 3-vertex 2-edge graph resident at a time
 	mk := func(w int64) Info {
-		info, _, err := r.Put(strings.NewReader(text(3, [][3]int64{{0, 1, w}, {1, 2, w}})))
+		info, _, err := put(r, strings.NewReader(text(3, [][3]int64{{0, 1, w}, {1, 2, w}})))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,14 +220,14 @@ func TestDedupAfterEvictionMakesResident(t *testing.T) {
 	st := openStore(t, t.TempDir())
 	r := New(56, st)
 	body := text(3, [][3]int64{{0, 1, 5}, {1, 2, 7}})
-	info, _, err := r.Put(strings.NewReader(body))
+	info, _, err := put(r, strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.Put(strings.NewReader(text(3, [][3]int64{{0, 1, 9}, {1, 2, 9}}))); err != nil {
+	if _, _, err := put(r, strings.NewReader(text(3, [][3]int64{{0, 1, 9}, {1, 2, 9}}))); err != nil {
 		t.Fatal(err) // evicts the first graph
 	}
-	info2, existed, err := r.Put(strings.NewReader(body))
+	info2, existed, err := put(r, strings.NewReader(body))
 	if err != nil || !existed || info2 != info {
 		t.Fatalf("re-upload of evicted graph: info=%+v existed=%v err=%v", info2, existed, err)
 	}
@@ -245,16 +245,16 @@ func TestDedupAfterEvictionMakesResident(t *testing.T) {
 
 // TestConcurrentPutDeleteGetHammer drives the same id through uploads,
 // deletes, and reads from many goroutines. Under -race this exercises the
-// placeholder serialization: a Put acknowledged as existed/created must
-// never be silently erased by a racing Delete's tombstone (checked at the
-// end: if the last settled operation was a Put, the graph must load).
+// writer lock: a Put acknowledged as existed/created must never be
+// silently erased by a racing Delete's tombstone (checked at the end: if
+// the last settled operation was a Put, the graph must load).
 func TestConcurrentPutDeleteGetHammer(t *testing.T) {
 	st := openStore(t, t.TempDir())
 	r := New(0, st)
 	body := func() *strings.Reader {
 		return strings.NewReader(text(3, [][3]int64{{0, 1, 5}, {1, 2, 7}}))
 	}
-	info, _, err := r.Put(body())
+	info, _, err := put(r, body())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestConcurrentPutDeleteGetHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				if _, _, err := r.Put(body()); err != nil {
+				if _, _, err := put(r, body()); err != nil {
 					t.Errorf("Put: %v", err)
 				}
 				_, _, _ = r.Get(info.ID)
@@ -282,7 +282,7 @@ func TestConcurrentPutDeleteGetHammer(t *testing.T) {
 	}
 	wg.Wait()
 	// Settle to a known state and verify both levels agree.
-	if _, _, err := r.Put(body()); err != nil {
+	if _, _, err := put(r, body()); err != nil {
 		t.Fatal(err)
 	}
 	g, _, err := r.Get(info.ID)

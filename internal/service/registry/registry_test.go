@@ -3,6 +3,7 @@ package registry
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -19,10 +20,20 @@ func text(n int, edges [][3]int64) string {
 	return b.String()
 }
 
+// put parses a text-format upload and stores it, as the upload handler
+// does.
+func put(r *Registry, src io.Reader) (Info, bool, error) {
+	g, err := parcut.ReadGraph(src)
+	if err != nil {
+		return Info{}, false, err
+	}
+	return r.PutGraph(g)
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
 	r := New(0, nil)
 	in := text(3, [][3]int64{{0, 1, 5}, {1, 2, 7}})
-	info, existed, err := r.Put(strings.NewReader(in))
+	info, existed, err := put(r, strings.NewReader(in))
 	if err != nil {
 		t.Fatalf("Put: %v", err)
 	}
@@ -48,11 +59,11 @@ func TestDedupAcrossFormattingDifferences(t *testing.T) {
 	r := New(0, nil)
 	a := "p cut 3 2\ne 0 1 5\ne 1 2 7\n"
 	b := "c a comment\np cut 3 2\n\ne 0 1 5\ne 1 2 7\n"
-	ia, _, err := r.Put(strings.NewReader(a))
+	ia, _, err := put(r, strings.NewReader(a))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ib, existed, err := r.Put(strings.NewReader(b))
+	ib, existed, err := put(r, strings.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +77,8 @@ func TestDedupAcrossFormattingDifferences(t *testing.T) {
 
 func TestDistinctGraphsGetDistinctIDs(t *testing.T) {
 	r := New(0, nil)
-	ia, _, _ := r.Put(strings.NewReader(text(3, [][3]int64{{0, 1, 5}})))
-	ib, _, _ := r.Put(strings.NewReader(text(3, [][3]int64{{0, 1, 6}})))
+	ia, _, _ := put(r, strings.NewReader(text(3, [][3]int64{{0, 1, 5}})))
+	ib, _, _ := put(r, strings.NewReader(text(3, [][3]int64{{0, 1, 6}})))
 	if ia.ID == ib.ID {
 		t.Fatalf("different graphs share ID %q", ia.ID)
 	}
@@ -78,7 +89,7 @@ func TestLRUEvictionByEdgeBytes(t *testing.T) {
 	// holds exactly two.
 	r := New(112, nil)
 	mk := func(w int64) Info {
-		info, _, err := r.Put(strings.NewReader(text(3, [][3]int64{{0, 1, w}, {1, 2, w}})))
+		info, _, err := put(r, strings.NewReader(text(3, [][3]int64{{0, 1, w}, {1, 2, w}})))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,14 +117,14 @@ func TestLRUEvictionByEdgeBytes(t *testing.T) {
 
 func TestPutRejectsOversizedGraph(t *testing.T) {
 	r := New(32, nil) // 2 vertices and 1 edge fit exactly
-	if _, _, err := r.Put(strings.NewReader(text(3, [][3]int64{{0, 1, 1}, {1, 2, 1}}))); err == nil {
+	if _, _, err := put(r, strings.NewReader(text(3, [][3]int64{{0, 1, 1}, {1, 2, 1}}))); err == nil {
 		t.Fatal("oversized Put succeeded")
 	}
 	// Vertices are charged too: 5 vertices and no edges need 40 bytes.
-	if _, _, err := r.Put(strings.NewReader(text(5, nil))); err == nil {
+	if _, _, err := put(r, strings.NewReader(text(5, nil))); err == nil {
 		t.Fatal("Put of 5 edgeless vertices succeeded")
 	}
-	if _, _, err := r.Put(strings.NewReader(text(2, [][3]int64{{0, 1, 1}}))); err != nil {
+	if _, _, err := put(r, strings.NewReader(text(2, [][3]int64{{0, 1, 1}}))); err != nil {
 		t.Fatalf("exact-fit Put failed: %v", err)
 	}
 }
@@ -121,7 +132,7 @@ func TestPutRejectsOversizedGraph(t *testing.T) {
 func TestPutRejectsMalformedInput(t *testing.T) {
 	r := New(0, nil)
 	for _, bad := range []string{"", "e 0 1 5\n", "p cut 2 1\ne 0 5 1\n"} {
-		if _, _, err := r.Put(strings.NewReader(bad)); err == nil {
+		if _, _, err := put(r, strings.NewReader(bad)); err == nil {
 			t.Errorf("Put(%q) succeeded, want error", bad)
 		}
 	}
@@ -144,7 +155,7 @@ func TestPutGraphMatchesTextPut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ib, existed, err := r.Put(&buf)
+	ib, existed, err := put(r, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,12 +172,12 @@ func TestDedupAcrossEdgePermutations(t *testing.T) {
 	a := text(4, [][3]int64{{0, 1, 3}, {1, 2, 1}, {2, 3, 4}, {3, 0, 2}})
 	b := text(4, [][3]int64{{2, 3, 4}, {3, 0, 2}, {0, 1, 3}, {1, 2, 1}}) // permuted
 	c := text(4, [][3]int64{{1, 0, 3}, {2, 1, 1}, {3, 2, 4}, {0, 3, 2}}) // endpoints swapped
-	ia, _, err := r.Put(strings.NewReader(a))
+	ia, _, err := put(r, strings.NewReader(a))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, in := range []string{b, c} {
-		info, existed, err := r.Put(strings.NewReader(in))
+		info, existed, err := put(r, strings.NewReader(in))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +195,7 @@ func TestDedupAcrossEdgePermutations(t *testing.T) {
 // order, so results are reproducible across upload orders.
 func TestStoredGraphIsCanonical(t *testing.T) {
 	r := New(0, nil)
-	info, _, err := r.Put(strings.NewReader(text(3, [][3]int64{{2, 1, 7}, {1, 0, 5}})))
+	info, _, err := put(r, strings.NewReader(text(3, [][3]int64{{2, 1, 7}, {1, 0, 5}})))
 	if err != nil {
 		t.Fatal(err)
 	}
