@@ -625,3 +625,92 @@ func TestUploadDecodersAgree(t *testing.T) {
 		}
 	}
 }
+
+// solveTriangle is the graph the solve-body tests solve, in the JSON
+// upload form: a triangle whose minimum cut is 12.
+const solveTriangle = `{"n": 3, "edges": [[0, 1, 5], [1, 2, 7], [2, 0, 9]]}`
+
+// solveRoute is one solve route and a valid body for it, "{id}" standing
+// for the graph's ID in both. empty is what an empty body answers: the
+// single route's defaults, or a batch without items.
+type solveRoute struct {
+	path, valid string
+	empty       int
+}
+
+var solveRoutes = []solveRoute{
+	{"/v1/graphs/{id}/mincut", `{"seed": 1}`, http.StatusOK},
+	{"/v1/graphs/{id}/mincut:batch", `{"seeds": [1]}`, http.StatusBadRequest},
+	{"/v1/mincut:batch", `{"items": [{"graph_id": "{id}", "seed": 1}]}`, http.StatusBadRequest},
+}
+
+// solveBody is one body a solve route answers with want on every node.
+type solveBody struct {
+	name, body string
+	want       int
+}
+
+// bodies returns rt's path for graph id and the bodies every node must
+// answer alike on it: the upload routes' one-value rule under the 1 MiB
+// solve cap, and timeout_ms bounded so its nanoseconds fit an int64.
+func (rt solveRoute) bodies(id string) (string, []solveBody) {
+	valid := strings.ReplaceAll(rt.valid, "{id}", id)
+	open := strings.TrimSuffix(valid, "}") + ", " // valid, before its closing brace
+	return strings.ReplaceAll(rt.path, "{id}", id), []solveBody{
+		{"valid", valid, http.StatusOK},
+		{"empty", "", rt.empty},
+		{"trailing whitespace", valid + " \n\t\r\n", http.StatusOK},
+		{"trailing bytes", valid + " trailing", http.StatusBadRequest},
+		{"a second value", valid + `{"seed": 2, "boost": -5}`, http.StatusBadRequest},
+		{"truncated", valid[:len(valid)-2], http.StatusBadRequest},
+		{"timeout_ms at its bound", open + `"timeout_ms": 9223372036854}`, http.StatusOK},
+		{"timeout_ms past its bound", open + `"timeout_ms": 9223372036855}`, http.StatusBadRequest},
+		{"timeout_ms of MaxInt64", open + `"timeout_ms": 9223372036854775807}`, http.StatusBadRequest},
+		{"over 1 MiB", open + `"pad": "` + strings.Repeat("x", maxSolveBytes) + `"}`, http.StatusRequestEntityTooLarge},
+	}
+}
+
+// TestSolveDecodersAgree: a single node and both nodes of a cluster, the
+// graph's owner and the node that relays to it, answer every solve body
+// with the same status on all three solve routes.
+func TestSolveDecodersAgree(t *testing.T) {
+	single := newTestServer(t, 1)
+	nodes := newTestCluster(t, 2)
+	var gr graphResponse
+	if code, raw := single.do(t, http.MethodPost, "/v1/graphs", "application/json", []byte(solveTriangle), &gr); code != http.StatusCreated {
+		t.Fatalf("upload to the single node: %d %s", code, raw)
+	}
+	if resp, raw := clusterDo(t, nodes[0].addr, http.MethodPost, "/v1/graphs", "application/json", []byte(solveTriangle), nil, nil); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload to the cluster: %d %s", resp.StatusCode, raw)
+	}
+	addrs := []string{strings.TrimPrefix(single.URL, "http://"), nodes[0].addr, nodes[1].addr}
+	for _, rt := range solveRoutes {
+		path, bodies := rt.bodies(gr.ID)
+		for _, tc := range bodies {
+			for _, addr := range addrs {
+				resp, raw := clusterDo(t, addr, http.MethodPost, path, "application/json", []byte(tc.body), nil, nil)
+				if resp.StatusCode != tc.want {
+					t.Errorf("%s, %s, via %s: %d %.200s, want %d", rt.path, tc.name, addr, resp.StatusCode, raw, tc.want)
+				}
+			}
+		}
+	}
+}
+
+// TestNonOwnerCapsSolveBody: a node relaying a graph-scoped request reads
+// its body under the solve cap, so it answers a body over 1 MiB with a
+// 413 itself and never forwards it to the owner.
+func TestNonOwnerCapsSolveBody(t *testing.T) {
+	nodes := newTestCluster(t, 2)
+	id, _ := uploadOwnedBy(t, nodes, 0, 1) // owned by node 1; node 0 relays
+	forwarded := peerCounter(t, nodes[0], "forwarded_total", nodes[1].addr)
+	body := []byte(`{"seed": 1, "pad": "` + strings.Repeat("x", 2<<20) + `"}`)
+	for _, path := range []string{"/v1/graphs/" + id + "/mincut", "/v1/graphs/" + id + "/mincut:batch"} {
+		if resp, raw := clusterDo(t, nodes[0].addr, http.MethodPost, path, "application/json", body, nil, nil); resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("2 MiB body to %s via the non-owner: %d %.200s, want 413", path, resp.StatusCode, raw)
+		}
+	}
+	if got := peerCounter(t, nodes[0], "forwarded_total", nodes[1].addr); got != forwarded {
+		t.Errorf("forwarded_total went from %d to %d: the non-owner relayed an over-cap body", forwarded, got)
+	}
+}

@@ -6,10 +6,15 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/service/registry"
 	"repro/internal/service/sched"
@@ -143,4 +148,103 @@ func validJSONGraph(body []byte) bool {
 		total += e[2]
 	}
 	return true
+}
+
+// FuzzSolveJSON sends each input, as it is, to the three solve routes of
+// an in-process, memory-only server that holds one triangle. No body
+// answers a 5xx, and every body answers what solveWant owes it: a 413 past
+// the 1 MiB cap, a 400 unless it is one JSON value that decodes into the
+// route's request type and passes validation (on the single route, an
+// empty body too), and an acceptance otherwise. Each request goes out
+// with its context already canceled, so no solve outlives its request
+// whatever boost the body names: an accepted body answers 200, 202 (an
+// async job, which is then canceled) or, on the single route, 499, the
+// status of a client gone before its result.
+//
+// Run it beyond its seeds with
+//
+//	go test ./internal/service/httpapi -run '^$' -fuzz FuzzSolveJSON -fuzztime 60s
+func FuzzSolveJSON(f *testing.F) {
+	sch := sched.New(sched.Config{Workers: 1})
+	f.Cleanup(func() { _ = sch.Shutdown(context.Background()) })
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	h := New(registry.New(fuzzBudget, nil), sch, nil, Options{Logger: quiet}).Handler()
+	send := func(ctx context.Context, method, path string, body []byte) (int, []byte) {
+		req := httptest.NewRequest(method, path, bytes.NewReader(body)).WithContext(ctx)
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code, rec.Body.Bytes()
+	}
+	var gr graphResponse
+	if code, raw := send(context.Background(), "POST", "/v1/graphs", []byte(solveTriangle)); code != http.StatusCreated ||
+		json.Unmarshal(raw, &gr) != nil {
+		f.Fatalf("upload: %d %s", code, raw)
+	}
+	for _, rt := range solveRoutes {
+		_, bodies := rt.bodies(gr.ID)
+		for _, b := range bodies {
+			f.Add([]byte(b.body))
+		}
+	}
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for route, rt := range solveRoutes {
+			path := strings.ReplaceAll(rt.path, "{id}", gr.ID)
+			code, raw := send(gone, "POST", path, body)
+			accepted := code == http.StatusOK || route == 0 && (code == http.StatusAccepted || code == 499)
+			if want := solveWant(route, body); want == 0 && !accepted || want != 0 && code != want {
+				t.Fatalf("%s %q: %d %s, want %d (0: accepted)", rt.path, body, code, raw, want)
+			}
+			var jr jobResponse
+			if code == http.StatusAccepted && json.Unmarshal(raw, &jr) == nil {
+				send(context.Background(), "DELETE", "/v1/jobs/"+jr.JobID, nil)
+			}
+		}
+	})
+}
+
+// solveWant is FuzzSolveJSON's oracle, checked apart from the server's
+// own validation: the status solveRoutes[route] owes body, or 0 for an
+// acceptance. A body past maxSolveBytes is a 413. A body is accepted when
+// it is one JSON value (json.Unmarshal, unlike a json.Decoder, rejects
+// anything but whitespace after it) that decodes into the route's request
+// type, with every boost non-negative, timeout_ms in [0, 2^63/10^6) and
+// class empty or a QoS class; the graph routes also need an engine name
+// that is empty, "auto" or served, and the batch routes from 1 to 1024
+// items, each cross-graph item naming a graph. On the single route an
+// empty body is accepted as the defaults. Anything else is a 400.
+func solveWant(route int, body []byte) int {
+	if len(body) > maxSolveBytes {
+		return http.StatusRequestEntityTooLarge
+	}
+	timeoutOK := func(ms int64) bool { return ms >= 0 && ms <= math.MaxInt64/int64(time.Millisecond) }
+	classOK := func(c string) bool { return c == "" || c == "interactive" || c == "batch" || c == "background" }
+	engineOK := func(e string) bool { return e == "" || e == engine.Auto || slices.Contains(engine.Names(), e) }
+	countOK := func(n int) bool { return n >= 1 && n <= 1024 }
+	ok := false
+	switch route {
+	case 0:
+		var req mincutRequest
+		ok = len(body) == 0 || json.Unmarshal(body, &req) == nil &&
+			req.Boost >= 0 && timeoutOK(req.TimeoutMs) && classOK(req.Class) && engineOK(req.Engine)
+	case 1:
+		var req batchRequest
+		ok = json.Unmarshal(body, &req) == nil && req.Boost >= 0 && timeoutOK(req.TimeoutMs) &&
+			classOK(req.Class) && engineOK(req.Engine) && countOK(len(req.Seeds)+len(req.Items))
+		for _, it := range req.Items {
+			ok = ok && it.Boost >= 0
+		}
+	case 2:
+		var req clusterBatchRequest
+		ok = json.Unmarshal(body, &req) == nil && timeoutOK(req.TimeoutMs) && classOK(req.Class) && countOK(len(req.Items))
+		for _, it := range req.Items {
+			ok = ok && it.GraphID != "" && it.Boost >= 0
+		}
+	}
+	if ok {
+		return 0
+	}
+	return http.StatusBadRequest
 }

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -45,6 +46,14 @@ import (
 
 // maxUploadBytes caps graph upload bodies (single and batch).
 const maxUploadBytes = 256 << 20
+
+// maxSolveBytes caps solve bodies, on the single solve route and both
+// batch routes, and every graph-scoped body a node relays to its owner.
+const maxSolveBytes = 1 << 20
+
+// maxTimeoutMs is the largest timeout_ms whose nanoseconds fit a
+// time.Duration, about 292 years.
+const maxTimeoutMs = math.MaxInt64 / int64(time.Millisecond)
 
 // Server holds the service state behind the HTTP handlers.
 type Server struct {
@@ -401,55 +410,116 @@ func submitErr(w http.ResponseWriter, err error) {
 	}
 }
 
-// resolveEngine maps the wire engine name (default "auto") to a concrete
-// engine using the graph's size, writing the 400 itself on an
-// unknown name. Resolving before the scheduler key is built is what lets
-// "auto" share cache entries with explicit requests for the same engine.
-func resolveEngine(w http.ResponseWriter, name string, info registry.Info) (engine.Engine, bool) {
-	eng, err := engine.ResolveWire(name, info.N, info.M)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return nil, false
+// solveItem is one solve: an item of a POST /v1/mincut:batch body, and
+// the form the other two solve routes put each of their solves in.
+type solveItem struct {
+	GraphID       string `json:"graph_id"`
+	Seed          int64  `json:"seed"`
+	Boost         int    `json:"boost,omitempty"`
+	WantPartition bool   `json:"want_partition,omitempty"`
+	// Engine defaults to "auto"; each graph's owner resolves it against
+	// the graph it holds, so one batch may fan across engines.
+	Engine string `json:"engine,omitempty"`
+}
+
+// readSolve starts every solve route: a draining node refuses the solve
+// (503), and a non-empty body must be exactly one JSON value within
+// maxSolveBytes (400, or 413 past the cap). An empty body leaves req at
+// its zero value, which only the single route accepts. It writes the
+// error itself when it returns false.
+func (s *Server) readSolve(w http.ResponseWriter, r *http.Request, req any) bool {
+	if s.draining.Load() {
+		writeErr(w, http.StatusServiceUnavailable, "draining")
+		return false
 	}
-	return eng, true
+	if r.ContentLength == 0 {
+		return true
+	}
+	if err := decodeJSON(http.MaxBytesReader(w, r.Body, maxSolveBytes), req); err != nil {
+		writeErr(w, uploadErrCode(err), "bad request body: %v", err)
+		return false
+	}
+	return true
+}
+
+// checkSolve is the one validation of a decoded solve body, run before
+// any graph is fetched: from 1 to maxBatchItems items, each naming a
+// graph; every boost non-negative, the request-level one (0 where a route
+// has none) and each item's; timeout_ms in [0, maxTimeoutMs]; and class a
+// QoS class, def (the route's default) when empty.
+func checkSolve(items []solveItem, boost int, timeoutMs int64, class string, def sched.Class) (sched.Class, error) {
+	switch {
+	case len(items) == 0:
+		return "", errors.New("batch needs at least one item")
+	case len(items) > maxBatchItems:
+		return "", fmt.Errorf("batch exceeds the limit of %d items", maxBatchItems)
+	case boost < 0:
+		return "", errors.New("boost must be non-negative")
+	case timeoutMs < 0 || timeoutMs > maxTimeoutMs:
+		return "", fmt.Errorf("timeout_ms %d is outside [0, %d]", timeoutMs, maxTimeoutMs)
+	}
+	for _, it := range items {
+		switch {
+		case it.GraphID == "":
+			return "", errors.New("every item needs a graph_id")
+		case it.Boost < 0:
+			return "", errors.New("item boost must be non-negative")
+		}
+	}
+	if class == "" {
+		return def, nil
+	}
+	return sched.ParseClass(class)
+}
+
+// solveKey resolves a solve's engine (default "auto") against its graph
+// and builds the solve's scheduler key; every solve route keys its solves
+// here. Resolving before keying is what lets "auto" share cache entries
+// with explicit requests for the engine it picks.
+func solveKey(info registry.Info, it solveItem) (sched.Key, error) {
+	eng, err := engine.ResolveWire(it.Engine, info.N, info.M)
+	if err != nil {
+		return sched.Key{}, err
+	}
+	return sched.Key{GraphID: it.GraphID, Opt: sched.SolveOptions{
+		Seed:          it.Seed,
+		WantPartition: it.WantPartition,
+		Boost:         it.Boost,
+		Engine:        eng.Name(),
+	}}, nil
+}
+
+// waitContext is what a solve route waits under: r's context, cut after
+// timeout_ms when it is positive (checkSolve keeps it within a
+// time.Duration).
+func waitContext(r *http.Request, timeoutMs int64) (context.Context, context.CancelFunc) {
+	if timeoutMs == 0 {
+		return r.Context(), func() {}
+	}
+	return context.WithTimeout(r.Context(), time.Duration(timeoutMs)*time.Millisecond)
 }
 
 func (s *Server) handleMinCut(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeErr(w, http.StatusServiceUnavailable, "draining")
+	var req mincutRequest
+	if !s.readSolve(w, r, &req) {
 		return
 	}
 	id := r.PathValue("id")
+	it := solveItem{GraphID: id, Seed: req.Seed, Boost: req.Boost, WantPartition: req.WantPartition, Engine: req.Engine}
+	class, err := checkSolve([]solveItem{it}, 0, req.TimeoutMs, req.Class, sched.ClassInteractive)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	g, info, ok := s.getGraph(w, id)
 	if !ok {
 		return
 	}
-	req := mincutRequest{}
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-			return
-		}
-	}
-	if req.Boost < 0 || req.TimeoutMs < 0 {
-		writeErr(w, http.StatusBadRequest, "boost and timeout_ms must be non-negative")
+	key, err := solveKey(info, it)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	class, cerr := sched.ParseClass(req.Class)
-	if cerr != nil {
-		writeErr(w, http.StatusBadRequest, "%v", cerr)
-		return
-	}
-	eng, ok := resolveEngine(w, req.Engine, info)
-	if !ok {
-		return
-	}
-	key := sched.Key{GraphID: id, Opt: sched.SolveOptions{
-		Seed:          req.Seed,
-		WantPartition: req.WantPartition,
-		Boost:         req.Boost,
-		Engine:        eng.Name(),
-	}}
 	job, hit, err := s.sch.Submit(key, g, sched.SubmitOpts{Class: class, Detached: req.Async})
 	if err != nil {
 		submitErr(w, err)
@@ -465,12 +535,8 @@ func (s *Server) handleMinCut(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	ctx := r.Context()
-	if req.TimeoutMs > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMs)*time.Millisecond)
-		defer cancel()
-	}
+	ctx, cancel := waitContext(r, req.TimeoutMs)
+	defer cancel()
 	res, err := s.sch.Wait(ctx, job)
 	if err != nil {
 		code := http.StatusInternalServerError
@@ -489,7 +555,7 @@ func (s *Server) handleMinCut(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, jobResponse{
 		JobID: job.ID(), GraphID: id, Status: string(sched.StateDone), Class: string(class),
-		Engine: eng.Name(), Cached: hit,
+		Engine: key.Opt.Engine, Cached: hit,
 		Value: &res.Value, InCut: res.InCut, TreesScanned: res.TreesScanned, Node: s.nodeName(),
 	})
 }
@@ -614,76 +680,53 @@ func (s *Server) streamBatch(ctx context.Context, w http.ResponseWriter, r *http
 // submitted up front and the entries stream back in item order (see
 // streamBatch).
 func (s *Server) handleMinCutBatch(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeErr(w, http.StatusServiceUnavailable, "draining")
+	var req batchRequest
+	if !s.readSolve(w, r, &req) {
 		return
 	}
 	id := r.PathValue("id")
+	// checkSolve refuses more than maxBatchItems items, so one item past
+	// the limit is as many as a longer batch needs built.
+	items := make([]solveItem, 0, min(len(req.Seeds)+len(req.Items), maxBatchItems+1))
+	add := func(seed int64, boost int) {
+		if len(items) > maxBatchItems {
+			return
+		}
+		if boost == 0 {
+			boost = req.Boost
+		}
+		items = append(items, solveItem{GraphID: id, Seed: seed, Boost: boost, WantPartition: req.WantPartition, Engine: req.Engine})
+	}
+	for _, seed := range req.Seeds {
+		add(seed, 0)
+	}
+	for _, it := range req.Items {
+		add(it.Seed, it.Boost)
+	}
+	class, err := checkSolve(items, req.Boost, req.TimeoutMs, req.Class, sched.ClassBatch)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	g, info, ok := s.getGraph(w, id)
 	if !ok {
 		return
 	}
-	var req batchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if req.Boost < 0 || req.TimeoutMs < 0 {
-		writeErr(w, http.StatusBadRequest, "boost and timeout_ms must be non-negative")
-		return
-	}
-	if req.Class == "" {
-		req.Class = string(sched.ClassBatch)
-	}
-	class, cerr := sched.ParseClass(req.Class)
-	if cerr != nil {
-		writeErr(w, http.StatusBadRequest, "%v", cerr)
-		return
-	}
-	eng, ok := resolveEngine(w, req.Engine, info)
-	if !ok {
-		return
-	}
-	items := make([]batchItem, 0, len(req.Seeds)+len(req.Items))
-	for _, seed := range req.Seeds {
-		items = append(items, batchItem{Seed: seed, Boost: req.Boost})
-	}
-	for _, it := range req.Items {
-		if it.Boost < 0 {
-			writeErr(w, http.StatusBadRequest, "item boost must be non-negative")
+	slots := make([]batchSlot, len(items))
+	var key sched.Key
+	for i, it := range items {
+		// Every item shares the graph and engine, so only the first can
+		// fail to resolve, before anything is submitted.
+		if key, err = solveKey(info, it); err != nil {
+			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		if it.Boost == 0 {
-			it.Boost = req.Boost
-		}
-		items = append(items, it)
-	}
-	if len(items) == 0 {
-		writeErr(w, http.StatusBadRequest, "batch needs at least one seed")
-		return
-	}
-	if len(items) > maxBatchItems {
-		writeErr(w, http.StatusBadRequest, "batch of %d items exceeds the limit of %d", len(items), maxBatchItems)
-		return
-	}
-
-	slots := make([]batchSlot, len(items))
-	for i, it := range items {
 		slots[i].entry = batchEntry{Seed: it.Seed, Boost: it.Boost}
-		s.submit(&slots[i], sched.Key{GraphID: id, Opt: sched.SolveOptions{
-			Seed:          it.Seed,
-			WantPartition: req.WantPartition,
-			Boost:         it.Boost,
-			Engine:        eng.Name(),
-		}}, g, class)
+		s.submit(&slots[i], key, g, class)
 	}
-	ctx := r.Context()
-	if req.TimeoutMs > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMs)*time.Millisecond)
-		defer cancel()
-	}
-	s.streamBatch(ctx, w, r, fmt.Sprintf(`{"graph_id":%q,"engine":%q,"results":[`, id, eng.Name()), slots)
+	ctx, cancel := waitContext(r, req.TimeoutMs)
+	defer cancel()
+	s.streamBatch(ctx, w, r, fmt.Sprintf(`{"graph_id":%q,"engine":%q,"results":[`, id, key.Opt.Engine), slots)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

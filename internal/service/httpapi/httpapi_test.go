@@ -859,7 +859,8 @@ func TestOversizedUploadIs413(t *testing.T) {
 }
 
 // TestGraphInfoDoesNotFaultBytesIn: GET /v1/graphs/{id} on an evicted
-// graph answers from the index without a disk load.
+// graph answers from the index without a disk load, and a solve whose
+// body is refused makes none either.
 func TestGraphInfoDoesNotFaultBytesIn(t *testing.T) {
 	ts := newStoreServer(t, t.TempDir(), 56, 0) // one 3-vertex 2-edge graph resident
 	var first graphResponse
@@ -876,6 +877,14 @@ func TestGraphInfoDoesNotFaultBytesIn(t *testing.T) {
 	}
 	if loads := ts.metric(t, "mincutd_graph_store_loads_total"); loads != 0 {
 		t.Fatalf("info read faulted bytes in: %d loads", loads)
+	}
+	for _, route := range []string{"/mincut", "/mincut:batch"} {
+		if code, raw := ts.do(t, "POST", "/v1/graphs/"+first.ID+route, "application/json", []byte(`{"seeds": [1], "boost": -1}`), nil); code != http.StatusBadRequest {
+			t.Fatalf("refused solve on %s: %d %s, want 400", route, code, raw)
+		}
+	}
+	if loads := ts.metric(t, "mincutd_graph_store_loads_total"); loads != 0 {
+		t.Fatalf("refused solves faulted bytes in: %d loads", loads)
 	}
 	if code, _ := ts.do(t, "GET", "/v1/graphs/sha256:nope", "", nil, nil); code != http.StatusNotFound {
 		t.Fatal("unknown id not 404")

@@ -9,11 +9,9 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"time"
 
 	parcut "repro"
 	"repro/internal/cluster"
-	"repro/internal/engine"
 	"repro/internal/service/registry"
 	"repro/internal/service/sched"
 )
@@ -60,14 +58,16 @@ func (f flushingWriter) Write(b []byte) (int, error) {
 	return n, err
 }
 
-// proxyToPeer relays r to owner verbatim: same method, path, query, and
-// body, plus the forwarding marker and the originating request ID (so the
-// owner's trace carries the correlation ID the client saw). The response
-// is streamed back byte-for-byte.
-func (s *Server) proxyToPeer(w http.ResponseWriter, r *http.Request, owner string, maxBody int64) {
+// proxyToPeer relays a graph-scoped request r to owner verbatim: same
+// method, path, query, and body, plus the forwarding marker and the
+// originating request ID (so the owner's trace carries the correlation ID
+// the client saw). The response is streamed back byte-for-byte. A body
+// past maxSolveBytes, which the owner would refuse, is refused here with
+// a 413 and never sent.
+func (s *Server) proxyToPeer(w http.ResponseWriter, r *http.Request, owner string) {
 	var body []byte
 	if r.Body != nil && r.ContentLength != 0 {
-		b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+		b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSolveBytes))
 		if err != nil {
 			writeErr(w, uploadErrCode(err), "read request body: %v", err)
 			return
@@ -132,7 +132,7 @@ func (s *Server) routeGraph(next http.HandlerFunc) http.HandlerFunc {
 			next(w, r)
 			return
 		}
-		s.proxyToPeer(w, r, owner, maxUploadBytes)
+		s.proxyToPeer(w, r, owner)
 	}
 }
 
@@ -352,22 +352,10 @@ func (s *Server) forwardUploadShard(r *http.Request, owner string, items []batch
 	}
 }
 
-// clusterBatchItem is one solve of a cross-shard batch: a graph anywhere
-// in the cluster plus its solver options.
-type clusterBatchItem struct {
-	GraphID       string `json:"graph_id"`
-	Seed          int64  `json:"seed"`
-	Boost         int    `json:"boost,omitempty"`
-	WantPartition bool   `json:"want_partition,omitempty"`
-	// Engine defaults to "auto"; each graph's owner resolves it against
-	// the graph it holds, so one batch may fan across engines.
-	Engine string `json:"engine,omitempty"`
-}
-
 // clusterBatchRequest is the POST /v1/mincut:batch body: solves spanning
 // any number of graphs on any shards.
 type clusterBatchRequest struct {
-	Items []clusterBatchItem `json:"items"`
+	Items []solveItem `json:"items"`
 	// Class is the QoS class of every solve; defaults to "batch".
 	Class string `json:"class,omitempty"`
 	// TimeoutMs bounds how long the whole batch waits; 0 means no timeout
@@ -383,52 +371,17 @@ type clusterBatchRequest struct {
 // stream back in input order (see streamBatch). Per-item failures (an
 // unknown graph, an unreachable shard) fail only their own entries.
 func (s *Server) handleClusterBatch(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeErr(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
 	var req clusterBatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !s.readSolve(w, r, &req) {
 		return
 	}
-	if len(req.Items) == 0 {
-		writeErr(w, http.StatusBadRequest, "batch needs at least one item")
+	class, err := checkSolve(req.Items, 0, req.TimeoutMs, req.Class, sched.ClassBatch)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if len(req.Items) > maxBatchItems {
-		writeErr(w, http.StatusBadRequest, "batch of %d items exceeds the limit of %d", len(req.Items), maxBatchItems)
-		return
-	}
-	if req.Class == "" {
-		req.Class = string(sched.ClassBatch)
-	}
-	class, cerr := sched.ParseClass(req.Class)
-	if cerr != nil {
-		writeErr(w, http.StatusBadRequest, "%v", cerr)
-		return
-	}
-	if req.TimeoutMs < 0 {
-		writeErr(w, http.StatusBadRequest, "timeout_ms must be non-negative")
-		return
-	}
-	for _, it := range req.Items {
-		if it.GraphID == "" {
-			writeErr(w, http.StatusBadRequest, "every item needs a graph_id")
-			return
-		}
-		if it.Boost < 0 {
-			writeErr(w, http.StatusBadRequest, "item boost must be non-negative")
-			return
-		}
-	}
-
-	ctx := r.Context()
-	if req.TimeoutMs > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMs)*time.Millisecond)
-		defer cancel()
-	}
+	ctx, cancel := waitContext(r, req.TimeoutMs)
+	defer cancel()
 	routed := s.cluster != nil && !forwarded(r)
 	node := s.nodeName()
 	slots := make([]batchSlot, len(req.Items))
@@ -444,21 +397,16 @@ func (s *Server) handleClusterBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		g, info, err := s.reg.Get(it.GraphID)
-		var eng engine.Engine
+		var key sched.Key
 		if err == nil {
-			eng, err = engine.ResolveWire(it.Engine, info.N, info.M)
+			key, err = solveKey(info, it)
 		}
 		if err != nil {
 			sl.entry.Status, sl.entry.Error = "rejected", err.Error()
 			continue
 		}
-		sl.entry.Engine = eng.Name()
-		s.submit(sl, sched.Key{GraphID: it.GraphID, Opt: sched.SolveOptions{
-			Seed:          it.Seed,
-			WantPartition: it.WantPartition,
-			Boost:         it.Boost,
-			Engine:        eng.Name(),
-		}}, g, class)
+		sl.entry.Engine = key.Opt.Engine
+		s.submit(sl, key, g, class)
 	}
 	var wg sync.WaitGroup
 	defer wg.Wait()
