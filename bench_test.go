@@ -278,6 +278,42 @@ func BenchmarkBoughFinding(b *testing.B) {
 	})
 }
 
+// --- Whole solves of the cutbench workload shapes ------------------------------
+
+// BenchmarkSolveWorkloads solves the graph shapes of cmd/cutbench's sparse
+// and ring workloads as its solver loop does: 16 graphs per shape, and
+// MinCut with the auto engine and a partition on one executor of width
+// GOMAXPROCS, iteration i on graph i mod 16 with seed i. Run it at -cpu 1
+// and -cpu 2 to compare a width-1 executor, which has no idle lane, with
+// a width-2 one.
+func BenchmarkSolveWorkloads(b *testing.B) {
+	for _, bc := range []struct{ name, spec string }{
+		{"sparse", "random:n=520,m=1040,w=100"},
+		{"ring", "cycle:n=1024,w=50"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			graphs := make([]*Graph, 16)
+			for j := range graphs {
+				g, _, err := gen.FromSpec(bc.spec, int64(j))
+				if err != nil {
+					b.Fatal(err)
+				}
+				graphs[j] = &Graph{g: g}
+			}
+			ex := NewExecutor(0)
+			defer ex.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				opt := Options{Engine: "auto", Seed: int64(i), WantPartition: true, Executor: ex}
+				if _, err := MinCut(graphs[i%len(graphs)], opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // --- helpers ---
 
 func benchRandomTree(n int, seed int64) []int32 {

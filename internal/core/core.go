@@ -17,6 +17,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/abscan"
 	"repro/internal/graph"
@@ -48,9 +49,11 @@ type Options struct {
 	Progress *progress.Sink
 	// Trace, when active, receives a span tree attributing the solve's
 	// wall clock: "packing" and "scan" phase spans with estimate,
-	// per-attempt, per-tree, and per-tree-search children. Like Progress
-	// it is write-only — attaching a recorder never changes the Result at
-	// any pool width — and the zero SpanRef costs one branch per seam.
+	// per-attempt, per-round and per-tree-search children; a tree
+	// searched while packing runs has its "tree-scan" span under
+	// "packing". Like Progress it is write-only — attaching a recorder
+	// never changes the Result at any pool width — and the zero SpanRef
+	// costs one branch per seam.
 	Trace trace.SpanRef
 }
 
@@ -66,9 +69,9 @@ type Result struct {
 }
 
 // Search is the pipeline's per-tree step (Lemma 13). Solve calls it once
-// per solve, after the packing, with g's weighted degrees; the TreeSearch
-// it returns is then called concurrently, once per packed tree, so state
-// every tree shares is built here once.
+// per solve, before the packing, with g's weighted degrees; the
+// TreeSearch it returns is then called concurrently, once per packed
+// tree, so state every tree shares is built here once.
 type Search func(g *graph.Graph, deg []int64, pool *par.Pool) TreeSearch
 
 // TreeSearch returns the smallest weight of a cut of g crossing at most
@@ -117,12 +120,18 @@ func MinCut(g *graph.Graph, opt Options) (Result, error) {
 }
 
 // Solve is the packed-tree pipeline with search as its per-tree step.
-// ctx is checked before the packing phase, at the start of every tree,
-// and wherever search checks it (between bough phases, or between heavy
-// paths), so a canceled context stops the computation within one phase
-// of work. With Options.WantPartition the returned partition is
-// re-weighed once, whichever branch produced it, and a mismatch with the
-// reported value is an error.
+// On an executor of width ≥ 2 a tree's search starts as soon as the
+// greedy packing round that built it completes, on the lanes the
+// sequential packing rounds leave idle, and the scan phase searches only
+// the trees not searched yet, then joins them all; on a width-1 executor
+// every search runs after packing. Either way the results combine in the
+// packing's tree order, so the Result is the same at every width. ctx is
+// checked before the packing phase, at the start of the scan phase and
+// of every tree, and wherever search checks it (between bough phases, or
+// between heavy paths), so a canceled context stops the computation
+// within one phase of work. With Options.WantPartition the returned
+// partition is re-weighed once, whichever branch produced it, and a
+// mismatch with the reported value is an error.
 func Solve(ctx context.Context, g *graph.Graph, opt Options, search Search) (Result, error) {
 	res, witness, err := minCut(ctx, g, opt, search)
 	if err != nil || !opt.WantPartition {
@@ -178,9 +187,18 @@ func minCut(ctx context.Context, g *graph.Graph, opt Options, search Search) (Re
 		return Result{}, nil, fmt.Errorf("core: canceled before packing: %w", err)
 	}
 	sink := opt.Progress
+	ts := &treeSearches{g: g, search: search(g, deg, pool), pool: pool, sink: sink, group: pool.Group(), base: ctx, ctx: ctx}
+	defer ts.stop()
 	sink.EnterPhase(progress.PhasePacking)
 	packSp := opt.Trace.Child("packing")
-	pk, err := packing.SampleTreesContext(ctx, g, packing.Options{Seed: opt.Seed + 1}, pool, m, sink, packSp)
+	// A width-1 executor has no lane for a search to run on while
+	// packing runs, so it searches every tree after packing, as a
+	// sequential loop.
+	var announce packing.Announce
+	if pool.Width() > 1 {
+		announce = ts.announce(packSp)
+	}
+	pk, err := packing.SampleTreesAnnouncing(ctx, g, packing.Options{Seed: opt.Seed + 1}, pool, m, sink, packSp, announce)
 	if err != nil {
 		packSp.End()
 		if ctx.Err() != nil {
@@ -190,47 +208,19 @@ func minCut(ctx context.Context, g *graph.Graph, opt Options, search Search) (Re
 	}
 	packSp.AttrInt("trees", int64(len(pk.Trees))).AttrInt("estimate", pk.Estimate).
 		AttrInt("packings", int64(pk.Packings)).End()
-	// Search every tree in parallel; each search is itself parallel.
-	scanTree := search(g, deg, pool)
-	type treeOut struct {
-		value   int64
-		witness Witness
-		err     error
-	}
-	outs := make([]treeOut, len(pk.Trees))
-	locals := make([]*wd.Meter, len(pk.Trees))
 	sink.AddTrees(int64(len(pk.Trees)))
 	sink.EnterPhase(progress.PhaseScan)
+	if err := ctx.Err(); err != nil {
+		return Result{}, nil, fmt.Errorf("core: canceled before the tree scans: %w", err)
+	}
 	scanSp := opt.Trace.Child("scan").AttrInt("trees", int64(len(pk.Trees)))
-	forkSp := scanSp.Child("fork:trees").AttrInt("items", int64(len(pk.Trees))).AttrInt("width", int64(pool.Width()))
-	pool.ForGrain(len(pk.Trees), 1, func(i int) {
-		// Cancellation checkpoint between trees: a canceled context skips
-		// every search that has not started yet.
-		if err := ctx.Err(); err != nil {
-			outs[i].err = fmt.Errorf("canceled: %w", err)
-			return
-		}
-		tsp := scanSp.Child("tree-scan").AttrInt("tree", int64(i))
-		defer tsp.End()
-		edges := make([][2]int32, len(pk.Trees[i]))
-		for j, ei := range pk.Trees[i] {
-			e := g.Edge(int(ei))
-			edges[j] = [2]int32{e.U, e.V}
-		}
-		locals[i] = new(wd.Meter)
-		parent, err := tree.RootEdgeList(n, edges, 0, pool, locals[i])
-		if err != nil {
-			outs[i].err = err
-			return
-		}
-		v, w, err := scanTree(ctx, parent, locals[i], sink, tsp)
-		outs[i] = treeOut{value: v, witness: w, err: err}
-		if err == nil {
-			sink.TreeDone()
-		}
-	})
-	forkSp.End()
+	runs := ts.consume(pk.Trees, scanSp)
+	ts.group.Wait()
 	scanSp.End()
+	locals := make([]*wd.Meter, len(runs))
+	for i, r := range runs {
+		locals[i] = &r.meter
+	}
 	m.Par(locals...) // trees are searched in parallel (§4.3 step 3)
 	best := Result{Value: minDeg, TreesScanned: len(pk.Trees)}
 	// The singleton minimum-degree cut wins unless some tree beats it.
@@ -239,13 +229,151 @@ func minCut(ctx context.Context, g *graph.Graph, opt Options, search Search) (Re
 		inCut[minDegV] = true
 		return inCut, nil
 	})
-	for i, o := range outs {
-		if o.err != nil {
-			return Result{}, nil, fmt.Errorf("core: tree %d scan failed: %w", i, o.err)
+	for i, r := range runs {
+		if r.err != nil {
+			return Result{}, nil, fmt.Errorf("core: tree %d scan failed: %w", i, r.err)
 		}
-		if o.value < best.Value {
-			best.Value, witness = o.value, o.witness
+		if r.value < best.Value {
+			best.Value, witness = r.value, r.witness
 		}
 	}
 	return best, witness, nil
+}
+
+// treeSearches runs a solve's tree searches (§4.3 step 3), each on its
+// own branch of one fork-join group. With a packing.Announce hook
+// installed, it forks the search of every tree a guess draws as soon as
+// the greedy round that built it completes, so the searches use the
+// executor lanes that the sequential packing rounds leave idle; consume
+// then forks only the packed trees not searched yet. Only the solve's
+// goroutine calls its methods: the hook runs inside the packing.
+type treeSearches struct {
+	g      *graph.Graph
+	search TreeSearch
+	pool   *par.Pool
+	sink   *progress.Sink
+	group  par.Group
+	// base is the solve's context, ctx the current guess's (base itself
+	// until a guess is announced), and cancel cancels ctx.
+	base, ctx context.Context
+	cancel    context.CancelFunc
+	// runs are the current guess's announced trees.
+	runs []*treeRun
+}
+
+// treeRun is one tree's search. Its results are written by the branch
+// that searches it and read after the group's join.
+type treeRun struct {
+	tree    []int32 // sorted original edge indices
+	meter   wd.Meter
+	value   int64
+	witness Witness
+	err     error
+	// state holds the searched and consumed bits (see settle).
+	state atomic.Int32
+}
+
+const (
+	searched int32 = 1 << iota // the search succeeded
+	consumed                   // the scan phase took the run for a packed tree
+)
+
+// settle sets bit on r and credits the tree to the progress sink once it
+// has both bits: whichever of the search and the scan phase comes second
+// credits it. So a tree counts once, only after its search succeeded and
+// only if the accepted packing drew it. Each bit is set once, so adding
+// it sets it.
+func (ts *treeSearches) settle(r *treeRun, bit int32) {
+	if r.state.Add(bit) == searched|consumed {
+		ts.sink.TreeDone()
+	}
+}
+
+// announce returns the packing hook. A new guess cancels the previous
+// guess's searches and drops them: they are joined with the rest, but
+// their results are never read and never credited.
+func (ts *treeSearches) announce(packSp trace.SpanRef) packing.Announce {
+	return func(int) func(int, []int32) {
+		if ts.cancel != nil {
+			ts.cancel()
+		}
+		ts.ctx, ts.cancel = context.WithCancel(ts.base)
+		ts.runs = nil
+		return func(round int, tree []int32) {
+			r := &treeRun{tree: tree}
+			ts.runs = append(ts.runs, r)
+			ts.fork(r, packSp, "round", round)
+		}
+	}
+}
+
+// consume maps each packed tree, in order, to its run, which it marks
+// consumed: the run announced for it if there is one, else a new run that
+// it forks.
+func (ts *treeSearches) consume(trees [][]int32, scanSp trace.SpanRef) []*treeRun {
+	runs := make([]*treeRun, len(trees))
+	for i, t := range trees {
+		r := ts.find(t)
+		fresh := r == nil
+		if fresh {
+			r = &treeRun{tree: t}
+		}
+		ts.settle(r, consumed)
+		if fresh {
+			ts.fork(r, scanSp, "tree", i)
+		}
+		runs[i] = r
+	}
+	return runs
+}
+
+// find returns the current guess's run for tree, or nil. Packing returns
+// the announced trees themselves, so a run is found by identity.
+func (ts *treeSearches) find(tree []int32) *treeRun {
+	for _, r := range ts.runs {
+		if &r.tree[0] == &tree[0] {
+			return r
+		}
+	}
+	return nil
+}
+
+// fork roots and searches r's tree on a branch of the group, under the
+// current guess's context and with its own meter, in a "tree-scan" span
+// under phase that carries the attribute key = v.
+func (ts *treeSearches) fork(r *treeRun, phase trace.SpanRef, key string, v int) {
+	ctx := ts.ctx
+	ts.group.Go(func() {
+		// Cancellation checkpoint between trees: a canceled context skips
+		// every search that has not started yet.
+		if err := ctx.Err(); err != nil {
+			r.err = fmt.Errorf("canceled: %w", err)
+			return
+		}
+		sp := phase.Child("tree-scan").AttrInt(key, int64(v))
+		defer sp.End()
+		edges := make([][2]int32, len(r.tree))
+		for j, ei := range r.tree {
+			e := ts.g.Edge(int(ei))
+			edges[j] = [2]int32{e.U, e.V}
+		}
+		parent, err := tree.RootEdgeList(ts.g.N(), edges, 0, ts.pool, &r.meter)
+		if err != nil {
+			r.err = err
+			return
+		}
+		r.value, r.witness, r.err = ts.search(ctx, parent, &r.meter, ts.sink, sp)
+		if r.err == nil {
+			ts.settle(r, searched)
+		}
+	})
+}
+
+// stop cancels every search still running and joins them all. The solve
+// defers it, so no search outlives its solve, whichever way it returns.
+func (ts *treeSearches) stop() {
+	if ts.cancel != nil {
+		ts.cancel()
+	}
+	ts.group.Wait()
 }

@@ -61,6 +61,16 @@ type scratch struct {
 	// original edge indices.
 	marks []uint64
 	tree  []int32
+	// While trees are announced: drawn marks the rounds chooseTrees draws
+	// if the current guess is accepted, replay is the second generator
+	// that finds them, and announced holds each drawn round's tree once
+	// the round has completed, with its hash in hashes. Rounds with equal
+	// trees share the first one's announced slice, which chooseTrees
+	// returns instead of a copy.
+	drawn     []bool
+	replay    *rand.Rand
+	announced [][]int32
+	hashes    []uint64
 }
 
 var scratchPool sync.Pool
@@ -73,6 +83,7 @@ func getScratch() *scratch {
 }
 
 func putScratch(sc *scratch) {
+	clear(sc.announced[:cap(sc.announced)]) // the trees belong to the caller now
 	scratchPool.Put(sc)
 }
 
@@ -235,6 +246,26 @@ func SampleTrees(g *graph.Graph, opt Options, pool *par.Pool, m *wd.Meter) (*Res
 // estimate and each packing attempt; instrumentation never affects the
 // sampled trees.
 func SampleTreesContext(ctx context.Context, g *graph.Graph, opt Options, pool *par.Pool, m *wd.Meter, sink *progress.Sink, sp trace.SpanRef) (*Result, error) {
+	return SampleTreesAnnouncing(ctx, g, opt, pool, m, sink, sp, nil)
+}
+
+// Announce lets a caller start work on the sampled trees while the
+// packing still runs. SampleTreesAnnouncing calls it once per estimate
+// guess, right after the guess's skeleton is sampled; a call for a later
+// guess means every earlier one was rejected. The function it returns is
+// called once for each distinct tree that chooseTrees draws if this guess
+// is accepted, as soon as the first round that built it completes, with
+// that round's index and the tree as sorted original edge indices. The
+// callee keeps the tree and must not modify it: the accepted guess's
+// announced trees are exactly the Result's Trees, the same slices.
+type Announce func(guess int) func(round int, tree []int32)
+
+// SampleTreesAnnouncing is SampleTreesContext with an Announce hook (nil
+// means none). The hook never changes the sampled trees: the rounds a
+// guess would draw are found by replaying the packing's random draws so
+// far on a second source and drawing from that copy, so the packing's own
+// draws are the ones it makes without a hook.
+func SampleTreesAnnouncing(ctx context.Context, g *graph.Graph, opt Options, pool *par.Pool, m *wd.Meter, sink *progress.Sink, sp trace.SpanRef, announce Announce) (*Result, error) {
 	n := g.N()
 	if n < 2 {
 		return nil, fmt.Errorf("packing: need at least 2 vertices, have %d", n)
@@ -264,7 +295,8 @@ func SampleTreesContext(ctx context.Context, g *graph.Graph, opt Options, pool *
 		ch = 1
 	}
 	threshold := acceptFraction * kappa * lnN
-	rng := rand.New(rand.NewSource(opt.Seed + 1))
+	src := &countingSource{Source: rand.NewSource(opt.Seed + 1)}
+	rng := rand.New(src)
 	res := &Result{}
 	sc := getScratch()
 	defer putScratch(sc)
@@ -282,8 +314,29 @@ func SampleTreesContext(ctx context.Context, g *graph.Graph, opt Options, pool *
 		asp := sp.Child("pack-attempt").AttrInt("guess", int64(guess)).AttrInt("target", ch)
 		edges, origin, copies := skeleton(g, p, ch, int64(rounds), rng, sc)
 		atFloor := p >= 1
+		var onRound func(r int, sel []int32)
+		sc.announced = sc.announced[:0]
+		if announce != nil {
+			onTree := announce(guess)
+			sc.drawnRounds(opt.Seed+1, src.draws, rounds, treeCount)
+			sc.marks = zeroed(sc.marks, (len(origin)+63)/64)
+			onRound = func(r int, sel []int32) {
+				if !sc.drawn[r] {
+					return
+				}
+				orig, h := sc.original(sel, origin)
+				for q, t := range sc.announced[:r] {
+					if t != nil && sc.hashes[q] == h && slices.Equal(t, orig) {
+						sc.announced[r] = t
+						return
+					}
+				}
+				sc.announced[r], sc.hashes[r] = slices.Clone(orig), h
+				onTree(r, sc.announced[r])
+			}
+		}
 		sink.AddPackRounds(int64(rounds))
-		trees, maxLoad, ok, err := pack(ctx, n, edges, rounds, sc, pool, m, sink, asp)
+		trees, maxLoad, ok, err := pack(ctx, n, edges, rounds, sc, pool, m, sink, asp, onRound)
 		if err != nil {
 			asp.End()
 			return nil, err
@@ -319,8 +372,10 @@ func SampleTreesContext(ctx context.Context, g *graph.Graph, opt Options, pool *
 // load (the packing value is rounds/maxLoad), and whether the skeleton
 // was connected. Each round is a cancellation seam, a progress tick, and
 // a "round" child span of sp: rounds are the packing phase's unit of
-// work. The per-entry counters and the trees live in sc's buffers, so the
-// trees are invalidated by the next pack call on the same scratch.
+// work. onRound (nil OK) receives each round's index and tree once the
+// round completes. The per-entry counters and the trees live in sc's
+// buffers, so the trees are invalidated by the next pack call on the same
+// scratch.
 //
 // The copies are never materialized. Materialized, an entry's c copies
 // would sit at consecutive indices in entry order, and Forest breaks load
@@ -333,7 +388,7 @@ func SampleTreesContext(ctx context.Context, g *graph.Graph, opt Options, pool *
 // cost ⌊k/c⌋ (load), where the tie-break by entry index orders the
 // entries as their cheapest copies' indices would. An entry's most loaded
 // copy has load ⌈k/c⌉.
-func pack(ctx context.Context, n int, edges []graph.Edge, rounds int, sc *scratch, pool *par.Pool, m *wd.Meter, sink *progress.Sink, sp trace.SpanRef) (trees [][]int32, maxLoad int64, ok bool, err error) {
+func pack(ctx context.Context, n int, edges []graph.Edge, rounds int, sc *scratch, pool *par.Pool, m *wd.Meter, sink *progress.Sink, sp trace.SpanRef, onRound func(r int, sel []int32)) (trees [][]int32, maxLoad int64, ok bool, err error) {
 	if len(edges) < n-1 {
 		return nil, 0, false, nil
 	}
@@ -361,6 +416,9 @@ func pack(ctx context.Context, n int, edges []graph.Edge, rounds int, sc *scratc
 		sc.trees = append(sc.trees, sel)
 		rsp.End()
 		sink.PackRoundDone()
+		if onRound != nil {
+			onRound(r, sel)
+		}
 	}
 	maxLoad = 1
 	for i, k := range picks {
@@ -374,30 +432,16 @@ func pack(ctx context.Context, n int, edges []graph.Edge, rounds int, sc *scratc
 // so uniform sampling from the greedy packing finds a good tree w.h.p.),
 // translates skeleton entries to original edge indices, and deduplicates.
 // It copies out every tree it keeps, since trees are views of sc's
-// buffers. skeleton emits entries in edge order, so origin is increasing:
-// marking a tree's entries and reading the marks back in entry order
-// yields its original edge indices already sorted. A kept tree is
-// compared with earlier ones by a 64-bit hash, confirmed element by
-// element.
+// buffers, unless the round was announced: then it keeps the announced
+// tree. A kept tree is compared with earlier ones by a 64-bit hash,
+// confirmed element by element.
 func (sc *scratch) chooseTrees(trees [][]int32, origin []int32, treeCount int, rng *rand.Rand) [][]int32 {
-	const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
 	sc.marks = zeroed(sc.marks, (len(origin)+63)/64)
 	var out [][]int32
 	var hashes []uint64
 	for i := 0; i < treeCount && len(trees) > 0; i++ {
-		for _, ei := range trees[rng.Intn(len(trees))] {
-			sc.marks[ei/64] |= 1 << (ei % 64)
-		}
-		orig, h := sc.tree[:0], uint64(fnvOffset)
-		for w, word := range sc.marks {
-			for ; word != 0; word &= word - 1 {
-				v := origin[w*64+bits.TrailingZeros64(word)]
-				orig = append(orig, v)
-				h = (h ^ uint64(v)) * fnvPrime
-			}
-			sc.marks[w] = 0
-		}
-		sc.tree = orig
+		r := rng.Intn(len(trees))
+		orig, h := sc.original(trees[r], origin)
 		dup := false
 		for j, hj := range hashes {
 			if hj == h && slices.Equal(out[j], orig) {
@@ -406,9 +450,78 @@ func (sc *scratch) chooseTrees(trees [][]int32, origin []int32, treeCount int, r
 			}
 		}
 		if !dup {
-			out = append(out, slices.Clone(orig))
+			if r < len(sc.announced) && sc.announced[r] != nil {
+				out = append(out, sc.announced[r])
+			} else {
+				out = append(out, slices.Clone(orig))
+			}
 			hashes = append(hashes, h)
 		}
 	}
 	return out
+}
+
+// original translates one packed tree from skeleton entries to original
+// edge indices, in sc.tree, and returns them with their FNV-1a hash.
+// skeleton emits entries in edge order, so origin is increasing: marking
+// the tree's entries in sc.marks (which must be zero and cover origin)
+// and reading the marks back in entry order yields the original indices
+// already sorted, and leaves the marks zero again.
+func (sc *scratch) original(tree, origin []int32) ([]int32, uint64) {
+	const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
+	for _, ei := range tree {
+		sc.marks[ei/64] |= 1 << (ei % 64)
+	}
+	orig, h := sc.tree[:0], uint64(fnvOffset)
+	for w, word := range sc.marks {
+		for ; word != 0; word &= word - 1 {
+			v := origin[w*64+bits.TrailingZeros64(word)]
+			orig = append(orig, v)
+			h = (h ^ uint64(v)) * fnvPrime
+		}
+		sc.marks[w] = 0
+	}
+	sc.tree = orig
+	return orig, h
+}
+
+// countingSource is a math/rand source that counts the values it has
+// produced, so that a second source seeded alike can be brought to the
+// same state by drawing as many (see drawnRounds). It returns exactly
+// its wrapped source's values, and a Rand over it draws every value
+// through Int63, because it is not a Source64.
+type countingSource struct {
+	rand.Source
+	draws int
+}
+
+func (s *countingSource) Int63() int64 {
+	s.draws++
+	return s.Source.Int63()
+}
+
+// drawnRounds marks in sc.drawn the rounds that chooseTrees draws from a
+// packing of that many rounds when its rng stands where a fresh source
+// from seed stands after draws values: it reseeds sc.replay, replays
+// those draws on it, then makes chooseTrees' treeCount draws from it.
+// At the p ≥ 1 sampling floor the skeleton draws nothing, so the replay
+// costs nothing but the reseed.
+func (sc *scratch) drawnRounds(seed int64, draws, rounds, treeCount int) {
+	if cap(sc.drawn) < rounds {
+		sc.drawn, sc.announced, sc.hashes = make([]bool, rounds), make([][]int32, rounds), make([]uint64, rounds)
+	}
+	sc.drawn, sc.announced, sc.hashes = sc.drawn[:rounds], sc.announced[:rounds], sc.hashes[:rounds]
+	clear(sc.drawn)
+	clear(sc.announced)
+	if sc.replay == nil {
+		sc.replay = rand.New(rand.NewSource(seed))
+	} else {
+		sc.replay.Seed(seed)
+	}
+	for range draws {
+		sc.replay.Int63()
+	}
+	for range treeCount {
+		sc.drawn[sc.replay.Intn(rounds)] = true
+	}
 }

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/mst"
+	"repro/internal/par"
 	"repro/internal/trace"
 )
 
@@ -321,7 +323,7 @@ func TestPackMatchesMaterializedSkeleton(t *testing.T) {
 			for _, st := range settings {
 				sc := &scratch{}
 				edges, origin, copies := skeleton(g, st.p, st.clamp, st.multCap, rand.New(rand.NewSource(seed)), sc)
-				trees, maxLoad, ok, err := pack(context.Background(), n, edges, rounds, sc, nil, nil, nil, trace.SpanRef{})
+				trees, maxLoad, ok, err := pack(context.Background(), n, edges, rounds, sc, nil, nil, nil, trace.SpanRef{}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -361,5 +363,85 @@ func TestPackMatchesMaterializedSkeleton(t *testing.T) {
 	if connected == 0 || disconnected == 0 || multi == 0 || capped == 0 {
 		t.Fatalf("coverage: %d connected, %d disconnected skeletons, %d multi-copy and %d capped entries",
 			connected, disconnected, multi, capped)
+	}
+}
+
+// TestAnnouncedTreesAreDrawnTrees pins SampleTreesAnnouncing's hook, on
+// pools of width 1 and 2. The hook is called once per guess, in order,
+// and the Result equals a run without a hook. A guess announces each
+// round at most once and no two trees of equal content, and for the
+// accepted guess the announced trees, sorted, are exactly the returned
+// trees, the same slices: chooseTrees draws no tree that was not
+// announced, and every announced tree is one it draws. With packing seed
+// 2 the dumbbell takes four guesses and rejects its first two after all
+// their rounds completed, so they announce trees too.
+func TestAnnouncedTreesAreDrawnTrees(t *testing.T) {
+	for _, tc := range []struct {
+		spec         string
+		gseed, seed  int64
+		packings     int
+		rejectedAnns bool
+	}{
+		{"cycle:n=300,w=50", 1, 3, 1, false},
+		{"random:n=200,m=400,w=100", 2, 5, 1, false},
+		{"dumbbell:n=20,bridge=1", 1, 2, 4, true},
+	} {
+		g, _, err := gen.FromSpec(tc.spec, tc.gseed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		treeCount := int(math.Ceil(2*math.Log2(float64(g.N())))) + 3
+		for _, w := range []int{1, 2} {
+			pool := par.NewPool(w)
+			want, err := SampleTrees(g, Options{Seed: tc.seed}, pool, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var guesses []int
+			announced := map[int]map[int][]int32{} // guess → round → tree
+			got, err := SampleTreesAnnouncing(context.Background(), g, Options{Seed: tc.seed}, pool, nil, nil, trace.SpanRef{},
+				func(guess int) func(int, []int32) {
+					guesses = append(guesses, guess)
+					announced[guess] = map[int][]int32{}
+					return func(round int, tree []int32) {
+						for r, a := range announced[guess] {
+							if r == round || slices.Equal(a, tree) {
+								t.Errorf("%s: guess %d announced round %d's tree again in round %d", tc.spec, guess, r, round)
+							}
+						}
+						announced[guess][round] = tree
+					}
+				})
+			pool.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			where := fmt.Sprintf("%s width %d", tc.spec, w)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: result with a hook %+v, without %+v", where, got, want)
+			}
+			if got.Packings != tc.packings || !slices.Equal(guesses, []int{0, 1, 2, 3}[:got.Packings]) {
+				t.Fatalf("%s: %d packings, hook called for guesses %v; want %d packings", where, got.Packings, guesses, tc.packings)
+			}
+			acc := announced[got.Packings-1]
+			if len(acc) == 0 || len(acc) > treeCount {
+				t.Fatalf("%s: accepted guess announced %d rounds, want 1 to %d", where, len(acc), treeCount)
+			}
+			if len(acc) != len(got.Trees) {
+				t.Errorf("%s: accepted guess announced %d trees, returned %d", where, len(acc), len(got.Trees))
+			}
+			for r, tree := range acc {
+				if !slices.IsSorted(tree) || !slices.ContainsFunc(got.Trees, func(x []int32) bool { return &x[0] == &tree[0] }) {
+					t.Errorf("%s: round %d's announced tree is not a returned tree", where, r)
+				}
+			}
+			rejected := 0
+			for guess := 0; guess < got.Packings-1; guess++ {
+				rejected += len(announced[guess])
+			}
+			if (rejected > 0) != tc.rejectedAnns {
+				t.Errorf("%s: rejected guesses announced %d trees, want some: %v", where, rejected, tc.rejectedAnns)
+			}
+		}
 	}
 }

@@ -118,38 +118,55 @@ func (p *Pool) ForChunk(n, grain int, f func(lo, hi int)) {
 }
 
 // Do runs the given functions as parallel fork-join branches on the pool:
-// branches go onto the pool's queue (at most width run at once, zero
-// goroutines spawned) and the caller helps run queued branches while
-// joining. Branches only run inline in the caller when the pool is
-// sequential or closed — saturation queues instead of serializing.
+// it forks all but the first onto a Group, runs the first itself, and
+// joins.
 func (p *Pool) Do(fs ...func()) {
-	p = p.get()
-	switch len(fs) {
-	case 0:
-		return
-	case 1:
-		fs[0]()
+	if len(fs) == 0 {
 		return
 	}
-	if p.width == 1 || p.closed.Load() {
-		for _, f := range fs {
-			f()
-		}
-		return
-	}
-	j := p.getJoin()
-	var inline []func()
+	g := p.Group()
 	for _, f := range fs[1:] {
-		if !p.fork(j, task{f: f}) {
-			inline = append(inline, f) // pool closed mid-call
-		}
+		g.Go(f)
 	}
 	fs[0]()
-	for _, f := range inline {
+	g.Wait()
+}
+
+// Group is a fork-join whose branches are forked one at a time, as the
+// forker learns of them: Go queues a branch (at most width run at once,
+// zero goroutines spawned), and Wait joins every branch forked so far,
+// helping run queued branches meanwhile, and leaves the group empty. A
+// branch runs inline in Go only when the pool is sequential or closed —
+// saturation queues instead of serializing. Go and Wait are called by
+// one goroutine.
+type Group struct {
+	p *Pool
+	j *join // nil until the first branch is forked
+}
+
+// Group returns an empty fork-join group on the pool.
+func (p *Pool) Group() Group {
+	return Group{p: p.get()}
+}
+
+// Go forks f as a branch of the group.
+func (g *Group) Go(f func()) {
+	p := g.p
+	if p.width > 1 && g.j == nil {
+		g.j = p.getJoin()
+	}
+	if p.width == 1 || !p.fork(g.j, task{f: f}) {
 		f()
 	}
-	p.wait(j)
-	p.putJoin(j)
+}
+
+// Wait returns once every branch forked on the group has finished.
+func (g *Group) Wait() {
+	if g.j != nil {
+		g.p.wait(g.j)
+		g.p.putJoin(g.j)
+		g.j = nil
+	}
 }
 
 // MinInt64 returns the minimum element and its index (the smallest index

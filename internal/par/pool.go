@@ -20,10 +20,12 @@ import (
 // The queue is unbounded, so a saturated burst queues for the workers
 // instead of degrading to inline execution in the forking caller. One
 // queue serves because solves fork little, and from outside the workers:
-// on width-2 executors over the cutbench graph shapes (seeds 1–4), an
-// andersonblelloch solve forks once (core's tree loop), a stoerwagner
-// solve never, and a geissmann solve 230–4,872 times, and none of those
-// forks is made by a worker, so per-worker queues would stay empty.
+// on width-2 executors over the cutbench graph shapes, an
+// andersonblelloch solve forks once per distinct packed tree (core forks
+// each tree's search from the packing loop), a stoerwagner solve never,
+// and a geissmann solve hundreds to thousands of times (230–4,872 on
+// seeds 1–4), and only geissmann's nested forks are made by workers, so
+// per-worker queues would stay nearly empty.
 //
 // Width and schedule never affect results: every primitive computes the
 // same output at every width and under any interleaving (chunked

@@ -6,6 +6,13 @@
 // view: a Sink never feeds anything back into the computation, so an
 // attached sink cannot change the result at any pool width.
 //
+// A tree counts toward TreesDone once its search has succeeded and the
+// scan phase has taken it as one of the packing's returned trees. On an
+// executor of width ≥ 2 a tree's search can start and finish while
+// packing still runs; it is credited when the scan phase begins, and a
+// tree of a packing guess that was rejected is never credited (its bough
+// phases, though, count in BoughPhasesDone).
+//
 // A nil *Sink is valid and records nothing, mirroring *wd.Meter, so every
 // code path can thread a sink unconditionally.
 package progress
@@ -89,8 +96,9 @@ type Sink struct {
 	// Notify, when non-nil, is called after phase transitions and coarse
 	// milestones (run, tree, and bough-phase completions) — never on the
 	// per-round hot path. It runs on a solver goroutine, so it must be
-	// cheap and must not call back into the solve; set it before the
-	// solve starts and do not change it afterwards. Because every call
+	// cheap and must not call back into the solve, and tree searches on
+	// parallel lanes call it concurrently; set it before the solve starts
+	// and do not change it afterwards. Because every call
 	// site sits at a cooperative-cancellation seam, a Notify that blocks
 	// parks the solve at that seam (tests use this to pin a job inside a
 	// chosen phase deterministically).
@@ -157,7 +165,8 @@ func (s *Sink) AddTrees(total int64) {
 	s.treesTotal.Add(total)
 }
 
-// TreeDone records one completed spanning-tree scan and notifies.
+// TreeDone records one completed spanning-tree scan of the accepted
+// packing and notifies.
 func (s *Sink) TreeDone() {
 	if s == nil {
 		return

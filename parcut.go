@@ -84,10 +84,11 @@ func (e *Executor) unwrap() *par.Pool {
 type PoolStats struct {
 	// Forks counts branches handed to the executor's queue, and Steals
 	// those run by a goroutine other than the one that forked them. At
-	// width 2 an andersonblelloch solve forks once (its tree loop), a
-	// stoerwagner solve never, and a geissmann solve hundreds to
-	// thousands of times. InlineRuns counts forks that ran inline in the
-	// forking goroutine — always 0 on an open executor of width > 1.
+	// width 2 an andersonblelloch solve forks once per distinct tree its
+	// packing draws (each tree's search is one branch), a stoerwagner
+	// solve never, and a geissmann solve hundreds to thousands of times.
+	// InlineRuns counts forks that ran inline in the forking goroutine —
+	// always 0 on an open executor of width > 1.
 	Forks, Steals, InlineRuns int64
 	// ArenaHits and ArenaMisses count recycled vs freshly allocated
 	// scratch borrows in the executor's solve arena.
@@ -248,7 +249,8 @@ type ProgressSnapshot struct {
 	PackRoundsDone  int64 `json:"pack_rounds_done"`
 	PackRoundsTotal int64 `json:"pack_rounds_total"`
 	// TreesScanned / TreesTotal count spanning-tree scans; in the
-	// "contract" phase, merged supernodes out of n−1.
+	// "contract" phase, merged supernodes out of n−1. A tree searched
+	// while packing still runs counts only once the scan phase starts.
 	TreesScanned int64 `json:"trees_scanned"`
 	TreesTotal   int64 `json:"trees_total"`
 	// BoughPhasesDone and BoughsProcessed count bough-phase work inside
@@ -308,7 +310,9 @@ type Progress struct {
 // phase transitions and coarse milestones (boost-run, tree-scan, and
 // bough-phase completions). It runs on a solver goroutine at a
 // cancellation seam: it must be cheap (or hand off to its own goroutine),
-// and if it blocks, the solve parks at that seam until it returns.
+// and if it blocks, the solve parks at that seam until it returns. On an
+// executor of width ≥ 2 the tree searches call it from several goroutines
+// at once, during packing too, so it must be safe for concurrent use.
 func NewProgress(onEvent func(ProgressSnapshot)) *Progress {
 	p := &Progress{onEvent: onEvent}
 	if onEvent != nil {
